@@ -54,6 +54,10 @@ impl SetArena {
         let n = num_sets * ways;
         let mut order = Vec::with_capacity(n);
         for _ in 0..num_sets {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the assert above bounds ways to 1..=255"
+            )]
             order.extend(0..ways as u8);
         }
         SetArena {
@@ -76,7 +80,6 @@ impl SetArena {
     fn idx(&self, set: usize, way: usize) -> usize {
         // Explicit wrapping: an (impossible in practice) overflow produces
         // an out-of-range index, which every accessor treats as inert.
-        // ldis: allow(R1, "new() sizes every array to sets * ways and all callers route the returned index through checked get/get_mut accessors, so an overflowed index is inert")
         set.wrapping_mul(self.ways).wrapping_add(way)
     }
 
@@ -94,13 +97,16 @@ impl SetArena {
 
     /// The recency position of `way` in `set` (0 = MRU), if in range.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()"
+    )]
     pub fn position_of(&self, set: usize, way: usize) -> Option<u8> {
         let base = set * self.ways;
         let order = self.order.get(base..base + self.ways)?;
         order
             .iter()
             .position(|&w| w as usize == way)
-            // ldis: allow(T1, "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()")
             .map(|p| p as u8)
     }
 
@@ -108,6 +114,10 @@ impl SetArena {
     /// *before* the promotion (the position an access observes, Section 3).
     /// Returns 0 without mutating if the coordinates are out of range.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()"
+    )]
     pub fn promote(&mut self, set: usize, way: usize) -> u8 {
         let base = set * self.ways;
         let Some(order) = self.order.get_mut(base..base + self.ways) else {
@@ -120,7 +130,6 @@ impl SetArena {
             // Equivalent to remove(pos) + insert(0, way) on the per-set stack.
             prefix.rotate_right(1);
         }
-        // ldis: allow(T1, "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()")
         pos as u8
     }
 
@@ -152,7 +161,10 @@ impl SetArena {
         let i = base.wrapping_add(way);
         // Promote to MRU, remembering the pre-promotion position.
         let order = self.order.get_mut(base..end)?;
-        // ldis: allow(T1, "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()"
+        )]
         let pos = order.iter().position(|&w| w as usize == way)? as u8;
         if let Some(prefix) = order.get_mut(..=pos as usize) {
             prefix.rotate_right(1);

@@ -80,6 +80,10 @@ pub struct SetAssocCache {
 impl SetAssocCache {
     /// Creates an empty cache.
     pub fn new(cfg: CacheConfig) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the set count sizes in-memory arrays, so it fits usize"
+        )]
         let arena = SetArena::new(cfg.num_sets() as usize, cfg.ways());
         SetAssocCache { cfg, arena }
     }
@@ -156,6 +160,10 @@ impl SetAssocCache {
     /// Iterates over every valid line with an owned snapshot of its entry —
     /// used by the compression analysis (Figure 10), which samples cache
     /// contents.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set count sizes in-memory arrays, so it fits usize"
+    )]
     pub fn iter_lines(&self) -> impl Iterator<Item = (LineAddr, TagEntry)> + '_ {
         let ways = self.arena.ways();
         (0..self.cfg.num_sets() as usize).flat_map(move |set| {
@@ -171,6 +179,10 @@ impl SetAssocCache {
     }
 
     /// Number of valid lines currently resident.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set count sizes in-memory arrays, so it fits usize"
+    )]
     pub fn occupancy(&self) -> u64 {
         let ways = self.arena.ways();
         (0..self.cfg.num_sets() as usize)
@@ -195,6 +207,10 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if `bit` is out of range.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "bit < footprint_bits() (asserted below), so word < words_per_line and set, way lie inside the cache geometry"
+    )]
     pub fn flip_footprint_bit(&mut self, bit: u64) -> FootprintFault {
         let wpl = self.cfg.geometry().words_per_line() as u64;
         let ways = self.cfg.ways() as u64;

@@ -84,6 +84,10 @@ impl CacheConfig {
     }
 
     /// The set index for a line address.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked below num_sets, which sizes in-memory arrays"
+    )]
     pub const fn set_index(&self, line: LineAddr) -> usize {
         (line.raw() & (self.num_sets - 1)) as usize
     }

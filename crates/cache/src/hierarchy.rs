@@ -196,7 +196,6 @@ impl<L2: SecondLevel> Hierarchy<L2> {
     fn data_access(&mut self, access: Access) -> AccessTrace {
         let geom = self.l2.geometry();
         let line = geom.line_addr(access.addr);
-        // ldis: allow(T1, "Access.size is declared u8, so widening to u32 is lossless; field types sit outside the interval domain")
         let (first, last) = geom.word_span(access.addr, access.size as u32);
         let write = access.kind.is_write();
         let mut trace = AccessTrace::default();

@@ -65,6 +65,10 @@ pub struct SectoredCache {
 impl SectoredCache {
     /// Creates an empty sectored cache.
     pub fn new(cfg: CacheConfig) -> Self {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the set count sizes in-memory arrays, so it fits usize"
+        )]
         let num_sets = cfg.num_sets() as usize;
         let arena = SetArena::new(num_sets, cfg.ways());
         let valid_words = vec![0u16; num_sets * cfg.ways() as usize];
@@ -247,6 +251,10 @@ impl SectoredCache {
     }
 
     /// Number of resident lines.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set count sizes in-memory arrays, so it fits usize"
+    )]
     pub fn occupancy(&self) -> u64 {
         let ways = self.arena.ways();
         (0..self.cfg.num_sets() as usize)

@@ -21,6 +21,10 @@ impl CacheSet {
     /// # Panics
     ///
     /// Panics if `ways` is 0 or greater than 255.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the assert bounds ways to 1..=255"
+    )]
     pub fn new(ways: u32) -> Self {
         assert!((1..=255).contains(&ways), "ways must be in 1..=255");
         CacheSet {
@@ -44,11 +48,18 @@ impl CacheSet {
     /// # Panics
     ///
     /// Panics if `way` is out of range.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract: the recency order is a permutation of the ways by construction, so position_of/victim_way cannot miss; a panic here means the set is corrupt and continuing would corrupt stats"
+    )]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "position over the recency order, whose length is ways, asserted 1..=255 in new()"
+    )]
     pub fn position_of(&self, way: usize) -> u8 {
         self.order
             .iter()
             .position(|&w| w as usize == way)
-            // ldis: allow(T1, "position over the recency order, whose length is ways, asserted 1..=255 in new()")
             .expect("way must be a member of the recency order") as u8
     }
 
@@ -63,6 +74,10 @@ impl CacheSet {
 
     /// The way a new line should replace: the first invalid way if any,
     /// otherwise the LRU way.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic contract: the recency order is a permutation of the ways by construction, so position_of/victim_way cannot miss; a panic here means the set is corrupt and continuing would corrupt stats"
+    )]
     pub fn victim_way(&self) -> usize {
         if let Some(w) = self.entries.iter().position(|e| !e.valid) {
             return w;
@@ -76,8 +91,12 @@ impl CacheSet {
     ///
     /// Panics if `way` is out of range — an out-of-range way is a caller
     /// bug, never a data-dependent condition.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic contract of the way accessor"
+    )]
     pub fn entry(&self, way: usize) -> &TagEntry {
-        &self.entries[way] // ldis: allow(P1X, "documented panic contract of the way accessor")
+        &self.entries[way]
     }
 
     /// Exclusive access to the entry in `way`.
@@ -85,8 +104,12 @@ impl CacheSet {
     /// # Panics
     ///
     /// Panics if `way` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic contract of the way accessor"
+    )]
     pub fn entry_mut(&mut self, way: usize) -> &mut TagEntry {
-        &mut self.entries[way] // ldis: allow(P1X, "documented panic contract of the way accessor")
+        &mut self.entries[way]
     }
 
     /// Iterates over all entries (valid and invalid).
@@ -99,8 +122,12 @@ impl CacheSet {
     /// # Panics
     ///
     /// Panics if `pos` is not a valid recency position.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panic contract of the recency accessor"
+    )]
     pub fn way_at_position(&self, pos: u8) -> usize {
-        self.order[pos as usize] as usize // ldis: allow(P1X, "documented panic contract of the recency accessor")
+        self.order[pos as usize] as usize
     }
 
     /// Returns the recency order as way indices, MRU first. Primarily for

@@ -120,6 +120,10 @@ impl CmprCache {
             .map_or(0, |s| s.iter().map(|l| l.segments).sum())
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set index is masked below num_sets, which sizes in-memory arrays"
+    )]
     fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
         let sets = self.cfg.num_sets();
         (

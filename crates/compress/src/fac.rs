@@ -72,6 +72,10 @@ pub struct CompressedWoc {
 
 impl CompressedWoc {
     /// Creates an empty compressed WOC.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set count sizes in-memory arrays, so it fits usize"
+    )]
     pub fn new(
         num_sets: u64,
         ways: u32,

@@ -51,8 +51,11 @@ pub fn compressed_bits(values: &[u32]) -> u64 {
 }
 
 /// Encoded size in bytes, rounded up.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "callers compress at most one cache line of words (<= 16 values at <= 34 bits each), so the byte count fits u32 with room to spare"
+)]
 pub fn compressed_bytes(values: &[u32]) -> u32 {
-    // ldis: allow(T1, "callers compress at most one cache line of words (<= 16 values at <= 34 bits each), so the byte count fits u32 with room to spare")
     compressed_bits(values).div_ceil(8) as u32
 }
 

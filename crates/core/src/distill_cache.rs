@@ -355,7 +355,10 @@ impl<W: WordStore> DistillCache<W> {
                 ProtectionScheme::Unprotected => res.health.faults.silent.bump(),
             }
         } else if bit < woc_bits + loc_bits + psel_bits {
-            // ldis: allow(T1, "the else-if chain pins bit below woc_bits + loc_bits + psel_bits, so the subtraction is less than psel_bits (a few tens of bits)")
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the else-if chain pins bit below woc_bits + loc_bits + psel_bits, so the subtraction is less than psel_bits (a few tens of bits)"
+            )]
             let pbit = (bit - woc_bits - loc_bits) as u32;
             // `psel_bits > 0` implies a reverter; if that ever regresses,
             // the flip has no target and counts as masked.
@@ -401,6 +404,10 @@ impl<W: WordStore> DistillCache<W> {
     /// degradation trigger.
     fn self_check(&mut self, res: &mut Resilience) {
         let num_sets = self.cfg.num_sets();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "reduced modulo num_sets, which sizes in-memory arrays"
+        )]
         let set = ((self.stats.accesses / res.cfg.check_interval) % num_sets) as usize;
         let mut violations: Vec<LdisError> = Vec::new();
         if let Err(e) = self.woc.check_invariants(set) {

@@ -55,12 +55,15 @@ impl MedianTracker {
 
     /// Records a LOC eviction with `used` words used, recomputing the
     /// threshold when the window fills.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "median_bin indexes the histogram's words_per_line + 1 <= 17 bins"
+    )]
     pub fn observe(&mut self, used: u8) {
         self.hist.record(used as usize);
         self.seen_in_window += 1;
         if self.seen_in_window >= self.interval {
             if let Some(median) = self.hist.median_bin() {
-                // ldis: allow(T1, "median_bin indexes the histogram's words_per_line + 1 <= 17 bins")
                 self.threshold = median as u8;
             }
             self.hist.clear();
@@ -81,8 +84,11 @@ impl MedianTracker {
     }
 
     /// The line's word count (the largest legal threshold).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the histogram is built with words_per_line + 1 <= 17 bins"
+    )]
     pub fn words_per_line(&self) -> u8 {
-        // ldis: allow(T1, "the histogram is built with words_per_line + 1 <= 17 bins")
         (self.hist.len() - 1) as u8
     }
 

@@ -53,6 +53,10 @@ impl Reverter {
             num_sets.is_multiple_of(cfg.leader_sets as u64),
             "leader sets must divide the set count"
         );
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the stride is at most num_sets, which sizes in-memory arrays"
+        )]
         let stride = (num_sets / cfg.leader_sets as u64) as usize;
         Reverter {
             cfg,

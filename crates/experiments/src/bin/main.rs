@@ -189,7 +189,10 @@ fn main() {
             eprintln!("`bench` runs alone");
             usage();
         }
-        let points = perf::measure(&cfg, &[1, 4]);
+        let points = perf::measure(&cfg, &[1, 4]).unwrap_or_else(|e| {
+            eprintln!("bench failed: {e}");
+            std::process::exit(1);
+        });
         println!("{}", perf::report(&cfg, &points));
         let phases = points.first().map(|serial| {
             let ph = perf::measure_phases(&cfg, serial);
@@ -215,7 +218,13 @@ fn main() {
             });
             match perf::check_regression_retrying(&committed, fresh, 3, || {
                 eprintln!("  slow window; re-measuring single-thread");
-                perf::measure(&cfg, &[1]).into_iter().next()
+                perf::measure(&cfg, &[1])
+                    .unwrap_or_else(|e| {
+                        eprintln!("bench failed: {e}");
+                        std::process::exit(1);
+                    })
+                    .into_iter()
+                    .next()
             }) {
                 Ok(verdict) => println!("{verdict}"),
                 Err(e) => {

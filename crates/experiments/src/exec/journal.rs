@@ -295,6 +295,10 @@ impl Journal {
     /// unreadable or names a different matrix, or a record decodes to an
     /// out-of-range cell. (A corrupt *tail* is not an error: it is
     /// discarded and reported in [`Resumed::discarded_bytes`].)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offsets index a journal held in memory and cells are checked against the matrix length, so both fit usize"
+    )]
     pub fn resume<T: CellCodec>(path: &Path, header: JournalHeader) -> Result<Resumed<T>, String> {
         let mut file = std::fs::OpenOptions::new()
             .read(true)

@@ -43,7 +43,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-// ldis: allow(D1, "the watchdog measures wall-clock hangs; simulated state never reads this clock")
 use std::time::Instant;
 
 /// How the crash-safe executor runs a matrix.
@@ -262,8 +261,11 @@ where
 {
     catch_unwind(AssertUnwindSafe(|| {
         match faults.action(cell, attempt) {
+            #[expect(
+                clippy::panic,
+                reason = "deliberate injected fault, caught by the cell's catch_unwind"
+            )]
             Some(FaultKind::Panic) => {
-                // ldis: allow(P1, "deliberate injected fault, caught by the cell's catch_unwind")
                 panic!("injected fault: cell {cell} attempt {attempt}")
             }
             Some(FaultKind::Hang) => loop {
@@ -275,8 +277,11 @@ where
         match items.get(cell) {
             Some(item) => job(cell, item),
             // Unreachable: tasks are only created for in-range cells.
+            #[expect(
+                clippy::panic,
+                reason = "harness invariant, not simulator state; caught by catch_unwind"
+            )]
             None => {
-                // ldis: allow(P1, "harness invariant, not simulator state; caught by catch_unwind")
                 panic!("cell {cell} out of range")
             }
         }
@@ -335,11 +340,14 @@ fn spawn_worker<I, T, F>(
     });
 }
 
-/// The watchdog's wall-clock read, confined to one waived helper so the
-/// deterministic-simulation lint (D1) can see exactly where time enters.
-fn wall_now() -> Instant // ldis: allow(D1, "watchdog wall-clock read; never influences simulated state")
-{
-    Instant::now() // ldis: allow(D1, "watchdog wall-clock read; never influences simulated state")
+/// The watchdog's wall-clock read, confined to one helper so the
+/// `disallowed_methods` expectation shows exactly where time enters.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "watchdog wall-clock read; never influences simulated state"
+)]
+fn wall_now() -> Instant {
+    Instant::now()
 }
 
 /// Runs `job` over every cell of `items` not already in `completed`,
@@ -527,7 +535,7 @@ where
                     }
                     if let Some(slot) = outcomes.get_mut(cell) {
                         *slot = Some(Err(CellFailure::Hung {
-                            budget_ms: b.as_millis() as u64,
+                            budget_ms: u64::try_from(b.as_millis()).unwrap_or(u64::MAX),
                         }));
                     }
                     states.remove(&cell);

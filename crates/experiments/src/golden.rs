@@ -25,9 +25,9 @@ use std::fs;
 use std::path::PathBuf;
 
 /// The canonical configuration every golden snapshot is computed with:
-/// [`RunConfig::quick`]. The criterion benches in `crates/bench` run the
-/// same configuration so benchmark numbers and snapshots describe the
-/// same work.
+/// [`RunConfig::quick`]. `ldis-experiments bench --quick` times the same
+/// configuration, so benchmark numbers and snapshots describe the same
+/// work.
 pub fn golden_config() -> RunConfig {
     RunConfig::quick()
 }
@@ -35,6 +35,10 @@ pub fn golden_config() -> RunConfig {
 /// The snapshot directory: `LDIS_GOLDEN_DIR` if set (tests use a
 /// temporary directory to exercise the update path), else `tests/golden/`
 /// at the repository root.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "LDIS_GOLDEN_DIR only redirects where the test harness keeps snapshots; simulated state never reads it"
+)]
 pub fn dir() -> PathBuf {
     match std::env::var_os("LDIS_GOLDEN_DIR") {
         Some(d) => PathBuf::from(d),
@@ -43,6 +47,10 @@ pub fn dir() -> PathBuf {
 }
 
 /// Whether `UPDATE_GOLDEN=1` is in effect.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDATE_GOLDEN only switches the test harness between verify and rewrite; simulated state never reads it"
+)]
 pub fn update_requested() -> bool {
     std::env::var("UPDATE_GOLDEN").is_ok_and(|v| v == "1")
 }
@@ -201,6 +209,10 @@ pub fn verify_surviving(
 /// # Panics
 ///
 /// Panics with the [`verify`] error message on any mismatch or IO error.
+#[expect(
+    clippy::panic,
+    reason = "a golden-snapshot mismatch must abort the test harness with the rendered diff; panicking is the reporting mechanism, not an error path"
+)]
 pub fn assert_matches(name: &str, snapshot: &Json) {
     if let Err(msg) = verify(name, snapshot) {
         panic!("{msg}");

@@ -54,6 +54,10 @@ pub fn available_threads() -> usize {
 /// The worker count sweeps will use: the [`set_thread_override`] value if
 /// set, else `LDIS_THREADS` if set and parseable, else
 /// [`available_threads`]. Always at least 1.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "LDIS_THREADS only picks the worker count, and every sweep is bit-identical at any thread count"
+)]
 pub fn configured_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {

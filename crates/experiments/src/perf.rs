@@ -8,8 +8,12 @@
 //! tracks the *trend* across PRs (simulated accesses per second,
 //! nanoseconds per access, parallel speedup), not exact bytes, so it is
 //! exempt from byte-stability checks.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "this module measures wall-clock throughput; simulated state never reads the clock"
+)]
 
-use crate::exec::{run_cells, ExecPolicy};
+use crate::exec::{run_cells, ExecPolicy, FaultPlan};
 use crate::report::{fmt_f, Json, Table};
 use crate::{mrc, run_capacity_sweep, run_sampled_capacity_sweep, sweep, RunConfig};
 use ldis_mrc::ShardsConfig;
@@ -31,29 +35,66 @@ pub struct BenchPoint {
 }
 
 /// Times the full sweep matrix once per entry of `thread_counts`.
-pub fn measure(cfg: &RunConfig, thread_counts: &[usize]) -> Vec<BenchPoint> {
-    let total_accesses = cfg.accesses * sweep::cells().len() as u64;
+///
+/// # Errors
+///
+/// Returns a message naming every quarantined cell if any cell fails: a
+/// sweep with failed cells simulated fewer accesses than the timing
+/// divides by, so its numbers would be wrong.
+pub fn measure(cfg: &RunConfig, thread_counts: &[usize]) -> Result<Vec<BenchPoint>, String> {
+    measure_with(cfg, thread_counts, &FaultPlan::none())
+}
+
+/// [`measure`] with `faults` injected into the executor.
+fn measure_with(
+    cfg: &RunConfig,
+    thread_counts: &[usize],
+    faults: &FaultPlan,
+) -> Result<Vec<BenchPoint>, String> {
+    let cells = sweep::cells();
+    let total_accesses = cfg.accesses * cells.len() as u64;
     thread_counts
         .iter()
         .map(|&threads| {
             let run_cfg = *cfg;
-            let policy = ExecPolicy::with_threads(threads);
+            let policy = ExecPolicy {
+                faults: faults.clone(),
+                ..ExecPolicy::with_threads(threads)
+            };
             let start = Instant::now();
             let report = run_cells(
-                sweep::cells(),
+                cells.clone(),
                 move |_cell, spec| sweep::run_cell(spec, &run_cfg),
                 &policy,
                 BTreeMap::new(),
                 |_, _| {},
             );
             let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-            debug_assert!(report.all_ok());
-            BenchPoint {
+            let failed: Vec<String> = report
+                .failures()
+                .map(|(cell, failure)| match cells.get(cell) {
+                    Some(spec) => format!(
+                        "cell {cell} ({} {}): {failure}",
+                        spec.benchmark.name,
+                        spec.config.label()
+                    ),
+                    None => format!("cell {cell}: {failure}"),
+                })
+                .collect();
+            if !failed.is_empty() {
+                return Err(format!(
+                    "{} of {} sweep cells failed at {threads} thread(s), so the run is not timed: {}",
+                    failed.len(),
+                    cells.len(),
+                    failed.join("; ")
+                ));
+            }
+            Ok(BenchPoint {
                 threads,
                 wall_s,
                 accesses_per_s: total_accesses as f64 / wall_s,
                 ns_per_access: wall_s * 1e9 / total_accesses as f64,
-            }
+            })
         })
         .collect()
 }
@@ -85,6 +126,10 @@ pub fn measure_phases(cfg: &RunConfig, serial: &BenchPoint) -> PhaseBreakdown {
         let mut workload = (cell.benchmark.make)(cell.seed(cfg));
         let mut remaining = cfg.warmup + cfg.accesses;
         while remaining > 0 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "take is at most DRIVE_BLOCK, a usize"
+            )]
             let take = remaining.min(Workload::DRIVE_BLOCK as u64) as usize;
             workload.fill_block(&mut buf, take);
             std::hint::black_box(&buf);
@@ -531,11 +576,31 @@ mod tests {
         // One real (but minuscule) measurement keeps the timing path
         // honest without slowing the suite.
         let cfg = RunConfig::quick().with_accesses(500);
-        let points = measure(&cfg, &[1]);
+        let points = measure(&cfg, &[1]).expect("every cell succeeds");
         assert_eq!(points.len(), 1);
         let p = points.first().expect("one point");
         assert!(p.wall_s > 0.0);
         assert!(p.accesses_per_s > 0.0);
         assert!(p.ns_per_access > 0.0);
+    }
+
+    #[test]
+    fn measure_refuses_to_time_a_sweep_with_failed_cells() {
+        // Cell 4 panics on every attempt and is quarantined; the bench
+        // must report it instead of timing the shortened sweep.
+        let cfg = RunConfig::quick().with_accesses(200);
+        let faults = FaultPlan::parse("4:panic:9").expect("valid plan");
+        let err = measure_with(&cfg, &[1], &faults).expect_err("a failed cell must fail the bench");
+        let spec = sweep::cells()[4];
+        assert!(err.contains("1 of 81 sweep cells failed"), "{err}");
+        assert!(
+            err.contains(&format!(
+                "cell 4 ({} {})",
+                spec.benchmark.name,
+                spec.config.label()
+            )),
+            "{err}"
+        );
+        assert!(err.contains("injected fault"), "{err}");
     }
 }

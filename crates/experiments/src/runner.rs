@@ -136,6 +136,10 @@ pub fn baseline_config(size_bytes: u64) -> CacheConfig {
     if (lines / 8).is_power_of_two() {
         CacheConfig::new(size_bytes, 8, geom)
     } else {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "capacities that miss a power-of-two set count at 8 ways are a few MB, a handful of ways at 2048 sets"
+        )]
         let ways = (lines / 2048) as u32;
         CacheConfig::with_sets(2048, ways, geom)
     }

@@ -1,14 +1,7 @@
-//! The interprocedural passes: P2 (panic-reachability), U1 (unit
-//! safety) and D3 (float determinism), run over the workspace model
-//! built by [`crate::model`].
+//! The workspace passes: U1 (unit safety), D3 (float determinism),
+//! S1 (seed provenance), L2 (lock discipline) and O1 (counter
+//! arithmetic), run over the workspace model built by [`crate::model`].
 //!
-//! * **P2** proves every `pub fn` of the sim-core crates transitively
-//!   panic-free. Panic *sources* are the same sites the token-level P1
-//!   rule flags (`.unwrap()`, `.expect(`, `panic!`-family), minus
-//!   `#[cfg(test)]` code, inline waivers, and the files whose panic
-//!   contract is justified in `lint.toml`. Reachability runs over the
-//!   conservative call graph; the diagnostic renders the shortest call
-//!   path from the public entry point to the panic site.
 //! * **U1** assigns *units* — byte address, 8 B word index, line
 //!   address, set index — to integer-valued expressions from two
 //!   provenance sources: `LineGeometry`/`CacheConfig` accessor chains
@@ -30,12 +23,11 @@
 //!   (may-analysis).
 //! * **L2** proves lock discipline: the workspace lock-acquisition-order
 //!   graph is acyclic, no lock is re-acquired while held, and nothing
-//!   that can transitively panic (P2's facts) runs under a held lock.
+//!   that can transitively reach a panic site runs under a held lock.
 //! * **O1** requires counter arithmetic — `+`/`*`/`<<` on `u64`/`u32`
 //!   stats-struct fields and `LineGeometry` address math — to be
 //!   `checked_`/`saturating_`/explicitly wrapping or carry a waiver.
 
-use crate::absint;
 use crate::cfg::Cfg;
 use crate::dataflow::{solve_forward, Analysis, GenKill};
 use crate::lexer::{TokKind, Token};
@@ -45,68 +37,17 @@ use crate::rules::Rule;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
 
-/// Crates whose public API the paper's headline numbers rest on: P2
-/// requires every `pub fn` here to be transitively panic-free.
-pub const P2_CRATES: &[&str] = &["cache", "core", "compress", "sfp", "mem", "mrc", "timing"];
-
-/// Configuration for the interprocedural pass.
-#[derive(Default)]
-pub struct AnalysisConfig {
-    /// Files whose panic sites are justified by a `P1` (or `P2`) entry in
-    /// `lint.toml`; their sites do not count as P2 panic sources.
-    pub justified_panic_paths: BTreeSet<String>,
-}
-
-impl AnalysisConfig {
-    /// Derives the justified-path set from a parsed baseline.
-    pub fn from_baseline(baseline: &crate::report::Baseline) -> Self {
-        AnalysisConfig {
-            justified_panic_paths: baseline
-                .allows
-                .iter()
-                .filter(|a| a.rule == "P1" || a.rule == "P2")
-                .map(|a| a.path.clone())
-                .collect(),
-        }
-    }
-}
-
-/// Runs all interprocedural rules over `files` (pairs of
-/// workspace-relative path and source text).
-pub fn scan_model(files: &[(String, String)], cfg: &AnalysisConfig) -> Vec<Finding> {
+/// Runs all workspace rules over `files` (pairs of workspace-relative
+/// path and source text).
+pub fn scan_model(files: &[(String, String)]) -> Vec<Finding> {
     let ws = Workspace::build(files);
     let mut findings = Vec::new();
-    model_rules(&ws, cfg, &mut findings);
-    absint_rules(&ws, &mut findings);
+    u1(&ws, &mut findings);
+    d3(&ws, &mut findings);
+    s1(&ws, &mut findings);
+    l2(&ws, &mut findings);
+    o1(&ws, &mut findings);
     findings
-}
-
-/// The pre-absint interprocedural rules only (P2/U1/D3/S1/L2/O1) —
-/// split out so `bench-lint` can time the abstract-interpretation
-/// phase separately.
-pub fn scan_model_base(files: &[(String, String)], cfg: &AnalysisConfig) -> Vec<Finding> {
-    let ws = Workspace::build(files);
-    let mut findings = Vec::new();
-    model_rules(&ws, cfg, &mut findings);
-    findings
-}
-
-/// The abstract-interpretation rules only (B1/R1/T1 plus stale-T1
-/// waiver hygiene).
-pub fn scan_model_absint(files: &[(String, String)]) -> Vec<Finding> {
-    let ws = Workspace::build(files);
-    let mut findings = Vec::new();
-    absint_rules(&ws, &mut findings);
-    findings
-}
-
-fn model_rules(ws: &Workspace, cfg: &AnalysisConfig, findings: &mut Vec<Finding>) {
-    p2(ws, cfg, findings);
-    u1(ws, findings);
-    d3(ws, findings);
-    s1(ws, findings);
-    l2(ws, cfg, findings);
-    o1(ws, findings);
 }
 
 fn finding(
@@ -119,7 +60,6 @@ fn finding(
 ) -> Finding {
     Finding {
         rule: rule.id(),
-        level: rule.level(),
         path: ws.files[file].path.clone(),
         line,
         col,
@@ -128,10 +68,11 @@ fn finding(
     }
 }
 
-// --- P2: interprocedural panic-reachability ------------------------------
+// --- Panic sites (shared by L2) -------------------------------------------
 
-/// Is this file's code held to the no-panic contract? Mirrors the P1
-/// scope: sim-crate sources and experiments library sources.
+/// Is this file's code held to the no-panic contract? Sim-crate sources
+/// and experiments library sources — the scope of the crate-level
+/// `clippy::panic`/`unwrap_used`/`expect_used` deny block.
 fn in_panic_scope(path: &str) -> bool {
     let Some(rest) = path.strip_prefix("crates/") else {
         return false;
@@ -143,22 +84,12 @@ fn in_panic_scope(path: &str) -> bool {
         || (krate == "experiments" && sub.starts_with("src/") && !sub.starts_with("src/bin/"))
 }
 
-/// Which functions contain a live (unjustified, non-test) panic site?
-/// Shared between P2 (reachability proofs) and L2 (panic-under-lock).
-fn live_panic_flags(ws: &Workspace, cfg: &AnalysisConfig) -> Vec<bool> {
+/// Which functions contain a panic site outside test code?
+fn live_panic_flags(ws: &Workspace) -> Vec<bool> {
     (0..ws.fns.len())
         .map(|id| {
             let f = &ws.fns[id];
-            let file = &ws.files[f.file];
-            if f.in_test
-                || !in_panic_scope(&file.path)
-                || cfg.justified_panic_paths.contains(&file.path)
-            {
-                return false;
-            }
-            ws.panics[id].iter().any(|p| {
-                !file.allows.allows(Rule::P1, p.line) && !file.allows.allows(Rule::P2, p.line)
-            })
+            !f.in_test && in_panic_scope(&ws.files[f.file].path) && !ws.panics[id].is_empty()
         })
         .collect()
 }
@@ -185,93 +116,6 @@ fn reaches_panic_flags(ws: &Workspace, live: &[bool]) -> Vec<bool> {
         }
     }
     reach
-}
-
-fn p2(ws: &Workspace, cfg: &AnalysisConfig, findings: &mut Vec<Finding>) {
-    let live_panic = live_panic_flags(ws, cfg);
-
-    // Entry points: public functions of the sim-core crates, plus the
-    // crash-safe executor — a quarantine layer that panics is worse than
-    // no quarantine layer at all.
-    for entry in 0..ws.fns.len() {
-        let f = &ws.fns[entry];
-        let file = &ws.files[f.file];
-        let Some(rest) = file.path.strip_prefix("crates/") else {
-            continue;
-        };
-        let Some((krate, sub)) = rest.split_once('/') else {
-            continue;
-        };
-        let core_entry = P2_CRATES.contains(&krate) && sub.starts_with("src/");
-        let exec_entry = krate == "experiments" && sub.starts_with("src/exec");
-        if !core_entry && !exec_entry {
-            continue;
-        }
-        if !f.item.is_pub || f.in_test || file.allows.allows(Rule::P2, f.item.line) {
-            continue;
-        }
-        if let Some(path) = shortest_panic_path(ws, entry, &live_panic) {
-            let hops: Vec<String> = path.iter().map(|&id| ws.label(id)).collect();
-            let last = *path.last().unwrap_or(&entry);
-            let site = ws.panics[last]
-                .iter()
-                .find(|p| {
-                    let lf = &ws.files[ws.fns[last].file];
-                    !lf.allows.allows(Rule::P1, p.line) && !lf.allows.allows(Rule::P2, p.line)
-                })
-                .map(|p| {
-                    format!(
-                        "`{}` at {}:{}",
-                        p.what, ws.files[ws.fns[last].file].path, p.line
-                    )
-                })
-                .unwrap_or_else(|| "a panic site".to_string());
-            findings.push(finding(
-                ws,
-                Rule::P2,
-                f.file,
-                f.item.line,
-                f.item.col,
-                format!(
-                    "public `{}` can reach a panic: {} -> {}",
-                    f.item.qual,
-                    hops.join(" -> "),
-                    site
-                ),
-            ));
-        }
-    }
-}
-
-/// BFS over the call graph from `entry`; returns the shortest path (as
-/// function ids, entry first) to a function with a live panic site.
-fn shortest_panic_path(ws: &Workspace, entry: FnId, live_panic: &[bool]) -> Option<Vec<FnId>> {
-    let mut parent: BTreeMap<FnId, FnId> = BTreeMap::new();
-    let mut seen: BTreeSet<FnId> = BTreeSet::new();
-    let mut queue = VecDeque::new();
-    seen.insert(entry);
-    queue.push_back(entry);
-    while let Some(id) = queue.pop_front() {
-        if live_panic[id] {
-            let mut path = vec![id];
-            let mut cur = id;
-            while let Some(&p) = parent.get(&cur) {
-                path.push(p);
-                cur = p;
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for call in &ws.calls[id] {
-            for &t in &call.targets {
-                if seen.insert(t) {
-                    parent.insert(t, id);
-                    queue.push_back(t);
-                }
-            }
-        }
-    }
-    None
 }
 
 // --- U1: unit safety ------------------------------------------------------
@@ -1705,8 +1549,8 @@ fn guard_extent(toks: &[Token], site: &LockSite, body_end: usize) -> usize {
     body_end
 }
 
-fn l2(ws: &Workspace, cfg: &AnalysisConfig, findings: &mut Vec<Finding>) {
-    let live = live_panic_flags(ws, cfg);
+fn l2(ws: &Workspace, findings: &mut Vec<Finding>) {
+    let live = live_panic_flags(ws);
     let reaches = reaches_panic_flags(ws, &live);
     // The workspace lock-order graph: (held, acquired) → first site.
     let mut edges: BTreeMap<(String, String), (usize, u32, u32)> = BTreeMap::new();
@@ -2040,364 +1884,6 @@ fn o1(ws: &Workspace, findings: &mut Vec<Finding>) {
     }
 }
 
-// --- B1/R1/T1: value-range & known-bits proofs ---------------------------
-
-/// One obligation site found by the token scan.
-struct AbsSite {
-    /// The anchor token: the first `<`/`>` of a shift pair, the
-    /// `wrapping_add` identifier, or the `as` keyword.
-    tok: usize,
-    kind: AbsSiteKind,
-}
-
-enum AbsSiteKind {
-    /// B1: a `<<`/`>>`/`<<=`/`>>=` pair.
-    Shift { assign: bool },
-    /// R1: a flattened-index chain `..wrapping_mul(..).wrapping_add(..)`
-    /// (directly or through one `let`-bound base).
-    WrapIndex {
-        rcv_start: usize,
-        close: usize,
-        /// `Some(name)` when the whole statement is `let name = <chain>;`.
-        let_name: Option<String>,
-    },
-    /// T1: an `as u8`/`as u16`/`as u32` cast.
-    Cast { target: absint::IntTy },
-}
-
-/// Scans one function body for B1/R1/T1 sites, skipping `skip` token
-/// ranges (nested `fn` items, which are analyzed as their own bodies).
-fn collect_absint_sites(toks: &[Token], body: Range<usize>, skip: &[Range<usize>]) -> Vec<AbsSite> {
-    let mut out = Vec::new();
-    let mut i = body.start;
-    while i < body.end {
-        if let Some(r) = skip.iter().find(|r| r.contains(&i)) {
-            i = r.end;
-            continue;
-        }
-        let t = &toks[i];
-        // A glued `<<`/`>>` pair with a gap before it is a shift; a pair
-        // glued to the previous token is a generics closer (`Vec<Vec<u8>>`)
-        // — `cargo fmt` (CI-enforced) guarantees the spacing.
-        if (absint::double_punct(toks, i, '<') || absint::double_punct(toks, i, '>'))
-            && (i == 0 || !absint::glued(&toks[i - 1], &toks[i]))
-        {
-            let assign = toks
-                .get(i + 2)
-                .is_some_and(|n| n.is_punct('=') && absint::glued(&toks[i + 1], n));
-            out.push(AbsSite {
-                tok: i,
-                kind: AbsSiteKind::Shift { assign },
-            });
-            i += if assign { 3 } else { 2 };
-            continue;
-        }
-        if t.is_ident("wrapping_add")
-            && i > 0
-            && toks[i - 1].is_punct('.')
-            && toks.get(i + 1).is_some_and(|n| n.is_punct('('))
-        {
-            if let Some(site) = wrap_index_site(toks, &body, i) {
-                out.push(site);
-            }
-            i += 1;
-            continue;
-        }
-        if t.is_ident("as") {
-            let target = toks.get(i + 1).and_then(|n| match n.text.as_str() {
-                "u8" => Some(absint::IntTy::U8),
-                "u16" => Some(absint::IntTy::U16),
-                "u32" => Some(absint::IntTy::U32),
-                _ => None,
-            });
-            if let Some(target) = target {
-                out.push(AbsSite {
-                    tok: i,
-                    kind: AbsSiteKind::Cast { target },
-                });
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Classifies a `.wrapping_add(` at `i` as an R1 flattened-index site:
-/// the receiver chain must contain `wrapping_mul` directly, or be a
-/// single identifier `let`-bound from an expression containing it.
-fn wrap_index_site(toks: &[Token], body: &Range<usize>, i: usize) -> Option<AbsSite> {
-    let rcv_start = absint::operand_start_before(toks, i - 1)?;
-    let rcv = rcv_start..i - 1;
-    let has_mul = toks[rcv.clone()].iter().any(|t| t.is_ident("wrapping_mul"));
-    let from_mul_let = !has_mul
-        && rcv.len() == 1
-        && toks[rcv.start].kind == TokKind::Ident
-        && let_binds_mul(toks, body.start..rcv.start, &toks[rcv.start].text);
-    if !has_mul && !from_mul_let {
-        return None;
-    }
-    // `close` is one past the chain's closing paren (`close_of` is
-    // past-the-end), so the statement's `;` sits exactly at `close`.
-    let close = absint::close_of(toks, i + 1, body.end);
-    // `let name = <chain>;` — the binding's uses carry the obligation.
-    let let_name = (toks.get(close).is_some_and(|n| n.is_punct(';'))
-        && rcv_start >= 3
-        && toks[rcv_start - 1].is_punct('='))
-    .then(|| {
-        let name_at = rcv_start - 2;
-        let kw = rcv_start - 3;
-        let is_let = toks[kw].is_ident("let")
-            || (toks[kw].is_ident("mut") && kw >= 1 && toks[kw - 1].is_ident("let"));
-        (toks[name_at].kind == TokKind::Ident && is_let).then(|| toks[name_at].text.clone())
-    })
-    .flatten();
-    Some(AbsSite {
-        tok: i,
-        kind: AbsSiteKind::WrapIndex {
-            rcv_start,
-            close,
-            let_name,
-        },
-    })
-}
-
-/// Is there a lexically-earlier `let [mut] name = ... wrapping_mul ...;`?
-fn let_binds_mul(toks: &[Token], range: Range<usize>, name: &str) -> bool {
-    for k in range.clone() {
-        if !toks[k].is_ident("let") {
-            continue;
-        }
-        let mut j = k + 1;
-        if toks.get(j).is_some_and(|t| t.is_ident("mut")) {
-            j += 1;
-        }
-        if !toks
-            .get(j)
-            .is_some_and(|t| t.kind == TokKind::Ident && t.text == name)
-            || !toks.get(j + 1).is_some_and(|t| t.is_punct('='))
-        {
-            continue;
-        }
-        let mut m = j + 2;
-        while m < range.end && !toks[m].is_punct(';') {
-            if toks[m].is_ident("wrapping_mul") {
-                return true;
-            }
-            m += 1;
-        }
-    }
-    false
-}
-
-/// Is token `k` inside the parentheses of a checked accessor call
-/// (`.get(..)` / `.get_mut(..)`)? Out-of-range indices through those
-/// come back as `None` instead of corrupting state.
-fn checked_get_encloses(toks: &[Token], start: usize, k: usize) -> bool {
-    let mut depth = 0i32;
-    let mut j = k;
-    while j > start {
-        j -= 1;
-        let t = &toks[j];
-        if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth += 1;
-        } else if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            if depth == 0 {
-                return t.is_punct('(')
-                    && j > 0
-                    && (toks[j - 1].is_ident("get") || toks[j - 1].is_ident("get_mut"));
-            }
-            depth -= 1;
-        }
-    }
-    false
-}
-
-/// Are all uses of `name` after `from` inside checked accessors? (No
-/// uses at all also passes — a dead binding indexes nothing.)
-fn uses_all_checked(toks: &[Token], body: &Range<usize>, from: usize, name: &str) -> bool {
-    for k in from..body.end {
-        let t = &toks[k];
-        if t.kind != TokKind::Ident || t.text != name {
-            continue;
-        }
-        if k > 0 && toks[k - 1].is_punct('.') {
-            continue; // a field of the same name, not the binding
-        }
-        if !checked_get_encloses(toks, body.start, k) {
-            return false;
-        }
-    }
-    true
-}
-
-/// The abstract-interpretation rules: B1 (shift safety), R1
-/// (packed-index provenance), T1 (lossless truncation) and the stale-T1
-/// waiver-hygiene pass. Proofs run over [`crate::absint`]'s interval +
-/// known-bits domain, seeded from the workspace (consts, parameter
-/// types, one-level call hulls, constructor field facts).
-fn absint_rules(ws: &Workspace, findings: &mut Vec<Finding>) {
-    let aws = absint::AbsintWorkspace::build(ws);
-    // Lines (per file) holding a T1 site the domain could NOT prove:
-    // these are the lines where a T1 waiver is load-bearing.
-    let mut t1_unproven: BTreeMap<usize, BTreeSet<u32>> = BTreeMap::new();
-    for (f, info) in ws.fns.iter().enumerate() {
-        let file = &ws.files[info.file];
-        if !in_unit_scope(&file.path) || info.in_test {
-            continue;
-        }
-        let toks = &file.tokens;
-        let body = info.item.body.clone();
-        let nested: Vec<Range<usize>> = ws
-            .fns
-            .iter()
-            .filter(|o| {
-                o.file == info.file
-                    && o.item.span.start > info.item.span.start
-                    && o.item.span.end <= info.item.span.end
-            })
-            .map(|o| o.item.span.clone())
-            .collect();
-        let sites = collect_absint_sites(toks, body.clone(), &nested);
-        if sites.is_empty() {
-            continue;
-        }
-        let fa = aws.solve(ws, f);
-        let ctx = aws.ctx_for(ws, f);
-        for site in sites {
-            let at = &toks[site.tok];
-            let (line, col) = (at.line, at.col);
-            // Unreachable node: the site is dead code, vacuously safe.
-            let Some(env) = fa.env_at(&ctx, site.tok) else {
-                continue;
-            };
-            match site.kind {
-                AbsSiteKind::Shift { assign } => {
-                    let lhs_ty = absint::operand_start_before(toks, site.tok)
-                        .and_then(|st| absint::eval(&ctx, &env, st..site.tok))
-                        .and_then(|v| v.ty);
-                    // Unknown shifted type (e.g. an unsuffixed literal):
-                    // no width to check against — documented hole.
-                    let Some(ty) = lhs_ty else { continue };
-                    let width = i128::from(ty.bits());
-                    let amt_start = site.tok + 2 + usize::from(assign);
-                    let amt_end = absint::shift_amount_end(toks, amt_start, body.end);
-                    let amt = absint::eval(&ctx, &env, amt_start..amt_end);
-                    let proven = amt.as_ref().is_some_and(|a| a.min >= 0 && a.max < width);
-                    if !proven && !file.in_tests(line) && !file.allows.allows(Rule::B1, line) {
-                        let got = amt
-                            .map(|a| absint::fmt_val(&a))
-                            .unwrap_or_else(|| "unknown".to_string());
-                        findings.push(finding(
-                            ws,
-                            Rule::B1,
-                            info.file,
-                            line,
-                            col,
-                            format!(
-                                "shift amount not provably < {} (the width of `{}`); inferred {got} — an oversized shift panics in debug and wraps the amount in release, so the kernel silently computes the wrong mask",
-                                ty.bits(),
-                                ty.name(),
-                            ),
-                        ));
-                    }
-                }
-                AbsSiteKind::WrapIndex {
-                    rcv_start,
-                    close,
-                    let_name,
-                } => {
-                    let full = absint::eval(&ctx, &env, rcv_start..close);
-                    // Proven: the un-wrapped value stays strictly below
-                    // the type max, so the wrapping ops never wrapped
-                    // (the eval returns the full type range on any
-                    // possible wrap).
-                    let proven = full
-                        .as_ref()
-                        .is_some_and(|v| v.ty.is_some_and(|t| v.max < t.max_val()));
-                    let inert = match &let_name {
-                        Some(name) => uses_all_checked(toks, &body, close + 1, name),
-                        None => checked_get_encloses(toks, body.start, rcv_start),
-                    };
-                    if !proven
-                        && !inert
-                        && !file.in_tests(line)
-                        && !file.allows.allows(Rule::R1, line)
-                    {
-                        findings.push(finding(
-                            ws,
-                            Rule::R1,
-                            info.file,
-                            line,
-                            col,
-                            "flattened arena index not provably in range and not confined to checked accessors; a wrapped index reads the wrong slot as an \"inert\" wrong result — prove the bound, route every use through `.get(..)`, or waive with the construction-time invariant".to_string(),
-                        ));
-                    }
-                }
-                AbsSiteKind::Cast { target } => {
-                    let val = absint::operand_start_before(toks, site.tok)
-                        .and_then(|st| absint::eval(&ctx, &env, st..site.tok));
-                    // An unsigned source no wider than the target cannot
-                    // truncate: not an obligation at all.
-                    if let Some(v) = &val {
-                        if let Some(src) = v.ty {
-                            if !src.signed() && src.bits() <= target.bits() {
-                                continue;
-                            }
-                        }
-                    }
-                    let proven = val
-                        .as_ref()
-                        .is_some_and(|v| v.min >= 0 && v.max <= target.max_val());
-                    if !proven && !file.in_tests(line) {
-                        t1_unproven.entry(info.file).or_default().insert(line);
-                        if !file.allows.allows(Rule::T1, line) {
-                            let got = val
-                                .map(|v| absint::fmt_val(&v))
-                                .unwrap_or_else(|| "unknown".to_string());
-                            findings.push(finding(
-                                ws,
-                                Rule::T1,
-                                info.file,
-                                line,
-                                col,
-                                format!(
-                                    "narrowing `as {}` not provably value-preserving; inferred {got} — a truncated store corrupts packed metadata without a crash",
-                                    target.name(),
-                                ),
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    // Stale-T1 waiver hygiene: a justified T1 waiver that covers no
-    // unproven cast waives nothing — it is dead weight that will
-    // silently swallow the next real finding on that line.
-    for (idx, file) in ws.files.iter().enumerate() {
-        if !in_unit_scope(&file.path) {
-            continue;
-        }
-        let unproven = t1_unproven.get(&idx);
-        for line in file.allows.justified_lines(Rule::T1) {
-            if file.in_tests(line) {
-                continue;
-            }
-            let used = unproven.is_some_and(|s| s.contains(&line) || s.contains(&(line + 1)));
-            if !used {
-                findings.push(finding(
-                    ws,
-                    Rule::W1,
-                    idx,
-                    line,
-                    1,
-                    "stale `T1` waiver: no unproven narrowing cast on this or the next line — remove it".to_string(),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2407,54 +1893,11 @@ mod tests {
             .iter()
             .map(|(p, s)| ((*p).to_string(), (*s).to_string()))
             .collect();
-        scan_model(&owned, &AnalysisConfig::default())
+        scan_model(&owned)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&str> {
         findings.iter().map(|f| f.rule).collect()
-    }
-
-    #[test]
-    fn p2_reports_the_shortest_transitive_path() {
-        let found = scan(&[(
-            "crates/sfp/src/lib.rs",
-            "fn deep(v: Option<u8>) -> u8 { v.unwrap() }\n\
-             fn mid(v: Option<u8>) -> u8 { deep(v) }\n\
-             pub fn entry(v: Option<u8>) -> u8 { mid(v) }\n",
-        )]);
-        let p2: Vec<&Finding> = found.iter().filter(|f| f.rule == "P2").collect();
-        assert_eq!(p2.len(), 1);
-        assert_eq!(p2[0].line, 3);
-        assert!(p2[0].message.contains("entry (crates/sfp/src/lib.rs:3)"));
-        assert!(p2[0].message.contains("mid (crates/sfp/src/lib.rs:2)"));
-        assert!(p2[0].message.contains("deep (crates/sfp/src/lib.rs:1)"));
-        assert!(p2[0]
-            .message
-            .contains("`.unwrap()` at crates/sfp/src/lib.rs:1"));
-    }
-
-    #[test]
-    fn p2_respects_waivers_and_test_code() {
-        let clean = scan(&[(
-            "crates/sfp/src/lib.rs",
-            "fn deep(v: Option<u8>) -> u8 { v.unwrap() } // ldis: allow(P1, \"guarded by caller\")\n\
-             pub fn entry(v: Option<u8>) -> u8 { deep(v) }\n\
-             #[cfg(test)]\n\
-             mod tests { pub fn t(v: Option<u8>) -> u8 { v.unwrap() } }\n",
-        )]);
-        assert!(rules_of(&clean).iter().all(|r| *r != "P2"), "{clean:?}");
-    }
-
-    #[test]
-    fn p2_ignores_panics_outside_sim_core_entry_crates() {
-        // A panic in the experiments crate is in panic scope, but only
-        // sim-core pub fns are entry points; a pub fn in workloads (not a
-        // P2 crate) reaching it is not reported.
-        let found = scan(&[(
-            "crates/workloads/src/lib.rs",
-            "pub fn entry(v: Option<u8>) -> u8 { v.unwrap() }\n",
-        )]);
-        assert!(rules_of(&found).iter().all(|r| *r != "P2"));
     }
 
     #[test]

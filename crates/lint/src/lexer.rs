@@ -7,7 +7,7 @@
 //! that: every token carries a 1-based line/column span, comments are
 //! collected separately (they feed the `// ldis: allow(RULE, "why")`
 //! index), and `#[cfg(test)]` item regions can be computed from the
-//! token stream so panic-safety rules can exempt test code.
+//! token stream so the workspace rules can exempt test code.
 
 /// The coarse classification of a token.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

@@ -1,34 +1,35 @@
-//! `ldis-lint`: static analysis for the line-distillation workspace.
+//! `ldis-lint`: the domain rules for the line-distillation workspace.
 //!
 //! The golden-snapshot harness catches a determinism break only *after*
-//! it corrupts a snapshot. This crate machine-checks the invariants the
-//! harness depends on, before they break:
+//! it corrupts a snapshot. Generic hygiene — wall clocks, env reads,
+//! hashed containers, panics, raw indexing, lossy casts — is checked by
+//! clippy (`clippy.toml` plus the `deny` block at the top of every sim
+//! crate's `lib.rs`). This crate checks what clippy cannot express:
 //!
-//! * **D1 — determinism**: no wall clocks, ambient RNGs or environment
-//!   reads inside the simulator crates; all randomness flows through
-//!   `SimRng`/`SimRng::derive`.
-//! * **D2 — ordered iteration**: no `HashMap`/`HashSet` anywhere a
-//!   report, snapshot or test expectation could observe iteration order;
-//!   `BTreeMap`/`BTreeSet` or an explicit `// ldis: allow(D2, "why")`.
-//! * **P1 — panic safety**: no `unwrap`/`expect`/`panic!`-family calls in
-//!   simulator core code (test modules and the experiments binaries are
-//!   exempt); failures route through `LdisError` or checked accessors.
-//!   **P1X** (warn tier) additionally tracks raw `[...]` indexing.
 //! * **C1 — config invariants**: literal cache configurations in
-//!   examples/benches and the golden snapshots must describe possible
+//!   examples and the golden snapshots must describe possible
 //!   geometries (power-of-two sets and word counts, a LOC/WOC split that
 //!   partitions the associativity, PSEL thresholds on the paper's 64/192
 //!   hysteresis rails).
+//! * **U1 — unit safety**: byte addresses, word indices, line addresses
+//!   and set indices never mix without a conversion.
+//! * **D3 — float determinism**: no order-sensitive float accumulation
+//!   across parallel sweep cells.
+//! * **S1 — seed provenance**: every `SimRng` stream derives from the
+//!   root seed, with no salt collisions.
+//! * **L2 — lock discipline**: acyclic lock order, no re-entry, nothing
+//!   panic-capable under a held lock.
+//! * **O1 — counter arithmetic**: stats counters and `LineGeometry`
+//!   math are overflow-checked or carry a justified waiver.
+//! * **W1 — waiver hygiene**: every `// ldis: allow(RULE, "why")` names
+//!   one of these rules and carries a justification.
 //!
-//! Existing debt lives in the committed `lint.toml` baseline with a
-//! justification per entry; `--deny` (CI mode) fails on any new finding
-//! *and* on stale baseline entries, so the debt ledger can only shrink.
+//! Every finding fails the run; there is no baseline and no warn tier.
 //!
 //! There is deliberately no dependency on `syn` or any other registry
 //! crate: the build environment is fully offline, so the crate carries
-//! its own Rust lexer, TOML-subset reader and JSON reader.
+//! its own Rust lexer and JSON reader.
 
-pub mod absint;
 pub mod analyze;
 pub mod cfg;
 pub mod dataflow;
@@ -38,14 +39,13 @@ pub mod model;
 pub mod parser;
 pub mod report;
 pub mod rules;
-pub mod toml;
 
-use report::{Baseline, Finding, Outcome};
+use report::Finding;
 use rules::{FileContext, Rule};
 use std::path::{Path, PathBuf};
 
-/// Crates whose sources model the simulator itself: full determinism and
-/// panic-safety rules apply.
+/// Crates whose sources model the simulator itself: U1 and O1 apply, and
+/// their `lib.rs` carries the clippy `deny` block.
 pub const SIM_CRATES: &[&str] = &[
     "mem",
     "cache",
@@ -57,21 +57,17 @@ pub const SIM_CRATES: &[&str] = &[
     "mrc",
 ];
 
-/// The rules that apply to one workspace-relative path, or `None` when
-/// the file is out of scope.
+/// The per-file rules for one workspace-relative path, or `None` when
+/// the file is out of scope. In-scope `.rs` files also feed the
+/// workspace rules (U1 D3 S1 L2 O1, each with its own path scope) and
+/// the waiver-hygiene check W1.
 ///
 /// Scope map:
 ///
-/// | path | rules |
+/// | path | per-file rules |
 /// |---|---|
-/// | `crates/<sim>/src/**` | D1 D2 P1 P1X |
-/// | `crates/experiments/src/exec/**` | D1 D2 P1 P1X (crash-safe executor: wall-clock reads must be waived) |
-/// | `crates/experiments/src/**` (not `bin/`) | D2 P1 P1X |
-/// | `crates/experiments/src/bin/**` | D2 |
-/// | `crates/lint/src/**` | D2 |
-/// | `crates/*/tests/**`, `tests/*.rs` | D2 |
-/// | `examples/*.rs` | D2 C1 |
-/// | `crates/bench/**` (`.rs`) | C1 |
+/// | `crates/*/src/**`, `crates/*/tests/*.rs`, `tests/*.rs` | — |
+/// | `examples/*.rs` | C1 |
 /// | `tests/golden/*.json` | C1 (snapshot checks) |
 ///
 /// `crates/lint/tests/fixtures/**` holds deliberate violations and is
@@ -86,41 +82,14 @@ pub fn rules_for(rel: &str) -> Option<Vec<Rule>> {
     if !rel.ends_with(".rs") {
         return None;
     }
-    if let Some(rest) = rel.strip_prefix("crates/") {
-        let (krate, sub) = rest.split_once('/')?;
-        if SIM_CRATES.contains(&krate) && sub.starts_with("src/") {
-            return Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X]);
-        }
-        if krate == "experiments" && sub.starts_with("src/") {
-            return Some(if sub.starts_with("src/bin/") {
-                vec![Rule::D2]
-            } else if sub.starts_with("src/exec") {
-                // The crash-safe executor sits between the harness and
-                // the simulator: deterministic-clock discipline applies
-                // (its watchdog wall-clock reads carry inline waivers).
-                vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X]
-            } else {
-                vec![Rule::D2, Rule::P1, Rule::P1X]
-            });
-        }
-        if krate == "lint" && sub.starts_with("src/") {
-            return Some(vec![Rule::D2]);
-        }
-        if krate == "bench" {
-            return Some(vec![Rule::C1]);
-        }
-        if sub.starts_with("tests/") {
-            return Some(vec![Rule::D2]);
-        }
-        return None;
-    }
     if rel.starts_with("examples/") {
-        return Some(vec![Rule::D2, Rule::C1]);
+        return Some(vec![Rule::C1]);
     }
-    if rel.starts_with("tests/") {
-        return Some(vec![Rule::D2]);
-    }
-    None
+    let crate_source = rel
+        .strip_prefix("crates/")
+        .and_then(|rest| rest.split_once('/'))
+        .is_some_and(|(_, sub)| sub.starts_with("src/") || sub.starts_with("tests/"));
+    (crate_source || rel.starts_with("tests/")).then(Vec::new)
 }
 
 /// Recursively collects lintable files under `root`, as sorted
@@ -175,11 +144,10 @@ pub fn scan_file(rel: &str, src: &str) -> Vec<Finding> {
     rules::scan_rust(&ctx, &rules)
 }
 
-/// Lints the whole workspace rooted at `root` and classifies the
-/// findings against `baseline`. Runs the per-file token rules first,
-/// then the interprocedural passes (P2/U1/D3) over the call graph of
-/// every in-scope `.rs` file.
-pub fn scan_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<Outcome> {
+/// Lints the whole workspace rooted at `root`: the per-file rules first,
+/// then the workspace rules over the call graph of every in-scope `.rs`
+/// file. Returns every finding in diagnostic order.
+pub fn scan_workspace(root: &Path) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let mut sources: Vec<(String, String)> = Vec::new();
     for rel in collect_files(root)? {
@@ -189,50 +157,9 @@ pub fn scan_workspace(root: &Path, baseline: &Baseline) -> std::io::Result<Outco
             sources.push((rel, src));
         }
     }
-    let cfg = analyze::AnalysisConfig::from_baseline(baseline);
-    findings.extend(analyze::scan_model(&sources, &cfg));
-    Ok(report::classify(findings, baseline))
-}
-
-/// Loads `lint.toml` from `path`; a missing file is an empty baseline.
-pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
-    match std::fs::read_to_string(path) {
-        Ok(src) => Baseline::parse(&src).map_err(|e| format!("{}: {e}", path.display())),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(format!("{}: {e}", path.display())),
-    }
-}
-
-/// Computes a fresh baseline from an outcome: one entry per (rule, path)
-/// pair of deny-tier findings, preserving justifications from `previous`
-/// where a pair already had one.
-pub fn regenerate_baseline(outcome: &Outcome, previous: &Baseline) -> Vec<report::AllowEntry> {
-    use std::collections::BTreeMap;
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for f in outcome.errors.iter().chain(&outcome.baselined) {
-        *counts
-            .entry((f.rule.to_string(), f.path.clone()))
-            .or_insert(0) += 1;
-    }
-    let mut old: BTreeMap<(String, String), String> = BTreeMap::new();
-    for a in &previous.allows {
-        old.insert((a.rule.clone(), a.path.clone()), a.justification.clone());
-    }
-    counts
-        .into_iter()
-        .map(|((rule, path), count)| {
-            let justification = old
-                .get(&(rule.clone(), path.clone()))
-                .cloned()
-                .unwrap_or_else(|| "TODO: justify this debt or fix it".to_string());
-            report::AllowEntry {
-                rule,
-                path,
-                count,
-                justification,
-            }
-        })
-        .collect()
+    findings.extend(analyze::scan_model(&sources));
+    report::sort(&mut findings);
+    Ok(findings)
 }
 
 /// Best-effort workspace root discovery for `cargo run -p ldis-lint`:
@@ -259,88 +186,22 @@ mod tests {
 
     #[test]
     fn scope_map_matches_the_design() {
-        assert_eq!(
-            rules_for("crates/mem/src/rng.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("crates/mrc/src/profiler.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        // The SHARDS sampler and the multi-tenant stream generator are
-        // simulator sources: full determinism + panic-safety tier.
-        assert_eq!(
-            rules_for("crates/mrc/src/shards.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("crates/workloads/src/tenants.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("crates/experiments/src/advisor.rs"),
-            Some(vec![Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("crates/mrc/tests/shards_properties.rs"),
-            Some(vec![Rule::D2])
-        );
-        assert_eq!(
-            rules_for("tests/mrc_sampled_oracle.rs"),
-            Some(vec![Rule::D2])
-        );
-        assert_eq!(
-            rules_for("examples/sampled_mrc.rs"),
-            Some(vec![Rule::D2, Rule::C1])
-        );
+        for rel in [
+            "crates/mem/src/rng.rs",
+            "crates/mrc/src/shards.rs",
+            "crates/cache/src/arena.rs",
+            "crates/experiments/src/exec/mod.rs",
+            "crates/experiments/src/bin/main.rs",
+            "crates/lint/src/rules.rs",
+            "crates/mrc/tests/shards_properties.rs",
+            "tests/hotpath_equivalence.rs",
+        ] {
+            assert_eq!(rules_for(rel), Some(vec![]), "{rel}");
+        }
+        assert_eq!(rules_for("examples/sampled_mrc.rs"), Some(vec![Rule::C1]));
         assert_eq!(rules_for("tests/golden/advisor.json"), Some(vec![Rule::C1]));
-        assert_eq!(
-            rules_for("crates/experiments/src/runner.rs"),
-            Some(vec![Rule::D2, Rule::P1, Rule::P1X])
-        );
-        // Hot-path helper modules from the arena/bitops overhaul are
-        // simulator sources under the full determinism + panic-safety tier;
-        // their differential suite is a root integration test.
-        assert_eq!(
-            rules_for("crates/mem/src/bitops.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("crates/cache/src/arena.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("tests/hotpath_equivalence.rs"),
-            Some(vec![Rule::D2])
-        );
-        assert_eq!(
-            rules_for("crates/experiments/src/exec/mod.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("crates/experiments/src/exec/journal.rs"),
-            Some(vec![Rule::D1, Rule::D2, Rule::P1, Rule::P1X])
-        );
-        assert_eq!(
-            rules_for("crates/experiments/src/bin/main.rs"),
-            Some(vec![Rule::D2])
-        );
-        assert_eq!(rules_for("crates/lint/src/rules.rs"), Some(vec![Rule::D2]));
-        assert_eq!(rules_for("crates/cache/tests/lru.rs"), Some(vec![Rule::D2]));
-        assert_eq!(rules_for("tests/end_to_end.rs"), Some(vec![Rule::D2]));
-        assert_eq!(
-            rules_for("examples/quickstart.rs"),
-            Some(vec![Rule::D2, Rule::C1])
-        );
-        assert_eq!(
-            rules_for("crates/bench/benches/figures.rs"),
-            Some(vec![Rule::C1])
-        );
-        assert_eq!(
-            rules_for("tests/golden/motivation.json"),
-            Some(vec![Rule::C1])
-        );
-        assert_eq!(rules_for("crates/lint/tests/fixtures/fail/p1.rs"), None);
+        assert_eq!(rules_for("crates/lint/tests/fixtures/fail/c1.rs"), None);
+        assert_eq!(rules_for("crates/lint/Cargo.toml"), None);
         assert_eq!(rules_for("README.md"), None);
         assert_eq!(rules_for("results.json"), None);
     }
@@ -350,11 +211,11 @@ mod tests {
         let json = scan_file("tests/golden/x.json", r#"{"experiment": "y"}"#);
         assert_eq!(json.len(), 1, "experiment/stem mismatch");
         let rust = scan_file(
-            "crates/mem/src/fake.rs",
-            "fn f(v: Option<u8>) -> u8 { v.unwrap() }",
+            "examples/fake.rs",
+            "fn main() { LineGeometry::new(64, 12); }",
         );
         assert_eq!(rust.len(), 1);
-        assert_eq!(rust[0].rule, "P1");
-        assert!(scan_file("out_of_scope.rs", "fn f() { x.unwrap(); }").is_empty());
+        assert_eq!(rust[0].rule, "C1");
+        assert!(scan_file("out_of_scope.rs", "fn f() { LineGeometry::new(64, 12); }").is_empty());
     }
 }

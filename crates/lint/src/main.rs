@@ -6,11 +6,6 @@
 //! cargo xtask lint [OPTIONS]            # alias in .cargo/config.toml
 //!
 //! OPTIONS:
-//!   --deny             CI mode: also fail on stale baseline entries
-//!   --warn             report only; always exit 0
-//!   --show-warnings    print warn-tier findings in full (default: count)
-//!   --update-baseline  rewrite lint.toml from the live findings
-//!   --baseline <path>  baseline file (default: <root>/lint.toml)
 //!   --root <path>      workspace root (default: discovered from cwd)
 //!   --format <fmt>     text (default), json (machine-readable document),
 //!                      annotations (GitHub Actions workflow commands),
@@ -21,8 +16,7 @@
 //! and writes a BENCH_sweep.json-shaped report (default BENCH_lint.json).
 //! ```
 //!
-//! Exit status: 0 clean, 1 findings (or stale baseline under `--deny`),
-//! 2 usage or I/O error.
+//! Exit status: 0 clean, 1 findings, 2 usage or I/O error.
 
 use ldis_lint::report::{render, render_annotation, render_json, render_sarif};
 use std::fmt::Write as _;
@@ -39,22 +33,22 @@ enum Format {
 }
 
 struct Options {
-    deny: bool,
-    warn: bool,
-    show_warnings: bool,
-    update_baseline: bool,
-    baseline: Option<PathBuf>,
     root: Option<PathBuf>,
     format: Format,
 }
 
+fn parse_format(name: Option<&str>) -> Result<Format, String> {
+    match name {
+        Some("text") => Ok(Format::Text),
+        Some("json") => Ok(Format::Json),
+        Some("annotations") => Ok(Format::Annotations),
+        Some("sarif") => Ok(Format::Sarif),
+        _ => Err("--format needs one of: text, json, annotations, sarif".into()),
+    }
+}
+
 fn parse_args() -> Result<Options, String> {
     let mut opts = Options {
-        deny: false,
-        warn: false,
-        show_warnings: false,
-        update_baseline: false,
-        baseline: None,
         root: None,
         format: Format::Text,
     };
@@ -65,46 +59,21 @@ fn parse_args() -> Result<Options, String> {
     }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--deny" => opts.deny = true,
-            "--warn" => opts.warn = true,
-            "--show-warnings" => opts.show_warnings = true,
-            "--update-baseline" => opts.update_baseline = true,
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(args.next().ok_or("--baseline needs a path")?));
-            }
             "--root" => {
                 opts.root = Some(PathBuf::from(args.next().ok_or("--root needs a path")?));
             }
-            "--format" => {
-                opts.format = match args.next().as_deref() {
-                    Some("text") => Format::Text,
-                    Some("json") => Format::Json,
-                    Some("annotations") => Format::Annotations,
-                    Some("sarif") => Format::Sarif,
-                    _ => return Err("--format needs one of: text, json, annotations, sarif".into()),
-                };
-            }
+            "--format" => opts.format = parse_format(args.next().as_deref())?,
             arg if arg.starts_with("--format=") => {
-                opts.format = match &arg["--format=".len()..] {
-                    "text" => Format::Text,
-                    "json" => Format::Json,
-                    "annotations" => Format::Annotations,
-                    "sarif" => Format::Sarif,
-                    _ => return Err("--format needs one of: text, json, annotations, sarif".into()),
-                };
+                opts.format = parse_format(arg.strip_prefix("--format="))?;
             }
             "--help" | "-h" => {
-                return Err("usage: ldis-lint [--deny|--warn] [--show-warnings] \
-                            [--update-baseline] [--baseline <path>] [--root <path>] \
+                return Err("usage: ldis-lint [--root <path>] \
                             [--format text|json|annotations|sarif] | \
                             ldis-lint bench-lint [--out <path>] [--root <path>]"
                     .into());
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
         }
-    }
-    if opts.deny && opts.warn {
-        return Err("--deny and --warn are mutually exclusive".into());
     }
     Ok(opts)
 }
@@ -130,6 +99,10 @@ fn parse_bench_args(
 /// BENCH_sweep.json-shaped report. Phases are timed as independent
 /// passes (each from raw sources) so the numbers are comparable across
 /// commits even as the phases share more or less work internally.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "bench-lint times the analysis phases on the wall clock"
+)]
 fn bench_lint(root: &Path, out_path: &Path) -> Result<(), String> {
     let files: Vec<(String, String)> = ldis_lint::collect_files(root)
         .map_err(|e| format!("listing {}: {e}", root.display()))?
@@ -179,24 +152,11 @@ fn bench_lint(root: &Path, out_path: &Path) -> Result<(), String> {
     let cfg_dataflow_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let aws = ldis_lint::absint::AbsintWorkspace::build(&ws);
-    let mut absint_nodes = 0usize;
-    for f in 0..ws.fns.len() {
-        let fa = aws.solve(&ws, f);
-        absint_nodes += fa.cfg.nodes.len();
-    }
-    let absint_s = t.elapsed().as_secs_f64();
-    // Keep the optimizer from discarding the solves.
-    assert!(absint_nodes >= fns);
-
-    let t = Instant::now();
     let mut findings = 0usize;
     for (rel, src) in &files {
         findings += ldis_lint::scan_file(rel, src).len();
     }
-    findings +=
-        ldis_lint::analyze::scan_model(&files, &ldis_lint::analyze::AnalysisConfig::default())
-            .len();
+    findings += ldis_lint::analyze::scan_model(&files).len();
     let rules_s = t.elapsed().as_secs_f64();
 
     let mut json = String::new();
@@ -214,7 +174,6 @@ fn bench_lint(root: &Path, out_path: &Path) -> Result<(), String> {
         ("parse", parse_s),
         ("call_graph", call_graph_s),
         ("cfg_dataflow", cfg_dataflow_s),
-        ("absint", absint_s),
         ("rules", rules_s),
     ];
     for (i, (phase, secs)) in phases.iter().enumerate() {
@@ -239,12 +198,11 @@ fn bench_lint(root: &Path, out_path: &Path) -> Result<(), String> {
     std::fs::write(out_path, &json).map_err(|e| format!("writing {}: {e}", out_path.display()))?;
     println!(
         "ldis-lint: benched {} files / {lines} lines: parse {:.3}s, call-graph {:.3}s, \
-         cfg+dataflow {:.3}s, absint {:.3}s, rules {:.3}s -> {}",
+         cfg+dataflow {:.3}s, rules {:.3}s -> {}",
         files.len(),
         parse_s,
         call_graph_s,
         cfg_dataflow_s,
-        absint_s,
         rules_s,
         out_path.display()
     );
@@ -284,92 +242,32 @@ fn main() -> ExitCode {
         let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
         ldis_lint::find_root(&cwd)
     });
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("lint.toml"));
-    let baseline = match ldis_lint::load_baseline(&baseline_path) {
-        Ok(b) => b,
-        Err(msg) => {
-            eprintln!("ldis-lint: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let outcome = match ldis_lint::scan_workspace(&root, &baseline) {
-        Ok(o) => o,
+    let findings = match ldis_lint::scan_workspace(&root) {
+        Ok(f) => f,
         Err(e) => {
             eprintln!("ldis-lint: scanning {}: {e}", root.display());
             return ExitCode::from(2);
         }
     };
 
-    if opts.update_baseline {
-        let entries = ldis_lint::regenerate_baseline(&outcome, &baseline);
-        let text = ldis_lint::report::write_baseline(&entries, &baseline.tiers);
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("ldis-lint: writing {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ldis-lint: wrote {} with {} entr{} — re-justify any TODOs",
-            baseline_path.display(),
-            entries.len(),
-            if entries.len() == 1 { "y" } else { "ies" },
-        );
-        return ExitCode::SUCCESS;
-    }
-
     match opts.format {
-        Format::Json => print!("{}", render_json(&outcome)),
-        Format::Sarif => print!("{}", render_sarif(&outcome)),
+        Format::Json => print!("{}", render_json(&findings)),
+        Format::Sarif => print!("{}", render_sarif(&findings)),
         Format::Annotations => {
-            for f in &outcome.errors {
+            for f in &findings {
                 print!("{}", render_annotation(f));
-            }
-            if opts.show_warnings {
-                for f in &outcome.warnings {
-                    print!("{}", render_annotation(f));
-                }
             }
         }
         Format::Text => {
-            for f in &outcome.errors {
+            for f in &findings {
                 print!("{}", render(f));
             }
-            if opts.show_warnings {
-                for f in &outcome.warnings {
-                    print!("{}", render(f));
-                }
-            }
-            for s in &outcome.stale {
-                println!(
-                    "stale baseline: [[allow]] {} {} tolerates {} finding(s) but only {} remain — shrink the entry",
-                    s.rule, s.path, s.allowed, s.live
-                );
-            }
-            println!(
-                "ldis-lint: {} error(s), {} warning(s){}, {} baselined, {} stale baseline entr{}",
-                outcome.errors.len(),
-                outcome.warnings.len(),
-                if opts.show_warnings {
-                    ""
-                } else {
-                    " (use --show-warnings for details)"
-                },
-                outcome.baselined.len(),
-                outcome.stale.len(),
-                if outcome.stale.len() == 1 { "y" } else { "ies" },
-            );
+            println!("ldis-lint: {} error(s)", findings.len());
         }
     }
-
-    if opts.warn {
-        return ExitCode::SUCCESS;
-    }
-    let failed = !outcome.errors.is_empty() || (opts.deny && !outcome.stale.is_empty());
-    if failed {
-        ExitCode::from(1)
-    } else {
+    if findings.is_empty() {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
 }

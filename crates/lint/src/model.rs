@@ -15,10 +15,11 @@
 //!   functions, then (covering `use other_crate::free`) every free
 //!   function of that name in the workspace.
 //!
-//! Unresolved names (std, core, alloc) are assumed panic-free — the same
-//! stance the token-level P1 rule takes. Over-approximation can produce
-//! spurious reachability, never missed reachability, which is the right
-//! polarity for a panic-freedom proof.
+//! Unresolved names (std, core, alloc) are assumed panic-free; their
+//! panicking forms (`unwrap`, `expect`, indexing) are clippy's to catch
+//! at the call site. Over-approximation can produce spurious
+//! reachability, never missed reachability, which is the right polarity
+//! for the panic-under-lock check.
 
 use crate::lexer::{self, Token};
 use crate::parser::{self, FnItem};

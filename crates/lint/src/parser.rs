@@ -1,8 +1,8 @@
 //! A recursive-descent item parser over the token stream from
 //! [`crate::lexer`].
 //!
-//! The token-level rules (D1/D2/P1/P1X/C1) never needed to know *where* a
-//! token lives; the interprocedural rules (P2/U1/D3) do. This parser
+//! The per-file rule C1 never needs to know *where* a token lives; the
+//! workspace rules (U1/D3/S1/L2/O1) do. This parser
 //! recovers exactly the structure they need — no more: every `fn` item
 //! with its name, qualified name (`Type::method` for inherent/trait
 //! methods), visibility, typed parameter list and body token range, with

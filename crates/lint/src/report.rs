@@ -1,25 +1,13 @@
-//! Findings, the committed baseline, and rustc-style rendering.
+//! Findings and their renderings: rustc-style text, JSON, SARIF and
+//! GitHub workflow annotations.
 
-use crate::toml;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Severity tier of a rule or finding.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
-pub enum Level {
-    /// Reported, never fails the run (tracked debt).
-    Warn,
-    /// Fails the run unless baselined in `lint.toml`.
-    Deny,
-}
-
-/// One diagnostic produced by a rule.
+/// One diagnostic produced by a rule. Every finding fails the run.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// Rule identifier (`D1`, `D2`, `P1`, `P1X`, `C1`).
+    /// Rule identifier (`C1`, `U1`, `D3`, `W1`, `S1`, `L2`, `O1`).
     pub rule: &'static str,
-    /// Severity tier.
-    pub level: Level,
     /// Workspace-relative path with `/` separators.
     pub path: String,
     /// 1-based line.
@@ -32,187 +20,17 @@ pub struct Finding {
     pub snippet: String,
 }
 
-/// One `[[allow]]` entry from `lint.toml`.
-#[derive(Clone, Debug)]
-pub struct AllowEntry {
-    /// Rule the entry baselines.
-    pub rule: String,
-    /// Workspace-relative file path.
-    pub path: String,
-    /// Number of findings tolerated in that file.
-    pub count: usize,
-    /// Why the debt is acceptable. Required: un-justified debt is debt
-    /// nobody can ever retire.
-    pub justification: String,
-}
-
-/// The committed debt baseline (`lint.toml`).
-#[derive(Clone, Debug, Default)]
-pub struct Baseline {
-    /// All `[[allow]]` entries in file order.
-    pub allows: Vec<AllowEntry>,
-    /// Per-rule tier overrides from the `[tier]` table. A rule listed
-    /// here runs at the given tier instead of its built-in default —
-    /// this is how P1X is promoted from warn to deny without a code
-    /// change, and the distinction must survive `--update-baseline`.
-    pub tiers: BTreeMap<String, Level>,
-}
-
-impl Baseline {
-    /// Parses a baseline document.
-    pub fn parse(src: &str) -> Result<Baseline, String> {
-        let doc = toml::parse(src)?;
-        let mut tiers = BTreeMap::new();
-        if let Some(table) = doc.tables.get("tier") {
-            for (rule, value) in table {
-                let level = match value.as_str() {
-                    Some("deny") => Level::Deny,
-                    Some("warn") => Level::Warn,
-                    _ => return Err(format!("[tier]: `{rule}` must be \"deny\" or \"warn\"")),
-                };
-                tiers.insert(rule.clone(), level);
-            }
-        }
-        let mut allows = Vec::new();
-        for (idx, table) in doc.arrays.get("allow").into_iter().flatten().enumerate() {
-            let field = |name: &str| -> Result<&toml::Value, String> {
-                table
-                    .get(name)
-                    .ok_or_else(|| format!("[[allow]] #{}: missing `{name}`", idx + 1))
-            };
-            let rule = field("rule")?
-                .as_str()
-                .ok_or_else(|| format!("[[allow]] #{}: `rule` must be a string", idx + 1))?
-                .to_string();
-            let path = field("path")?
-                .as_str()
-                .ok_or_else(|| format!("[[allow]] #{}: `path` must be a string", idx + 1))?
-                .to_string();
-            let count = field("count")?.as_int().filter(|n| *n > 0).ok_or_else(|| {
-                format!("[[allow]] #{}: `count` must be a positive integer", idx + 1)
-            })? as usize;
-            let justification = field("justification")?
-                .as_str()
-                .filter(|s| !s.trim().is_empty())
-                .ok_or_else(|| {
-                    format!(
-                        "[[allow]] #{}: `justification` must be a non-empty string",
-                        idx + 1
-                    )
-                })?
-                .to_string();
-            allows.push(AllowEntry {
-                rule,
-                path,
-                count,
-                justification,
-            });
-        }
-        Ok(Baseline { allows, tiers })
-    }
-
-    /// The effective tier for a finding: the `[tier]` override when the
-    /// rule has one, the rule's built-in default otherwise.
-    pub fn tier_of(&self, rule: &str, default: Level) -> Level {
-        self.tiers.get(rule).copied().unwrap_or(default)
-    }
-
-    /// Tolerated finding count per (rule, path).
-    pub fn counts(&self) -> BTreeMap<(String, String), usize> {
-        let mut map = BTreeMap::new();
-        for a in &self.allows {
-            *map.entry((a.rule.clone(), a.path.clone())).or_insert(0) += a.count;
-        }
-        map
-    }
-}
-
-/// A baseline entry whose debt has (partially) been paid down: the live
-/// finding count is below the allowed count, so the entry should shrink.
-#[derive(Clone, Debug)]
-pub struct StaleEntry {
-    /// Rule of the stale entry.
-    pub rule: String,
-    /// File of the stale entry.
-    pub path: String,
-    /// Count recorded in `lint.toml`.
-    pub allowed: usize,
-    /// Findings actually present.
-    pub live: usize,
-}
-
-/// The classified result of a lint run.
-#[derive(Debug, Default)]
-pub struct Outcome {
-    /// Deny-tier findings not covered by the baseline. Non-empty ⇒ fail.
-    pub errors: Vec<Finding>,
-    /// Warn-tier findings (tracked, never failing).
-    pub warnings: Vec<Finding>,
-    /// Deny-tier findings covered by the baseline.
-    pub baselined: Vec<Finding>,
-    /// Baseline entries exceeding the live count (fail under `--deny`).
-    pub stale: Vec<StaleEntry>,
-}
-
-/// Splits raw findings into errors / warnings / baselined debt and
-/// detects stale baseline entries.
-///
-/// Baselining is per `(rule, path)` *count*, not per line: line numbers
-/// churn with every edit, counts only change when debt is added or
-/// retired. If a file exceeds its allowance, every finding in it is
-/// reported so the offender is visible regardless of which edit pushed
-/// the file over.
-pub fn classify(findings: Vec<Finding>, baseline: &Baseline) -> Outcome {
-    let mut out = Outcome::default();
-    let allowed = baseline.counts();
-    let mut by_key: BTreeMap<(String, String), Vec<Finding>> = BTreeMap::new();
-    for mut f in findings {
-        f.level = baseline.tier_of(f.rule, f.level);
-        match f.level {
-            Level::Warn => out.warnings.push(f),
-            Level::Deny => by_key
-                .entry((f.rule.to_string(), f.path.clone()))
-                .or_default()
-                .push(f),
-        }
-    }
-    for (key, group) in &by_key {
-        let budget = allowed.get(key).copied().unwrap_or(0);
-        if group.len() <= budget {
-            out.baselined.extend(group.iter().cloned());
-        } else {
-            out.errors.extend(group.iter().cloned());
-        }
-    }
-    for (key, budget) in &allowed {
-        let live = by_key.get(key).map_or(0, Vec::len);
-        if live < *budget {
-            out.stale.push(StaleEntry {
-                rule: key.0.clone(),
-                path: key.1.clone(),
-                allowed: *budget,
-                live,
-            });
-        }
-    }
-    out.errors.sort_by(finding_order);
-    out.warnings.sort_by(finding_order);
-    out.baselined.sort_by(finding_order);
-    out
-}
-
-fn finding_order(a: &Finding, b: &Finding) -> std::cmp::Ordering {
-    (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+/// Sorts findings into diagnostic order: path, line, column, rule.
+pub fn sort(findings: &mut [Finding]) {
+    findings.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
+    });
 }
 
 /// Renders one finding in rustc style.
 pub fn render(f: &Finding) -> String {
-    let label = match f.level {
-        Level::Deny => "error",
-        Level::Warn => "warning",
-    };
     let mut s = String::new();
-    let _ = writeln!(s, "{label}[{}]: {}", f.rule, f.message);
+    let _ = writeln!(s, "error[{}]: {}", f.rule, f.message);
     let _ = writeln!(s, "  --> {}:{}:{}", f.path, f.line, f.col);
     let gutter = format!("{}", f.line).len().max(3);
     let _ = writeln!(s, "{:gutter$} |", "");
@@ -249,12 +67,8 @@ fn json_escape(s: &str) -> String {
 
 fn finding_json(f: &Finding) -> String {
     format!(
-        "{{\"rule\":\"{}\",\"level\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
+        "{{\"rule\":\"{}\",\"path\":\"{}\",\"line\":{},\"col\":{},\"message\":\"{}\"}}",
         json_escape(f.rule),
-        match f.level {
-            Level::Deny => "deny",
-            Level::Warn => "warn",
-        },
         json_escape(&f.path),
         f.line,
         f.col,
@@ -262,43 +76,23 @@ fn finding_json(f: &Finding) -> String {
     )
 }
 
-/// Renders a whole outcome as a machine-readable JSON document, for CI
-/// consumers (the GitHub-annotation step) and external tooling. The
-/// shape is stable: `errors`/`warnings` are arrays of finding objects,
-/// `stale` is an array of baseline-entry objects, `baselined` is a
-/// count.
-pub fn render_json(outcome: &Outcome) -> String {
-    let list = |fs: &[Finding]| fs.iter().map(finding_json).collect::<Vec<_>>().join(",");
-    let stale = outcome
-        .stale
+/// Renders the findings as a machine-readable JSON document for CI
+/// consumers and external tooling: `{"errors": [finding, ...]}`.
+pub fn render_json(findings: &[Finding]) -> String {
+    let list = findings
         .iter()
-        .map(|s| {
-            format!(
-                "{{\"rule\":\"{}\",\"path\":\"{}\",\"allowed\":{},\"live\":{}}}",
-                json_escape(&s.rule),
-                json_escape(&s.path),
-                s.allowed,
-                s.live
-            )
-        })
+        .map(finding_json)
         .collect::<Vec<_>>()
         .join(",");
-    format!(
-        "{{\"errors\":[{}],\"warnings\":[{}],\"baselined\":{},\"stale\":[{}]}}\n",
-        list(&outcome.errors),
-        list(&outcome.warnings),
-        outcome.baselined.len(),
-        stale
-    )
+    format!("{{\"errors\":[{list}]}}\n")
 }
 
-/// Renders a whole outcome as a SARIF 2.1.0 log, the interchange format
-/// GitHub code scanning ingests. One run, one result per error and
-/// warning (baselined findings are omitted — they are accepted debt),
-/// with the full rule registry listed once under the driver — every
-/// rule with its one-line description, not just the rules that fired,
-/// so a clean run still documents what was checked.
-pub fn render_sarif(outcome: &Outcome) -> String {
+/// Renders the findings as a SARIF 2.1.0 log, the interchange format
+/// GitHub code scanning ingests. One run, one result per finding, with
+/// the full rule registry listed once under the driver — every rule with
+/// its one-line description, not just the rules that fired, so a clean
+/// run still documents what was checked.
+pub fn render_sarif(findings: &[Finding]) -> String {
     let rule_objs = crate::rules::Rule::ALL
         .iter()
         .map(|r| {
@@ -310,27 +104,20 @@ pub fn render_sarif(outcome: &Outcome) -> String {
         })
         .collect::<Vec<_>>()
         .join(",");
-    let result = |f: &Finding| {
-        format!(
-            "{{\"ruleId\":\"{}\",\"level\":\"{}\",\"message\":{{\"text\":\"{}\"}},\
-             \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
-             \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
-            json_escape(f.rule),
-            match f.level {
-                Level::Deny => "error",
-                Level::Warn => "warning",
-            },
-            json_escape(&f.message),
-            json_escape(&f.path),
-            f.line,
-            f.col,
-        )
-    };
-    let results = outcome
-        .errors
+    let results = findings
         .iter()
-        .chain(&outcome.warnings)
-        .map(result)
+        .map(|f| {
+            format!(
+                "{{\"ruleId\":\"{}\",\"level\":\"error\",\"message\":{{\"text\":\"{}\"}},\
+                 \"locations\":[{{\"physicalLocation\":{{\"artifactLocation\":{{\"uri\":\"{}\"}},\
+                 \"region\":{{\"startLine\":{},\"startColumn\":{}}}}}}}]}}",
+                json_escape(f.rule),
+                json_escape(&f.message),
+                json_escape(&f.path),
+                f.line,
+                f.col,
+            )
+        })
         .collect::<Vec<_>>()
         .join(",");
     format!(
@@ -344,10 +131,6 @@ pub fn render_sarif(outcome: &Outcome) -> String {
 /// Renders one finding as a GitHub Actions workflow command, so CI runs
 /// surface findings as inline annotations on the PR diff.
 pub fn render_annotation(f: &Finding) -> String {
-    let kind = match f.level {
-        Level::Deny => "error",
-        Level::Warn => "warning",
-    };
     // Workflow commands need %, CR and LF escaped in the message body.
     let msg = f
         .message
@@ -355,65 +138,18 @@ pub fn render_annotation(f: &Finding) -> String {
         .replace('\r', "%0D")
         .replace('\n', "%0A");
     format!(
-        "::{kind} file={},line={},col={},title=ldis-lint {}::{msg}\n",
+        "::error file={},line={},col={},title=ldis-lint {}::{msg}\n",
         f.path, f.line, f.col, f.rule
     )
-}
-
-/// Serializes a baseline back to `lint.toml` form (used by
-/// `--update-baseline`). Entries are sorted by rule then path, and the
-/// `[tier]` table — which `--update-baseline` must never drop, or a
-/// regeneration would silently demote P1X back to warn — is emitted
-/// first.
-pub fn write_baseline(entries: &[AllowEntry], tiers: &BTreeMap<String, Level>) -> String {
-    let mut sorted: Vec<&AllowEntry> = entries.iter().collect();
-    sorted.sort_by(|a, b| (&a.rule, &a.path).cmp(&(&b.rule, &b.path)));
-    let mut s = String::from(
-        "# ldis-lint debt baseline.\n\
-         #\n\
-         # Each [[allow]] entry tolerates `count` findings of `rule` in `path`,\n\
-         # with a justification for why the debt is acceptable. The count is\n\
-         # exact: paying debt down without shrinking the entry fails `--deny`\n\
-         # (stale baseline), and adding debt fails any mode. The [tier] table\n\
-         # overrides a rule's built-in tier. Regenerate with\n\
-         # `cargo run -p ldis-lint -- --update-baseline` and then re-justify\n\
-         # any `TODO` entries it leaves behind.\n",
-    );
-    if !tiers.is_empty() {
-        s.push_str("\n[tier]\n");
-        for (rule, level) in tiers {
-            let _ = writeln!(
-                s,
-                "{} = \"{}\"",
-                toml::escape(rule),
-                match level {
-                    Level::Deny => "deny",
-                    Level::Warn => "warn",
-                }
-            );
-        }
-    }
-    for e in sorted {
-        let _ = write!(
-            s,
-            "\n[[allow]]\nrule = \"{}\"\npath = \"{}\"\ncount = {}\njustification = \"{}\"\n",
-            toml::escape(&e.rule),
-            toml::escape(&e.path),
-            e.count,
-            toml::escape(&e.justification),
-        );
-    }
-    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn finding(rule: &'static str, path: &str, line: u32, level: Level) -> Finding {
+    fn finding(rule: &'static str, path: &str, line: u32) -> Finding {
         Finding {
             rule,
-            level,
             path: path.into(),
             line,
             col: 1,
@@ -423,107 +159,44 @@ mod tests {
     }
 
     #[test]
-    fn classify_baselines_exact_counts() {
-        let baseline = Baseline::parse(
-            "[[allow]]\nrule = \"P1\"\npath = \"a.rs\"\ncount = 2\njustification = \"j\"\n",
-        )
-        .expect("parses");
-        let out = classify(
-            vec![
-                finding("P1", "a.rs", 1, Level::Deny),
-                finding("P1", "a.rs", 2, Level::Deny),
-                finding("P1", "b.rs", 3, Level::Deny),
-                finding("P1X", "a.rs", 4, Level::Warn),
-            ],
-            &baseline,
-        );
-        assert_eq!(out.baselined.len(), 2);
-        assert_eq!(out.errors.len(), 1);
-        assert_eq!(out.errors[0].path, "b.rs");
-        assert_eq!(out.warnings.len(), 1);
-        assert!(out.stale.is_empty());
-    }
-
-    #[test]
-    fn exceeding_the_budget_reports_every_finding() {
-        let baseline = Baseline::parse(
-            "[[allow]]\nrule = \"P1\"\npath = \"a.rs\"\ncount = 1\njustification = \"j\"\n",
-        )
-        .expect("parses");
-        let out = classify(
-            vec![
-                finding("P1", "a.rs", 1, Level::Deny),
-                finding("P1", "a.rs", 2, Level::Deny),
-            ],
-            &baseline,
-        );
-        assert_eq!(out.errors.len(), 2, "whole group surfaces on overflow");
-        assert!(out.baselined.is_empty());
-    }
-
-    #[test]
-    fn paid_down_debt_is_stale() {
-        let baseline = Baseline::parse(
-            "[[allow]]\nrule = \"P1\"\npath = \"a.rs\"\ncount = 3\njustification = \"j\"\n",
-        )
-        .expect("parses");
-        let out = classify(vec![finding("P1", "a.rs", 1, Level::Deny)], &baseline);
-        assert_eq!(out.stale.len(), 1);
-        assert_eq!(out.stale[0].allowed, 3);
-        assert_eq!(out.stale[0].live, 1);
-    }
-
-    #[test]
-    fn baseline_requires_justifications() {
-        let err = Baseline::parse("[[allow]]\nrule = \"P1\"\npath = \"a.rs\"\ncount = 1\n");
-        assert!(err.is_err());
-        let err = Baseline::parse(
-            "[[allow]]\nrule = \"P1\"\npath = \"a.rs\"\ncount = 1\njustification = \" \"\n",
-        );
-        assert!(err.is_err());
+    fn sort_orders_by_location_then_rule() {
+        let mut found = vec![
+            finding("U1", "b.rs", 1),
+            finding("O1", "a.rs", 9),
+            finding("C1", "a.rs", 2),
+        ];
+        sort(&mut found);
+        let order: Vec<_> = found.iter().map(|f| (f.path.as_str(), f.line)).collect();
+        assert_eq!(order, [("a.rs", 2), ("a.rs", 9), ("b.rs", 1)]);
     }
 
     #[test]
     fn render_is_rustc_shaped() {
-        let text = render(&finding("D1", "crates/mem/src/rng.rs", 7, Level::Deny));
-        assert!(text.starts_with("error[D1]: D1 fired"));
+        let text = render(&finding("U1", "crates/mem/src/rng.rs", 7));
+        assert!(text.starts_with("error[U1]: U1 fired"));
         assert!(text.contains("--> crates/mem/src/rng.rs:7:1"));
         assert!(text.contains("^"));
     }
 
     #[test]
     fn json_output_is_machine_readable() {
-        let out = classify(
-            vec![
-                finding("P1", "a \"b\".rs", 1, Level::Deny),
-                finding("P1X", "c.rs", 2, Level::Warn),
-            ],
-            &Baseline::default(),
-        );
-        let text = render_json(&out);
-        assert!(text.contains("\"errors\":[{\"rule\":\"P1\""));
+        let text = render_json(&[finding("S1", "a \"b\".rs", 1), finding("L2", "c.rs", 2)]);
+        assert!(text.starts_with("{\"errors\":[{\"rule\":\"S1\""));
         assert!(text.contains("\"path\":\"a \\\"b\\\".rs\""));
-        assert!(text.contains("\"warnings\":[{\"rule\":\"P1X\""));
-        assert!(text.contains("\"baselined\":0"));
-        assert!(text.ends_with("]}\n"));
+        assert!(text.contains("{\"rule\":\"L2\""));
+        assert_eq!(render_json(&[]), "{\"errors\":[]}\n");
     }
 
     #[test]
     fn sarif_output_lists_rules_once_and_locates_results() {
-        let out = classify(
-            vec![
-                finding("S1", "crates/core/src/a.rs", 9, Level::Deny),
-                finding("S1", "crates/core/src/b.rs", 2, Level::Deny),
-                finding("P1X", "c.rs", 1, Level::Warn),
-            ],
-            &Baseline::default(),
-        );
-        let text = render_sarif(&out);
+        let text = render_sarif(&[
+            finding("S1", "crates/core/src/a.rs", 9),
+            finding("S1", "crates/core/src/b.rs", 2),
+        ]);
         assert!(text.contains("\"version\":\"2.1.0\""));
         assert!(text.contains("\"name\":\"ldis-lint\""));
         // The driver lists the whole registry with descriptions, each
-        // rule exactly once — including the absint rules even when the
-        // run has no finding for them.
+        // rule exactly once — including rules the run has no finding for.
         for rule in crate::rules::Rule::ALL {
             assert_eq!(
                 text.matches(&format!("{{\"id\":\"{}\"", rule.id())).count(),
@@ -537,59 +210,17 @@ mod tests {
             "\"artifactLocation\":{\"uri\":\"crates/core/src/a.rs\"},\
              \"region\":{\"startLine\":9,\"startColumn\":1}"
         ));
-        assert!(text.contains("\"level\":\"warning\""));
+        assert_eq!(text.matches("\"level\":\"error\"").count(), 2);
     }
 
     #[test]
     fn annotations_escape_workflow_commands() {
-        let mut f = finding("P2", "a.rs", 3, Level::Deny);
+        let mut f = finding("L2", "a.rs", 3);
         f.message = "path: x -> y\n50% of calls".into();
         let text = render_annotation(&f);
         assert_eq!(
             text,
-            "::error file=a.rs,line=3,col=1,title=ldis-lint P2::path: x -> y%0A50%25 of calls\n"
+            "::error file=a.rs,line=3,col=1,title=ldis-lint L2::path: x -> y%0A50%25 of calls\n"
         );
-    }
-
-    #[test]
-    fn write_baseline_round_trips() {
-        let entries = vec![AllowEntry {
-            rule: "P1".into(),
-            path: "a.rs".into(),
-            count: 2,
-            justification: "says \"why\"".into(),
-        }];
-        let mut tiers = BTreeMap::new();
-        tiers.insert("P1X".to_string(), Level::Deny);
-        tiers.insert("D9".to_string(), Level::Warn);
-        let text = write_baseline(&entries, &tiers);
-        let back = Baseline::parse(&text).expect("round trip");
-        assert_eq!(back.allows.len(), 1);
-        assert_eq!(back.allows[0].justification, "says \"why\"");
-        // Tier overrides — including the justifications on the entries —
-        // must survive a full write/parse cycle, or --update-baseline
-        // would silently demote promoted rules.
-        assert_eq!(back.tiers, tiers);
-        let again = write_baseline(&back.allows, &back.tiers);
-        assert_eq!(again, text, "regeneration is a fixed point");
-    }
-
-    #[test]
-    fn tier_overrides_promote_and_demote() {
-        let baseline = Baseline::parse("[tier]\nP1X = \"deny\"\nD1 = \"warn\"\n").expect("parses");
-        let out = classify(
-            vec![
-                finding("P1X", "a.rs", 1, Level::Warn),
-                finding("D1", "a.rs", 2, Level::Deny),
-                finding("P1", "a.rs", 3, Level::Deny),
-            ],
-            &baseline,
-        );
-        assert_eq!(out.errors.len(), 2, "{:?}", out.errors);
-        assert_eq!(out.errors[0].rule, "P1X");
-        assert_eq!(out.errors[0].level, Level::Deny);
-        assert_eq!(out.warnings.len(), 1);
-        assert_eq!(out.warnings[0].rule, "D1");
-        assert!(Baseline::parse("[tier]\nP1X = \"loud\"\n").is_err());
     }
 }

@@ -1,45 +1,28 @@
-//! The rule set: determinism (D1), ordered iteration (D2), panic safety
-//! (P1/P1X) and config invariants (C1).
+//! The per-file rules: config invariants (C1) and waiver hygiene (W1),
+//! plus the waiver index every rule consults.
 //!
-//! All rules work on the token stream from [`crate::lexer`]. Findings can
-//! be waived inline with `// ldis: allow(RULE, "why")` on the offending
-//! line or the line above; larger debts belong in the `lint.toml`
-//! baseline instead so they stay counted.
+//! Both work on the token stream from [`crate::lexer`]. Findings can be
+//! waived inline with `// ldis: allow(RULE, "why")` on the offending
+//! line or the line above.
 
 use crate::lexer::{self, Comment, Token};
-use crate::report::{Finding, Level};
+use crate::report::Finding;
 use std::collections::BTreeMap;
 
-/// A lintable rule.
+/// A lintable rule. Every rule fails the run; there is no warn tier.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Rule {
-    /// No ambient entropy or wall-clock state in simulator crates: all
-    /// randomness must flow through `SimRng` / `SimRng::derive`.
-    D1,
-    /// No `HashMap`/`HashSet`: iteration order would depend on the hasher
-    /// seed, which breaks byte-stable reports. Use `BTreeMap`/`BTreeSet`.
-    D2,
-    /// No `unwrap`/`expect`/`panic!`-family calls in simulator core code;
-    /// failures route through `LdisError` or checked accessors.
-    P1,
-    /// Raw `[...]` indexing in simulator core code (warn tier: tracked,
-    /// not failing — bounds are usually geometry-guaranteed).
-    P1X,
-    /// Config literals in examples/benches and golden snapshots must
-    /// describe possible geometries and the paper's PSEL rails.
+    /// Config literals in examples and golden snapshots must describe
+    /// possible geometries and the paper's PSEL rails.
     C1,
-    /// Interprocedural panic-reachability: public functions of the
-    /// sim-core crates must be transitively panic-free modulo the
-    /// justified `lint.toml` entries.
-    P2,
     /// Unit safety: byte addresses, word indices, line addresses and set
     /// indices must not mix without an explicit conversion.
     U1,
     /// Float determinism: no floating-point accumulation that merges
     /// parallel-sweep cell results outside the canonical-order merge.
     D3,
-    /// Waiver hygiene: every `// ldis: allow(RULE, "why")` must carry a
-    /// non-empty justification string.
+    /// Waiver hygiene: every `// ldis: allow(RULE, "why")` must name an
+    /// ldis-lint rule and carry a non-empty justification string.
     W1,
     /// Seed provenance (flow-sensitive): `SimRng` streams must be
     /// constructed from seeds derived off the root seed
@@ -56,89 +39,44 @@ pub enum Rule {
     /// `checked_`/`saturating_`/explicitly wrapping, or carry a
     /// justified waiver.
     O1,
-    /// Shift safety (abstract interpretation): every `<<`/`>>` amount in
-    /// the sim crates must be provably smaller than the bit width of the
-    /// shifted type.
-    B1,
-    /// Packed-index provenance (abstract interpretation): arena-style
-    /// flattened `set * assoc + way` indices must be proven in-range
-    /// given the config bounds.
-    R1,
-    /// Lossless truncation (abstract interpretation): every narrowing
-    /// `as u8`/`as u16`/`as u32` cast in the sim crates must be proven
-    /// value-preserving, or carry a justified waiver.
-    T1,
 }
 
 impl Rule {
-    /// The rule's identifier as it appears in diagnostics and `lint.toml`.
+    /// The rule's identifier as it appears in diagnostics and waivers.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D1 => "D1",
-            Rule::D2 => "D2",
-            Rule::P1 => "P1",
-            Rule::P1X => "P1X",
             Rule::C1 => "C1",
-            Rule::P2 => "P2",
             Rule::U1 => "U1",
             Rule::D3 => "D3",
             Rule::W1 => "W1",
             Rule::S1 => "S1",
             Rule::L2 => "L2",
             Rule::O1 => "O1",
-            Rule::B1 => "B1",
-            Rule::R1 => "R1",
-            Rule::T1 => "T1",
         }
     }
 
     /// Every rule, in diagnostic order — drives the static SARIF rule
     /// metadata so tooling sees the full vocabulary even on clean runs.
     pub const ALL: &'static [Rule] = &[
-        Rule::D1,
-        Rule::D2,
-        Rule::P1,
-        Rule::P1X,
         Rule::C1,
-        Rule::P2,
         Rule::U1,
         Rule::D3,
         Rule::W1,
         Rule::S1,
         Rule::L2,
         Rule::O1,
-        Rule::B1,
-        Rule::R1,
-        Rule::T1,
     ];
 
     /// One-line description for SARIF rule metadata.
     pub fn describe(self) -> &'static str {
         match self {
-            Rule::D1 => "no ambient entropy or wall clocks in simulator crates",
-            Rule::D2 => "no hasher-ordered containers observable by reports",
-            Rule::P1 => "no unwrap/expect/panic-family calls in sim core code",
-            Rule::P1X => "raw [..] indexing in sim core code (tracked)",
             Rule::C1 => "config literals must describe possible geometries",
-            Rule::P2 => "public sim-core functions transitively panic-free",
             Rule::U1 => "no unit mixing between address/index domains",
             Rule::D3 => "no order-sensitive float accumulation across sweep cells",
-            Rule::W1 => "every waiver carries a non-empty justification",
+            Rule::W1 => "every waiver names a rule and carries a non-empty justification",
             Rule::S1 => "RNG streams derive from the root seed without collisions",
             Rule::L2 => "lock order acyclic, no re-entry, no panic under lock",
             Rule::O1 => "counter arithmetic overflow-checked or justified",
-            Rule::B1 => "shift amounts provably below the shifted type's width",
-            Rule::R1 => "packed arena indices proven within bounds",
-            Rule::T1 => "narrowing casts proven value-preserving or waived",
-        }
-    }
-
-    /// Default severity tier; `lint.toml`'s `[tier]` table can override
-    /// it per rule (that is how P1X is promoted to deny).
-    pub fn level(self) -> Level {
-        match self {
-            Rule::P1X => Level::Warn,
-            _ => Level::Deny,
         }
     }
 }
@@ -147,10 +85,11 @@ impl Rule {
 ///
 /// The waiver grammar is uniform across every rule, and the
 /// justification string is mandatory: a waiver whose `"why"` is missing
-/// or blank does not waive anything and is itself reported (rule `W1`).
+/// or blank, or whose rule ldis-lint does not have, waives nothing and
+/// is itself reported (rule `W1`).
 pub struct AllowIndex {
     by_line: BTreeMap<u32, Vec<String>>,
-    /// Waivers missing a justification: (line, rule-as-written).
+    /// Malformed waivers: (line, what is wrong with them).
     malformed: Vec<(u32, String)>,
 }
 
@@ -168,7 +107,9 @@ impl AllowIndex {
                     .chars()
                     .take_while(|ch| ch.is_ascii_alphanumeric())
                     .collect();
-                if rule.is_empty() {
+                // Rule ids carry a digit; `allow(RULE, "why")` in prose
+                // describes the grammar rather than waiving anything.
+                if !rule.chars().any(|ch| ch.is_ascii_digit()) {
                     continue;
                 }
                 // A justification is `, "non-blank"` after the rule.
@@ -179,10 +120,18 @@ impl AllowIndex {
                     .and_then(|t| t.strip_prefix('"'))
                     .and_then(|t| t.split('"').next())
                     .is_some_and(|why| !why.trim().is_empty());
-                if justified {
+                if !Rule::ALL.iter().any(|r| r.id() == rule) {
+                    malformed.push((
+                        c.line,
+                        format!("waiver `ldis: allow({rule}, ...)` names no ldis-lint rule; remove it (generic checks run in clippy: use `#[expect(clippy::..., reason = \"why\")]`)"),
+                    ));
+                } else if justified {
                     by_line.entry(c.line).or_default().push(rule);
                 } else {
-                    malformed.push((c.line, rule));
+                    malformed.push((
+                        c.line,
+                        format!("waiver `ldis: allow({rule}, ...)` has no justification string; write `// ldis: allow({rule}, \"why\")`"),
+                    ));
                 }
             }
         }
@@ -199,19 +148,9 @@ impl AllowIndex {
         })
     }
 
-    /// Waivers with a missing or blank justification: (line, rule).
+    /// Malformed waivers: (line, what is wrong with them).
     pub fn malformed(&self) -> &[(u32, String)] {
         &self.malformed
-    }
-
-    /// Lines carrying a justified waiver for `rule`, for staleness
-    /// checks (a waiver covers its own line and the line below).
-    pub fn justified_lines(&self, rule: Rule) -> Vec<u32> {
-        self.by_line
-            .iter()
-            .filter(|(_, rules)| rules.iter().any(|r| r == rule.id()))
-            .map(|(line, _)| *line)
-            .collect()
     }
 }
 
@@ -225,22 +164,17 @@ pub struct FileContext<'a> {
     pub tokens: Vec<Token>,
     /// Allow-comment index.
     pub allows: AllowIndex,
-    /// `#[cfg(test)]` line ranges.
-    pub test_regions: Vec<(u32, u32)>,
 }
 
 impl<'a> FileContext<'a> {
     /// Lexes `src` and prepares the indexes.
     pub fn new(path: &'a str, src: &'a str) -> Self {
         let lexed = lexer::lex(src);
-        let allows = AllowIndex::build(&lexed.comments);
-        let test_regions = lexer::test_regions(&lexed.tokens);
         FileContext {
             path,
             lines: src.lines().collect(),
+            allows: AllowIndex::build(&lexed.comments),
             tokens: lexed.tokens,
-            allows,
-            test_regions,
         }
     }
 
@@ -253,7 +187,6 @@ impl<'a> FileContext<'a> {
     fn finding(&self, rule: Rule, tok: &Token, message: String) -> Finding {
         Finding {
             rule: rule.id(),
-            level: rule.level(),
             path: self.path.to_string(),
             line: tok.line,
             col: tok.col,
@@ -261,209 +194,29 @@ impl<'a> FileContext<'a> {
             snippet: self.snippet(tok.line),
         }
     }
-
-    fn in_tests(&self, line: u32) -> bool {
-        lexer::in_regions(&self.test_regions, line)
-    }
 }
 
-/// Runs `rules` over one Rust source file.
+/// Runs the per-file rules over one Rust source file: C1 when `rules`
+/// selects it, and waiver hygiene (W1) always.
 pub fn scan_rust(ctx: &FileContext<'_>, rules: &[Rule]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    for rule in rules {
-        match rule {
-            Rule::D1 => d1(ctx, &mut findings),
-            Rule::D2 => d2(ctx, &mut findings),
-            Rule::P1 => p1(ctx, &mut findings),
-            Rule::P1X => p1x(ctx, &mut findings),
-            Rule::C1 => c1(ctx, &mut findings),
-            // Interprocedural and flow-sensitive rules run in the
-            // workspace pass (`crate::analyze`), not per file.
-            Rule::P2
-            | Rule::U1
-            | Rule::D3
-            | Rule::W1
-            | Rule::S1
-            | Rule::L2
-            | Rule::O1
-            | Rule::B1
-            | Rule::R1
-            | Rule::T1 => {}
-        }
+    if rules.contains(&Rule::C1) {
+        c1(ctx, &mut findings);
     }
     // Waiver hygiene applies to every linted file regardless of which
-    // rules its path selects: an unjustified waiver is dead weight that
+    // rules its path selects: a malformed waiver is dead weight that
     // silently stops waiving the day justifications become load-bearing.
-    for (line, rule) in ctx.allows.malformed() {
+    for (line, message) in ctx.allows.malformed() {
         findings.push(Finding {
             rule: Rule::W1.id(),
-            level: Rule::W1.level(),
             path: ctx.path.to_string(),
             line: *line,
             col: 1,
-            message: format!(
-                "waiver `ldis: allow({rule}, ...)` has no justification string; write `// ldis: allow({rule}, \"why\")`"
-            ),
+            message: message.clone(),
             snippet: ctx.snippet(*line),
         });
     }
     findings
-}
-
-// --- D1: determinism -----------------------------------------------------
-
-const D1_IDENTS: &[(&str, &str)] = &[
-    (
-        "Instant",
-        "`std::time::Instant` reads the wall clock; simulator state must derive from simulated cycles",
-    ),
-    (
-        "SystemTime",
-        "`std::time::SystemTime` reads the wall clock; simulator state must derive from simulated cycles",
-    ),
-    (
-        "UNIX_EPOCH",
-        "wall-clock timestamps are nondeterministic; simulator state must derive from simulated cycles",
-    ),
-    (
-        "thread_rng",
-        "ambient RNGs are seeded from OS entropy; all randomness must flow through `SimRng`/`SimRng::derive`",
-    ),
-    (
-        "OsRng",
-        "OS entropy is nondeterministic; all randomness must flow through `SimRng`/`SimRng::derive`",
-    ),
-    (
-        "from_entropy",
-        "entropy-seeded RNG construction is nondeterministic; derive seeds with `SimRng::derive`",
-    ),
-    (
-        "getrandom",
-        "OS entropy is nondeterministic; all randomness must flow through `SimRng`/`SimRng::derive`",
-    ),
-];
-
-fn d1(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if tok.kind != lexer::TokKind::Ident {
-            continue;
-        }
-        if let Some((_, why)) = D1_IDENTS.iter().find(|(name, _)| tok.is_ident(name)) {
-            if !ctx.allows.allows(Rule::D1, tok.line) {
-                findings.push(ctx.finding(Rule::D1, tok, format!("`{}`: {why}", tok.text)));
-            }
-            continue;
-        }
-        // `env::var*` / `env::args*`: environment reads make sim behavior
-        // host-dependent. (The experiments driver is out of D1 scope.)
-        if tok.is_ident("env")
-            && ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && ctx.tokens.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && ctx.tokens.get(i + 3).is_some_and(|t| {
-                t.kind == lexer::TokKind::Ident
-                    && (t.text.starts_with("var") || t.text.starts_with("args"))
-            })
-            && !ctx.allows.allows(Rule::D1, tok.line)
-        {
-            findings.push(ctx.finding(
-                Rule::D1,
-                tok,
-                "environment reads make simulation behavior host-dependent; thread configuration through config structs".into(),
-            ));
-        }
-    }
-}
-
-// --- D2: ordered iteration ----------------------------------------------
-
-fn d2(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
-    for tok in &ctx.tokens {
-        let hashed =
-            tok.is_ident("HashMap") || tok.is_ident("HashSet") || tok.is_ident("RandomState");
-        if hashed && !ctx.allows.allows(Rule::D2, tok.line) {
-            findings.push(ctx.finding(
-                Rule::D2,
-                tok,
-                format!(
-                    "`{}` iteration order depends on the hasher seed; use `BTreeMap`/`BTreeSet` (or waive membership-only uses with `// ldis: allow(D2, \"why\")`)",
-                    tok.text
-                ),
-            ));
-        }
-    }
-}
-
-// --- P1: panic safety ----------------------------------------------------
-
-const P1_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-fn p1(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if tok.kind != lexer::TokKind::Ident
-            || ctx.in_tests(tok.line)
-            || ctx.allows.allows(Rule::P1, tok.line)
-        {
-            continue;
-        }
-        // `.unwrap(` / `.expect(`.
-        if (tok.is_ident("unwrap") || tok.is_ident("expect"))
-            && i > 0
-            && ctx.tokens[i - 1].is_punct('.')
-            && ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
-        {
-            findings.push(ctx.finding(
-                Rule::P1,
-                tok,
-                format!(
-                    "`.{}()` panics in simulator core code; return `LdisError` or use a checked accessor (`unwrap_or`, `let-else`, `match`)",
-                    tok.text
-                ),
-            ));
-            continue;
-        }
-        // panic!-family macros.
-        if P1_MACROS.iter().any(|m| tok.is_ident(m))
-            && ctx.tokens.get(i + 1).is_some_and(|t| t.is_punct('!'))
-        {
-            findings.push(ctx.finding(
-                Rule::P1,
-                tok,
-                format!(
-                    "`{}!` aborts the simulation; degrade gracefully via `LdisError` instead",
-                    tok.text
-                ),
-            ));
-        }
-    }
-}
-
-/// Keywords that can directly precede a `[` without forming an index
-/// expression (slice patterns, array literals in statements, ...).
-const NON_INDEX_KEYWORDS: &[&str] = &[
-    "let", "mut", "ref", "in", "return", "if", "else", "match", "move", "box", "dyn", "impl",
-    "for", "while", "loop", "break", "continue", "where", "as", "use", "pub", "fn", "type",
-    "const", "static", "enum", "struct", "trait", "mod", "unsafe", "async", "await", "yield",
-];
-
-fn p1x(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
-    for (i, tok) in ctx.tokens.iter().enumerate() {
-        if !tok.is_punct('[') || i == 0 {
-            continue;
-        }
-        let prev = &ctx.tokens[i - 1];
-        let indexes = match prev.kind {
-            lexer::TokKind::Ident => !NON_INDEX_KEYWORDS.iter().any(|k| prev.is_ident(k)),
-            lexer::TokKind::Punct => prev.is_punct(')') || prev.is_punct(']'),
-            _ => false,
-        };
-        if indexes && !ctx.in_tests(tok.line) && !ctx.allows.allows(Rule::P1X, tok.line) {
-            findings.push(ctx.finding(
-                Rule::P1X,
-                tok,
-                "raw indexing can panic on out-of-range values; prefer `.get()` where bounds are not structurally guaranteed".into(),
-            ));
-        }
-    }
 }
 
 // --- C1: config invariants ----------------------------------------------
@@ -963,7 +716,6 @@ pub fn scan_golden(path: &str, stem: &str, src: &str) -> Vec<Finding> {
     let mut push = |line: u32, message: String| {
         findings.push(Finding {
             rule: Rule::C1.id(),
-            level: Level::Deny,
             path: path.to_string(),
             line,
             col: 1,
@@ -1030,94 +782,40 @@ mod tests {
     }
 
     #[test]
-    fn d1_flags_entropy_and_clocks() {
-        let found = scan(
-            "x.rs",
-            "fn f() { let t = Instant::now(); let r = rand::thread_rng(); }",
-            &[Rule::D1],
-        );
-        assert_eq!(found.len(), 2);
-        assert!(found.iter().all(|f| f.rule == "D1"));
-    }
-
-    #[test]
-    fn d1_respects_allow_comments() {
-        let found = scan(
-            "x.rs",
-            "fn f() { let t = Instant::now(); } // ldis: allow(D1, \"test fixture\")",
-            &[Rule::D1],
-        );
-        assert!(found.is_empty());
-    }
-
-    #[test]
-    fn d1_env_reads() {
-        let found = scan("x.rs", "fn f() { std::env::var(\"X\"); }", &[Rule::D1]);
-        assert_eq!(found.len(), 1);
-        // Duration alone is fine.
-        assert!(scan("x.rs", "use std::time::Duration;", &[Rule::D1]).is_empty());
-    }
-
-    #[test]
-    fn d2_flags_hashed_collections_not_strings() {
-        let found = scan(
-            "x.rs",
-            "use std::collections::HashMap; fn f() { println!(\"HashMap\"); }",
-            &[Rule::D2],
-        );
-        assert_eq!(found.len(), 1);
-    }
-
-    #[test]
-    fn p1_flags_unwrap_outside_tests_only() {
-        let src = "fn f(v: Option<u8>) -> u8 { v.unwrap() }\n\
-                   #[cfg(test)]\n\
-                   mod tests { fn t(v: Option<u8>) { v.unwrap(); panic!(\"x\"); } }\n";
-        let found = scan("x.rs", src, &[Rule::P1]);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 1);
-    }
-
-    #[test]
-    fn p1_ignores_unwrap_or_and_should_panic() {
-        let src = "fn f(v: Option<u8>) -> u8 { v.unwrap_or(0) }\n\
-                   fn g() { let expected = 3; }\n";
-        assert!(scan("x.rs", src, &[Rule::P1]).is_empty());
-    }
-
-    #[test]
     fn w1_flags_waivers_without_justification() {
         // No justification at all, and a blank one: both are W1 findings,
-        // and neither waives the P1X site it is attached to.
-        let src = "fn f(v: &[u8], i: usize) -> u8 { v[i] } // ldis: allow(P1X)\n\
-                   fn g(v: &[u8], i: usize) -> u8 { v[i] } // ldis: allow(P1X, \"  \")\n";
-        let found = scan("x.rs", src, &[Rule::P1X]);
+        // and neither waives the C1 site it is attached to.
+        let src = "let g = LineGeometry::new(64, 12); // ldis: allow(C1)\n\
+                   let h = LineGeometry::new(64, 12); // ldis: allow(C1, \"  \")\n";
+        let found = scan("x.rs", src, &[Rule::C1]);
         let w1: Vec<_> = found.iter().filter(|f| f.rule == "W1").collect();
-        let p1x: Vec<_> = found.iter().filter(|f| f.rule == "P1X").collect();
+        let c1: Vec<_> = found.iter().filter(|f| f.rule == "C1").collect();
         assert_eq!(w1.len(), 2, "both malformed waivers reported: {found:?}");
-        assert_eq!(p1x.len(), 2, "malformed waivers must not waive");
-        assert!(w1.iter().all(|f| f.level == Level::Deny));
+        assert_eq!(c1.len(), 2, "malformed waivers must not waive");
         assert!(w1[0].message.contains("no justification"));
+    }
+
+    #[test]
+    fn w1_flags_waivers_for_rules_ldis_lint_does_not_have() {
+        // Generic checks live in clippy now; an old-style waiver for one
+        // of them is reported instead of silently doing nothing.
+        let src =
+            "fn f(v: Option<u8>) -> u8 { v.unwrap() } // ldis: allow(P1, \"checked above\")\n";
+        let found = scan("x.rs", src, &[]);
+        assert_eq!(found.len(), 1, "{found:?}");
+        assert_eq!(found[0].rule, "W1");
+        assert!(found[0].message.contains("names no ldis-lint rule"));
     }
 
     #[test]
     fn w1_accepts_justified_waivers_uniformly() {
         // The same grammar works for every rule, including the
-        // interprocedural ones checked by `crate::analyze`.
-        let src = "fn f(v: &[u8], i: usize) -> u8 { v[i] } // ldis: allow(P1X, \"i < v.len() by contract\")\n\
-                   use std::collections::HashMap; // ldis: allow(D2, \"membership only\")\n";
-        let found = scan("x.rs", src, &[Rule::P1X, Rule::D2]);
+        // workspace rules checked by `crate::analyze`.
+        let src =
+            "let g = LineGeometry::new(64, 12); // ldis: allow(C1, \"deliberate bad geometry\")\n\
+                   s.hits += 1; // ldis: allow(O1, \"bounded by the access budget\")\n";
+        let found = scan("x.rs", src, &[Rule::C1]);
         assert!(found.is_empty(), "justified waivers silence: {found:?}");
-    }
-
-    #[test]
-    fn p1x_warns_on_indexing_but_not_types_or_patterns() {
-        let src = "fn f(v: &[u8], i: usize) -> u8 { v[i] }\n\
-                   fn g(x: [u8; 4]) { let [a, _b, _c, _d] = x; let _ = a; }\n";
-        let found = scan("x.rs", src, &[Rule::P1X]);
-        assert_eq!(found.len(), 1);
-        assert_eq!(found[0].line, 1);
-        assert_eq!(found[0].level, Level::Warn);
     }
 
     #[test]

@@ -34,6 +34,10 @@ fn set(names: &[&str]) -> BTreeSet<String> {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "UPDATE_SNAPSHOTS only rewrites the snapshot file"
+)]
 fn cfg_render_snapshot_is_byte_identical() {
     let src = fixture_src();
     let lexed = lex(&src);

@@ -87,8 +87,11 @@ impl Footprint {
     }
 
     /// Number of words used.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the popcount of a u16 is at most 16"
+    )]
     pub const fn used_words(self) -> u8 {
-        // ldis: allow(T1, "the popcount of a u16 is at most 16; tuple-field receivers sit outside the interval domain")
         self.0.count_ones() as u8
     }
 
@@ -117,7 +120,6 @@ impl Footprint {
     /// Iterates over the indices of used words, in increasing order.
     pub fn iter_used(self) -> impl Iterator<Item = WordIndex> {
         (0u8..16).filter_map(move |i| {
-            // ldis: allow(B1, "i is the closure's 0u8..16 range parameter, so the shift stays below 16; closure bindings sit outside the interval domain")
             if self.0 & (1u16 << i) != 0 {
                 Some(WordIndex::new(i))
             } else {

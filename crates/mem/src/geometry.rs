@@ -78,8 +78,11 @@ impl LineGeometry {
     }
 
     /// Number of words in a line.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "new() asserts the quotient line_bytes / word_bytes lies in 2..=16"
+    )]
     pub const fn words_per_line(&self) -> u8 {
-        // ldis: allow(T1, "new() asserts the quotient line_bytes / word_bytes lies in 2..=16")
         (self.line_bytes / self.word_bytes) as u8
     }
 
@@ -95,9 +98,12 @@ impl LineGeometry {
     }
 
     /// The index of the word within its line that `addr` falls in.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "offset < line_bytes and word_shift = log2(word_bytes), so the shifted value is a word index below the asserted 16-word bound"
+    )]
     pub const fn word_index(&self, addr: Addr) -> WordIndex {
         let offset = addr.raw() & (self.line_bytes as u64 - 1);
-        // ldis: allow(T1, "offset < line_bytes and word_shift = log2(word_bytes), so the shifted value is a word index below the asserted 16-word bound")
         WordIndex::new((offset >> self.word_shift) as u8)
     }
 

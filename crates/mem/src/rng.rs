@@ -114,6 +114,10 @@ impl SimRng {
         loop {
             let x = self.next_u64();
             let m = (x as u128).wrapping_mul(bound as u128);
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "Lemire's method keeps the low 64 bits of the 128-bit product"
+            )]
             let lo = m as u64;
             if lo >= bound || lo >= lo.wrapping_neg() % bound {
                 return (m >> 64) as u64;
@@ -122,6 +126,10 @@ impl SimRng {
     }
 
     /// A uniform integer in `0..bound`, as `usize`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the result is below `bound`, which is a usize"
+    )]
     pub fn index(&mut self, bound: usize) -> usize {
         self.range(bound as u64) as usize
     }
@@ -141,10 +149,14 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `items` is empty.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx < items.len() by Lemire rejection sampling"
+    )]
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "cannot choose from an empty slice");
         let idx = self.index(items.len());
-        &items[idx] // ldis: allow(P1X, "idx < items.len() by Lemire rejection sampling")
+        &items[idx]
     }
 
     /// Samples an index from a discrete distribution given by non-negative
@@ -287,7 +299,10 @@ impl SimRng {
     /// `geometric` bit for bit.
     pub fn geometric_with_denom(&mut self, denom: f64) -> u32 {
         let u = self.f64().max(f64::MIN_POSITIVE);
-        // ldis: allow(T1, "float-to-int casts saturate rather than truncate, and the next line clamps the result to <= 1_000_000")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int casts saturate rather than truncate, and the next line clamps the result to <= 1_000_000"
+        )]
         let v = (u.ln() / denom).floor() as u32;
         v.saturating_add(1).min(1_000_000)
     }

@@ -50,7 +50,10 @@ impl Trace {
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(MAGIC)?;
         let name = self.name().as_bytes();
-        // ldis: allow(T1, "trace names are short human-readable identifiers, far below u32::MAX bytes")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "trace names are short human-readable identifiers, far below u32::MAX bytes"
+        )]
         w.write_all(&(name.len() as u32).to_le_bytes())?;
         w.write_all(name)?;
         w.write_all(&(self.len() as u64).to_le_bytes())?;

@@ -174,6 +174,10 @@ impl MattsonProfiler {
         self.beyond
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set index is masked below num_sets, which sizes in-memory arrays"
+    )]
     fn set_index(&self, line: LineAddr) -> usize {
         (line.raw() & (self.num_sets - 1)) as usize
     }

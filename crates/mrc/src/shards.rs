@@ -132,11 +132,19 @@ impl ShardsConfig {
     /// The initial sampling threshold `T = round(R × P)`, clamped to at
     /// least 1 so a positive rate always samples something.
     pub fn initial_threshold(&self) -> u64 {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "float-to-int casts saturate, and the next line clamps to 1..=SHARDS_MODULUS"
+        )]
         let t = (self.rate * SHARDS_MODULUS as f64).round() as u64;
         t.clamp(1, SHARDS_MODULUS)
     }
 
     /// Number of histogram buckets below the overflow bucket.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the bucket count sizes the in-memory histogram, so it fits usize"
+    )]
     pub fn bucket_count(&self) -> usize {
         (self.max_lines / self.bucket_lines) as usize
     }
@@ -304,8 +312,16 @@ impl ShardsProfiler {
             }
             // Scale by the inverse of the *current* rate T/P, in integer
             // arithmetic: distance × P / T (fits u128 comfortably).
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clamped to u64::MAX before the cast"
+            )]
             let scaled = ((distance as u128 * SHARDS_MODULUS as u128) / self.threshold as u128)
                 .min(u64::MAX as u128) as u64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "usize is 64 bits on every supported host; a bucket past the histogram counts as overflow"
+            )]
             let bucket = (scaled / self.config.bucket_lines) as usize;
             match self.buckets.get_mut(bucket) {
                 Some(b) => *b += 1,
@@ -537,6 +553,10 @@ impl SampledMrc {
         if expected <= 0.0 {
             return 1.0;
         }
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "take() stops at the histogram length, so a larger count just means every bucket"
+        )]
         let full_buckets = (capacity_lines / self.bucket_lines) as usize;
         let raw_hits: u64 = self.buckets.iter().take(full_buckets).sum();
         // SHARDS_adj: distance-0 mass keeps every bucket prefix honest.

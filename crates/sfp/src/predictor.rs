@@ -63,6 +63,10 @@ impl FootprintPredictor {
         self.entries * 4
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "reduced modulo the entry count, a usize"
+    )]
     fn index(&self, pc: Addr, word: WordIndex) -> usize {
         let mut x = pc.raw() ^ (word.get() as u64).rotate_left(32);
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

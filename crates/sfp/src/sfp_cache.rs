@@ -141,6 +141,10 @@ impl SfpCache {
         &self.predictor
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set index is masked below num_sets, which sizes in-memory arrays"
+    )]
     fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
         let sets = self.cfg.num_sets();
         (

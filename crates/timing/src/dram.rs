@@ -76,6 +76,10 @@ impl MemorySystem {
         // Bank conflict: the bank serves one request at a time.
         // `bank < banks.len()` by the modulo, so the `get` fallbacks are
         // dead; an idle (0) busy-time leaves `issue` unchanged.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "reduced modulo banks.len(), a usize"
+        )]
         let bank = (line.raw() % self.banks.len() as u64) as usize;
         let bank_start = issue.max(self.banks.get(bank).copied().unwrap_or(0));
         self.bank_conflict_cycles += bank_start - issue;

@@ -115,7 +115,10 @@ impl WordsProfile {
         let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
         for (k, &c) in self.cumulative.iter().enumerate() {
             if u < c {
-                // ldis: allow(T1, "k indexes the 8-entry cumulative table")
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "k indexes the 8-entry cumulative table"
+                )]
                 return k as u8 + 1;
             }
         }
@@ -128,7 +131,10 @@ impl WordsProfile {
     pub fn footprint_for(&self, line: LineAddr, salt: u64) -> Footprint {
         let count = self.words_for(line, salt);
         let h = mix64(line.raw().rotate_left(23) ^ salt);
-        // ldis: allow(T1, "count is 1..=8 from words_for, so h % (8 - count + 1) is at most 7")
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "count is 1..=8 from words_for, so h % (8 - count + 1) is at most 7"
+        )]
         let start = (h % (8 - count as u64 + 1)) as u8;
         let mut fp = Footprint::empty();
         fp.touch_span(
@@ -222,6 +228,10 @@ impl ValueProfile {
     }
 
     /// A concrete 32-bit value of the class at `addr4`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "intentional fold of the 64-bit hash to a 32-bit word value"
+    )]
     pub fn value_at(&self, addr4: u64, salt: u64) -> u32 {
         let h = mix64(addr4.rotate_left(13) ^ salt);
         match self.class_at(addr4, salt) {
@@ -229,10 +239,8 @@ impl ValueProfile {
             WordClass::One => 1,
             WordClass::Narrow => {
                 // 2..=0xffff: never 0 or 1, upper half zero.
-                // ldis: allow(T1, "intentional fold of the 64-bit hash to a 32-bit word value")
                 ((h as u32) & 0xffff).max(2)
             }
-            // ldis: allow(T1, "intentional fold of the 64-bit hash to a 32-bit word value")
             WordClass::Full => (h as u32) | 0x0001_0000,
         }
     }

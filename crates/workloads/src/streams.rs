@@ -187,6 +187,10 @@ impl PointerChase {
     /// Panics if `nodes` is 0 or exceeds `u32::MAX`.
     pub fn new(base_line: u64, nodes: u64, words: WordsProfile, salt: u64, seed: u64) -> Self {
         assert!(nodes > 0 && nodes <= u32::MAX as u64, "1..=u32::MAX nodes");
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the assert above bounds nodes to u32::MAX"
+        )]
         let mut perm: Vec<u32> = (0..nodes as u32).collect();
         // ldis: allow(S1, "seed is the caller's derived per-workload seed and 0xc4a5e is the unique PointerChase stream tag; rewriting as derive_seed_chain would shift the permutation and break the frozen goldens")
         let mut rng = SimRng::new(seed ^ 0xc4a5e);
@@ -277,6 +281,10 @@ impl Stream for HotSet {
         let line = LineAddr::new(self.base_line + rng.range(self.lines));
         let mut words = self.words.footprint_for(line, self.salt);
         if self.extra_word_prob > 0.0 && rng.chance(self.extra_word_prob) {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "range(8) returns a value below 8"
+            )]
             words.touch(WordIndex::new(rng.range(8) as u8));
         }
         Visit::data(line, words)

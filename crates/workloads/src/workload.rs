@@ -138,6 +138,10 @@ impl Workload {
                 let mut buf = Vec::with_capacity(Self::DRIVE_BLOCK);
                 let mut remaining = n;
                 while remaining > 0 {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "take is at most DRIVE_BLOCK, a usize"
+                    )]
                     let take = remaining.min(Self::DRIVE_BLOCK as u64) as usize;
                     self.fill_block(&mut buf, take);
                     for &a in buf.iter() {
@@ -250,9 +254,12 @@ impl Workload {
                     } else {
                         AccessKind::Load
                     };
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "every workload geometry uses 4- or 8-byte words"
+                    )]
                     let a = Access {
                         addr: geom.word_base(visit.line, word),
-                        // ldis: allow(T1, "every workload geometry uses 4- or 8-byte words")
                         size: geom.word_bytes() as u8,
                         kind,
                         insts: self.next_gap(),

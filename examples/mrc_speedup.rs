@@ -16,6 +16,10 @@ use line_distillation::experiments::{
 };
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example reports wall-clock speed-ups"
+)]
 fn main() {
     let cfg = RunConfig::quick();
     let benches = mrc::all_benchmarks();

@@ -28,6 +28,10 @@ fn sweep(threads: usize, cfg: &RunConfig) -> Vec<Vec<RunResult>> {
     })
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the example reports wall-clock speed-ups"
+)]
 fn main() {
     let cfg = RunConfig::quick();
     let threads = parallel::configured_threads();

@@ -40,6 +40,10 @@ fn sampled_oracle_bounded_error_for_every_benchmark_size_and_rate() {
     let cfg = oracle_config();
     let benches = emrc::all_benchmarks();
     let exact = for_each_benchmark(&benches, |b| run_capacity_sweep(b, &cfg, &emrc::MRC_SIZES));
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "LDIS_PRINT_ERR only prints the measured errors for recalibration"
+    )]
     let print_err = std::env::var("LDIS_PRINT_ERR").is_ok_and(|v| v == "1");
     for rate in ORACLE_RATES {
         let shards = ShardsConfig::at_rate(rate);

@@ -108,9 +108,11 @@ impl fmt::Display for L2Stats {
 /// Tracks which lines have ever been requested, to classify compulsory
 /// misses (Table 2). Shared by all second-level implementations.
 ///
-/// Runs once per demand miss, so membership is an open-addressing table
-/// with a multiply-shift hash instead of an ordered set — the only
-/// observables (first-time bool and distinct count) are order-free.
+/// Runs on every demand miss, and the Mattson profiler (`ldis-mrc`) asks
+/// it on every access that misses one of its stacks, so membership is an
+/// open-addressing table with a multiply-shift hash instead of an ordered
+/// set — the only observables (first-time bool and distinct count) are
+/// order-free.
 #[derive(Clone, Debug, Default)]
 pub struct CompulsoryTracker {
     /// Power-of-two probe table of seen lines, keyed `raw + 1` so the zero
@@ -126,7 +128,9 @@ impl CompulsoryTracker {
     }
 
     /// Records a demand miss to `line`; returns `true` if this is the first
-    /// time the line has ever been requested (a compulsory miss).
+    /// time the line has ever been requested (a compulsory miss). Recording
+    /// a hit is harmless: a line's first request always misses, so a hit
+    /// returns `false` and changes nothing.
     pub fn record_miss(&mut self, line: LineAddr) -> bool {
         // Keep the load factor under 3/4 so linear probes stay short.
         if self.seen.saturating_mul(4) >= self.slots.len().saturating_mul(3) {

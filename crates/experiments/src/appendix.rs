@@ -2,9 +2,7 @@
 //! Table 6 (average words used vs. cache size).
 
 use crate::report::{fmt_f, Json, Table};
-use crate::{
-    for_each_benchmark, run, run_baseline, run_baseline_with_words, run_capacity_sweep, RunConfig,
-};
+use crate::{for_each_benchmark, run, run_capacity_sweep, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig};
 use ldis_workloads::{cache_insensitive, memory_intensive};
 
@@ -31,8 +29,9 @@ pub struct Table5Row {
 /// Runs the Table 5 matrix over the 11 cache-insensitive benchmarks.
 /// The three traditional sizes come from one Mattson capacity sweep per
 /// benchmark; only the distill point simulates directly. Bit-identical
-/// to [`table5_data_direct`] with two simulations per benchmark instead
-/// of four.
+/// to one direct baseline simulation per size (the reference kept in
+/// `tests/mrc_oracle.rs`) with two simulations per benchmark instead of
+/// four.
 pub fn table5_data(cfg: &RunConfig) -> Vec<Table5Row> {
     let benches = cache_insensitive();
     for_each_benchmark(&benches, |b| {
@@ -46,29 +45,6 @@ pub fn table5_data(cfg: &RunConfig) -> Vec<Table5Row> {
             ldis_1mb: l1.mpki,
             trad_2mb: sweep.mpki_at(2 << 20),
             trad_4mb: sweep.mpki_at(4 << 20),
-            paper_trad_1mb: b.paper_mpki,
-        }
-    })
-}
-
-/// The pre-rewire Table 5 matrix: one direct baseline simulation per
-/// traditional size. Kept as the reference side of the sweep-equivalence
-/// tests and the CI byte-identity gate.
-pub fn table5_data_direct(cfg: &RunConfig) -> Vec<Table5Row> {
-    let benches = cache_insensitive();
-    for_each_benchmark(&benches, |b| {
-        let t1 = run_baseline(b, cfg, 1 << 20);
-        let l1 = run(b, cfg, || {
-            DistillCache::new(DistillConfig::hpca2007_default())
-        });
-        let t2 = run_baseline(b, cfg, 2 << 20);
-        let t4 = run_baseline(b, cfg, 4 << 20);
-        Table5Row {
-            benchmark: b.name.to_owned(),
-            trad_1mb: t1.mpki,
-            ldis_1mb: l1.mpki,
-            trad_2mb: t2.mpki,
-            trad_4mb: t4.mpki,
             paper_trad_1mb: b.paper_mpki,
         }
     })
@@ -101,8 +77,10 @@ pub fn table5_report(rows: &[Table5Row]) -> String {
     t.render()
 }
 
-fn table5_snapshot_of(rows: &[Table5Row], cfg: &RunConfig) -> Json {
-    let rows = rows
+/// The Table 5 golden snapshot (`tests/golden/table5.json`), computed
+/// through the single-pass capacity sweep.
+pub fn table5_snapshot(cfg: &RunConfig) -> Json {
+    let rows = table5_data(cfg)
         .iter()
         .map(|r| {
             Json::obj([
@@ -122,18 +100,6 @@ fn table5_snapshot_of(rows: &[Table5Row], cfg: &RunConfig) -> Json {
     ])
 }
 
-/// The Table 5 golden snapshot (`tests/golden/table5.json`), computed
-/// through the single-pass capacity sweep.
-pub fn table5_snapshot(cfg: &RunConfig) -> Json {
-    table5_snapshot_of(&table5_data(cfg), cfg)
-}
-
-/// [`table5_snapshot`] computed through the pre-rewire direct
-/// simulations; must render byte-identically.
-pub fn table5_snapshot_direct(cfg: &RunConfig) -> Json {
-    table5_snapshot_of(&table5_data_direct(cfg), cfg)
-}
-
 /// Table 6: average words used per evicted line as cache size varies.
 #[derive(Clone, Debug)]
 pub struct Table6Row {
@@ -150,9 +116,10 @@ pub const TABLE6_SIZES: [u64; 5] = [768 << 10, 1 << 20, 1280 << 10, 1536 << 10, 
 
 /// Runs the Table 6 sweep over the 16 memory-intensive benchmarks: all
 /// five sizes' words-used histograms (evicted plus resident lines) from
-/// one Mattson pass per benchmark. Bit-identical to
-/// [`table6_data_direct`] with one simulation per benchmark instead of
-/// five.
+/// one Mattson pass per benchmark. Bit-identical to one
+/// [`run_baseline_with_words`](crate::run_baseline_with_words) simulation
+/// per size (the reference kept in `tests/mrc_oracle.rs`) with one
+/// simulation per benchmark instead of five.
 pub fn table6_data(cfg: &RunConfig) -> Vec<Table6Row> {
     let benches = memory_intensive();
     for_each_benchmark(&benches, |b| {
@@ -171,27 +138,10 @@ pub fn table6_data(cfg: &RunConfig) -> Vec<Table6Row> {
     })
 }
 
-/// The pre-rewire Table 6 sweep: one direct simulation per size. Kept as
-/// the reference side of the sweep-equivalence tests and the CI
-/// byte-identity gate.
-pub fn table6_data_direct(cfg: &RunConfig) -> Vec<Table6Row> {
-    let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let mut avg_words = [0.0; 5];
-        for (slot, &size) in avg_words.iter_mut().zip(&TABLE6_SIZES) {
-            let (_, words) = run_baseline_with_words(b, cfg, size);
-            *slot = words.mean();
-        }
-        Table6Row {
-            benchmark: b.name.to_owned(),
-            avg_words,
-            paper_1mb: b.paper_avg_words,
-        }
-    })
-}
-
-fn table6_snapshot_of(rows: &[Table6Row], cfg: &RunConfig) -> Json {
-    let rows = rows
+/// The Table 6 golden snapshot (`tests/golden/table6.json`), computed
+/// through the single-pass capacity sweep.
+pub fn table6_snapshot(cfg: &RunConfig) -> Json {
+    let rows = table6_data(cfg)
         .iter()
         .map(|r| {
             Json::obj([
@@ -213,18 +163,6 @@ fn table6_snapshot_of(rows: &[Table6Row], cfg: &RunConfig) -> Json {
         ),
         ("rows", Json::Arr(rows)),
     ])
-}
-
-/// The Table 6 golden snapshot (`tests/golden/table6.json`), computed
-/// through the single-pass capacity sweep.
-pub fn table6_snapshot(cfg: &RunConfig) -> Json {
-    table6_snapshot_of(&table6_data(cfg), cfg)
-}
-
-/// [`table6_snapshot`] computed through the pre-rewire direct
-/// simulations; must render byte-identically.
-pub fn table6_snapshot_direct(cfg: &RunConfig) -> Json {
-    table6_snapshot_of(&table6_data_direct(cfg), cfg)
 }
 
 /// Renders Table 6.
@@ -256,6 +194,7 @@ pub fn table6_report(rows: &[Table6Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{run_baseline, run_baseline_with_words};
     use ldis_workloads::spec2000;
 
     #[test]

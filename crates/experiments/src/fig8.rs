@@ -2,7 +2,7 @@
 //! caches.
 
 use crate::report::{fmt_f, fmt_pct, Json, Table};
-use crate::{for_each_benchmark, run, run_baseline, run_capacity_sweep, RunConfig};
+use crate::{for_each_benchmark, run, run_capacity_sweep, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig};
 use ldis_mem::stats::percent_reduction;
 use ldis_workloads::memory_intensive;
@@ -29,9 +29,10 @@ pub struct Fig8Row {
 /// Runs the Figure 8 matrix. All three traditional sizes come from one
 /// Mattson capacity sweep per benchmark
 /// ([`run_capacity_sweep`](crate::run_capacity_sweep)); only the distill
-/// point simulates directly. Bit-identical to [`data_direct`] — the
-/// sweep-equivalence tests and the golden snapshot enforce it — with two
-/// simulations per benchmark instead of four.
+/// point simulates directly. Bit-identical to one direct baseline
+/// simulation per size — `tests/mrc_oracle.rs` keeps that reference and
+/// the golden snapshot pins the result — with two simulations per
+/// benchmark instead of four.
 pub fn data(cfg: &RunConfig) -> Vec<Fig8Row> {
     let benches = memory_intensive();
     for_each_benchmark(&benches, |b| {
@@ -50,30 +51,10 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig8Row> {
     })
 }
 
-/// The pre-rewire Figure 8 matrix: one direct baseline simulation per
-/// traditional size. Kept as the reference side of the sweep-equivalence
-/// tests (`tests/mrc_oracle.rs`) and the CI byte-identity gate.
-pub fn data_direct(cfg: &RunConfig) -> Vec<Fig8Row> {
-    let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let base = run_baseline(b, cfg, 1 << 20);
-        let distill = run(b, cfg, || {
-            DistillCache::new(DistillConfig::hpca2007_default())
-        });
-        let t15 = run_baseline(b, cfg, 3 << 19);
-        let t20 = run_baseline(b, cfg, 2 << 20);
-        Fig8Row {
-            benchmark: b.name.to_owned(),
-            base: base.mpki,
-            distill: percent_reduction(base.mpki, distill.mpki),
-            trad_1_5mb: percent_reduction(base.mpki, t15.mpki),
-            trad_2mb: percent_reduction(base.mpki, t20.mpki),
-        }
-    })
-}
-
-fn snapshot_of(rows: &[Fig8Row], cfg: &RunConfig) -> Json {
-    let rows = rows
+/// The golden snapshot (compared against `tests/golden/fig8.json`),
+/// computed through the single-pass capacity sweep.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
         .iter()
         .map(|r| {
             Json::obj([
@@ -91,19 +72,6 @@ fn snapshot_of(rows: &[Fig8Row], cfg: &RunConfig) -> Json {
         ("seed", Json::uint(cfg.seed)),
         ("rows", Json::Arr(rows)),
     ])
-}
-
-/// The golden snapshot (compared against `tests/golden/fig8.json`),
-/// computed through the single-pass capacity sweep.
-pub fn snapshot(cfg: &RunConfig) -> Json {
-    snapshot_of(&data(cfg), cfg)
-}
-
-/// The same snapshot computed through the pre-rewire direct simulations;
-/// must render byte-identically to [`snapshot`] (the CI sweep-equivalence
-/// gate asserts it).
-pub fn snapshot_direct(cfg: &RunConfig) -> Json {
-    snapshot_of(&data_direct(cfg), cfg)
 }
 
 /// Renders the Figure 8 report.
@@ -136,6 +104,7 @@ pub fn report(rows: &[Fig8Row]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_baseline;
     use ldis_workloads::spec2000;
 
     #[test]

@@ -3,10 +3,11 @@
 //! L1 hierarchy.
 
 use crate::MattsonProfiler;
-use ldis_cache::{CacheConfig, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel};
+use ldis_cache::{
+    CacheConfig, CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel,
+};
 use ldis_mem::stats::{Counter, Histogram};
 use ldis_mem::{Footprint, LineAddr, LineGeometry};
-use std::collections::BTreeSet;
 
 /// The exact counters a direct [`BaselineL2`](ldis_cache::BaselineL2)
 /// simulation of one traditional configuration would have produced,
@@ -65,10 +66,13 @@ pub struct MattsonL2 {
     geometry: LineGeometry,
     configs: Vec<CacheConfig>,
     profilers: Vec<MattsonProfiler>,
-    /// Global first-touch tracker shared by every profiler, mirroring
-    /// `CompulsoryTracker` (first access to a line misses in every
-    /// configuration, so compulsory classification is size-independent).
-    seen: BTreeSet<LineAddr>,
+    /// Index into `profilers` of the one covering the primary
+    /// configuration.
+    primary: usize,
+    /// Global first-touch tracker shared by every profiler (first access
+    /// to a line misses in every configuration, so compulsory
+    /// classification is size-independent).
+    compulsory: CompulsoryTracker,
     /// Counters of the primary configuration, kept in `L2Stats` form for
     /// the `SecondLevel::stats` accessor.
     stats: L2Stats,
@@ -105,7 +109,7 @@ impl MattsonL2 {
         let mut set_counts: Vec<u64> = configs.iter().map(CacheConfig::num_sets).collect();
         set_counts.sort_unstable();
         set_counts.dedup();
-        let profilers = set_counts
+        let profilers: Vec<MattsonProfiler> = set_counts
             .into_iter()
             .map(|sets| {
                 let ways: Vec<u32> = configs
@@ -116,11 +120,16 @@ impl MattsonL2 {
                 MattsonProfiler::new(sets, &ways, geometry.words_per_line())
             })
             .collect();
+        let primary = configs
+            .first()
+            .and_then(|c| profilers.iter().position(|p| p.covers(c)))
+            .unwrap_or(0);
         MattsonL2 {
             geometry,
             configs: configs.to_vec(),
             profilers,
-            seen: BTreeSet::new(),
+            primary,
+            compulsory: CompulsoryTracker::new(),
             stats: L2Stats::new(
                 geometry.words_per_line(),
                 configs.first().map_or(1, CacheConfig::ways),
@@ -174,15 +183,21 @@ impl MattsonL2 {
 impl SecondLevel for MattsonL2 {
     fn access(&mut self, req: L2Request) -> L2Response {
         let word = if req.is_instr { None } else { Some(req.word) };
-        let first_touch = self.seen.insert(req.line);
-        let primary = self.configs.first().copied();
+        // First-touch classification is asked for only by a profiler whose
+        // stack lacks the line. A line found in every stack was seen
+        // before: its first access missed every stack, which recorded it
+        // in the tracker.
+        let mut first_touch = None;
         let mut primary_depth = None;
-        for p in &mut self.profilers {
-            let depth = p.record(req.line, word, req.write, req.is_instr, first_touch);
-            if primary.as_ref().is_some_and(|c| p.covers(c)) {
+        for (i, p) in self.profilers.iter_mut().enumerate() {
+            let depth = p.record_with(req.line, word, req.write, req.is_instr, || {
+                *first_touch.get_or_insert_with(|| self.compulsory.record_miss(req.line))
+            });
+            if i == self.primary {
                 primary_depth = depth;
             }
         }
+        let first_touch = first_touch.unwrap_or(false);
         // Primary-configuration bookkeeping, mirroring BaselineL2.
         self.stats.accesses.bump();
         let primary_ways = self.configs.first().map_or(0, CacheConfig::ways);

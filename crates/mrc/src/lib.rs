@@ -15,7 +15,11 @@
 //! * [`MattsonProfiler`] — per-set LRU stacks plus a stack-distance
 //!   histogram for one set count, with per-associativity *tier* state
 //!   (footprints, evictions, writebacks) so the Table 6 words-used
-//!   measurements are reproduced exactly, not just the miss counts;
+//!   measurements are reproduced exactly, not just the miss counts. The
+//!   stacks are flat struct-of-arrays state: one array of line addresses
+//!   indexed `set * depth + pos` with a per-set fill count, and one array
+//!   of packed per-tier footprint/dirty/instruction bits, allocated on
+//!   the first recorded access rather than at construction;
 //! * [`MattsonL2`] — a [`SecondLevel`](ldis_cache::SecondLevel)
 //!   organization wrapping one profiler per distinct set count, so the
 //!   same `ldis-mem` trace stream that drives a real simulation drives

@@ -4,40 +4,15 @@ use ldis_cache::CacheConfig;
 use ldis_mem::stats::{Counter, Histogram};
 use ldis_mem::{Footprint, LineAddr, WordIndex};
 
-/// Per-associativity state of one stack entry.
-///
-/// Install times differ between associativities — a line that hits in a
-/// 12-way cache may simultaneously miss (and therefore reinstall with a
-/// fresh footprint) in the 8-way cache — so footprint, dirty and
-/// instruction state is kept per tier, exactly as if each tier ran its
-/// own cache.
-#[derive(Clone, Copy, Debug)]
-struct TierSlot {
-    footprint: Footprint,
-    dirty: bool,
-    is_instr: bool,
-}
-
-impl TierSlot {
-    fn install(word: Option<WordIndex>, write: bool, is_instr: bool) -> TierSlot {
-        let mut footprint = Footprint::empty();
-        if let Some(w) = word {
-            footprint.touch(w);
-        }
-        TierSlot {
-            footprint,
-            dirty: write,
-            is_instr,
-        }
-    }
-}
-
-/// One line of a per-set LRU stack, carrying its per-tier slot state.
-#[derive(Clone, Debug)]
-struct StackEntry {
-    line: LineAddr,
-    slots: Vec<TierSlot>,
-}
+// Per-tier slot state, packed into one `u32`: the footprint's word bits
+// in the low 16 bits, then the dirty and instruction flags. Install times
+// differ between associativities — a line that hits in a 12-way cache may
+// simultaneously miss (and therefore reinstall with a fresh footprint) in
+// the 8-way cache — so this state is kept per tier, exactly as if each
+// tier ran its own cache.
+const FOOTPRINT: u32 = 0xFFFF;
+const DIRTY: u32 = 1 << 16;
+const INSTR: u32 = 1 << 17;
 
 /// Accumulated per-associativity counters: what a direct simulation of
 /// this tier's cache would have recorded in its `L2Stats`.
@@ -59,14 +34,19 @@ impl TierStats {
         }
     }
 
-    fn record_eviction(&mut self, slot: &TierSlot) {
+    /// The stack position of this tier's LRU line, the victim of a miss
+    /// once the tier is full.
+    fn victim_pos(&self) -> usize {
+        self.ways as usize - 1
+    }
+
+    fn record_eviction(&mut self, slot: u32) {
         self.evictions.bump();
-        if slot.dirty {
+        if slot & DIRTY != 0 {
             self.writebacks.bump();
         }
-        if !slot.is_instr {
-            self.words_used_at_evict
-                .record(slot.footprint.used_words() as usize);
+        if slot & INSTR == 0 {
+            self.words_used_at_evict.record(used_words(slot));
         }
     }
 }
@@ -74,9 +54,9 @@ impl TierStats {
 /// A per-set Mattson stack-distance profiler for one set count.
 ///
 /// Maintains one LRU stack per set, truncated to the deepest profiled
-/// associativity (`max_ways`), a stack-distance histogram, and per-tier
-/// footprint/eviction state. One pass over an access stream yields, for
-/// *every* profiled associativity `A` at this set count:
+/// associativity (the stack *depth*), a stack-distance histogram, and
+/// per-tier footprint/eviction state. One pass over an access stream
+/// yields, for *every* profiled associativity `A` at this set count:
 ///
 /// * exact miss counts ([`misses_at`](MattsonProfiler::misses_at)):
 ///   accesses whose stack distance is `>= A`, plus reuses beyond the
@@ -84,6 +64,16 @@ impl TierStats {
 /// * exact eviction, writeback and words-used-at-eviction statistics
 ///   ([`evictions_at`](MattsonProfiler::evictions_at) and friends),
 ///   byte-identical to a direct LRU simulation of that tier.
+///
+/// The stacks are flat struct-of-arrays state, in the idiom of
+/// `ldis_cache::SetArena`: line addresses in one array indexed
+/// `set * depth + pos` (0 = MRU) with a per-set fill count, and the
+/// packed per-tier footprint, dirty and instruction bits in one array
+/// indexed `(set * depth + pos) * tiers + tier`. Promotion to MRU rotates
+/// both slices. The arrays are allocated on the first
+/// [`record`](MattsonProfiler::record), not in
+/// [`new`](MattsonProfiler::new), so constructing a profiler that never
+/// records costs no zeroed memory.
 ///
 /// First-touch classification is supplied by the caller (see
 /// [`record`](MattsonProfiler::record)) so that several profilers with
@@ -93,10 +83,17 @@ pub struct MattsonProfiler {
     num_sets: u64,
     words_per_line: u8,
     tiers: Vec<TierStats>,
-    max_ways: u32,
-    sets: Vec<Vec<StackEntry>>,
-    /// Histogram of observed stack distances `0..max_ways` (hits in the
-    /// deepest tier). Reuses deeper than `max_ways` land in `beyond`.
+    /// Stack depth: the deepest profiled associativity.
+    depth: usize,
+    /// `lines[set * depth + pos]` = raw address of the line at recency
+    /// position `pos`; only the first `fill[set]` positions are live.
+    lines: Vec<u64>,
+    fill: Vec<u32>,
+    /// `slots[(set * depth + pos) * tiers + tier]` = packed tier state of
+    /// the line at `pos`, meaningful while the line is resident in `tier`.
+    slots: Vec<u32>,
+    /// Histogram of observed stack distances `0..depth` (hits in the
+    /// deepest tier). Reuses deeper than `depth` land in `beyond`.
     distance: Histogram,
     beyond: u64,
     compulsory: u64,
@@ -108,23 +105,27 @@ impl MattsonProfiler {
     /// associativities (deduplicated; order preserved internally as
     /// ascending). `num_sets` must be a power of two (mask indexing, the
     /// same contract as [`CacheConfig`]) and at least one associativity
-    /// must be given.
+    /// must be given, none of them zero.
     ///
     /// # Panics
     ///
-    /// Panics if `num_sets` is not a positive power of two or `ways` is
-    /// empty — construction-time contract violations, matching the
-    /// [`CacheConfig::new`] behavior.
+    /// Panics if `num_sets` is not a positive power of two, `ways` is
+    /// empty or `ways` contains a 0-way tier — construction-time contract
+    /// violations, matching the [`CacheConfig::new`] behavior.
     pub fn new(num_sets: u64, ways: &[u32], words_per_line: u8) -> MattsonProfiler {
         assert!(
             num_sets.is_power_of_two(),
             "set count must be a power of two, got {num_sets}"
         );
         assert!(!ways.is_empty(), "at least one associativity is required");
+        assert!(
+            !ways.contains(&0),
+            "associativities must be at least 1 way, got {ways:?}"
+        );
         let mut sorted: Vec<u32> = ways.to_vec();
         sorted.sort_unstable();
         sorted.dedup();
-        let max_ways = sorted.last().copied().unwrap_or(1).max(1);
+        let depth = sorted.last().copied().unwrap_or(1) as usize;
         MattsonProfiler {
             num_sets,
             words_per_line,
@@ -132,9 +133,11 @@ impl MattsonProfiler {
                 .into_iter()
                 .map(|w| TierStats::new(w, words_per_line))
                 .collect(),
-            max_ways,
-            sets: (0..num_sets).map(|_| Vec::new()).collect(),
-            distance: Histogram::new(max_ways as usize),
+            depth,
+            lines: Vec::new(),
+            fill: Vec::new(),
+            slots: Vec::new(),
+            distance: Histogram::new(depth),
             beyond: 0,
             compulsory: 0,
             accesses: 0,
@@ -182,6 +185,32 @@ impl MattsonProfiler {
         (line.raw() & (self.num_sets - 1)) as usize
     }
 
+    /// Allocates the zeroed stack arrays: every set empty.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the set count sizes in-memory arrays, so it fits usize"
+    )]
+    fn allocate(&mut self) {
+        let sets = self.num_sets as usize;
+        self.lines = vec![0; sets * self.depth];
+        self.fill = vec![0; sets];
+        self.slots = vec![0; sets * self.depth * self.tiers.len()];
+    }
+
+    /// `line`'s set, the set's fill count and `line`'s stack position in
+    /// it, if present. Every set reads as empty until the first
+    /// [`record`](MattsonProfiler::record) allocates the arrays.
+    fn locate(&self, line: LineAddr) -> (usize, usize, Option<usize>) {
+        let set = self.set_index(line);
+        let live = self.fill.get(set).map_or(0, |&n| n as usize);
+        let base = set * self.depth;
+        let pos = self
+            .lines
+            .get(base..base + live)
+            .and_then(|stack| stack.iter().position(|&l| l == line.raw()));
+        (set, live, pos)
+    }
+
     /// Records one demand access, returning the observed stack distance
     /// (`None` for lines absent from the profiled depth). `first_touch`
     /// is the global never-seen-before classification maintained by the
@@ -202,78 +231,102 @@ impl MattsonProfiler {
         is_instr: bool,
         first_touch: bool,
     ) -> Option<usize> {
+        self.record_with(line, word, write, is_instr, || first_touch)
+    }
+
+    /// [`record`](MattsonProfiler::record) with the first-touch
+    /// classification computed on demand: `first_touch` runs only when
+    /// `line` is absent from this profiler's stacks, the one case that
+    /// needs it.
+    pub(crate) fn record_with(
+        &mut self,
+        line: LineAddr,
+        word: Option<WordIndex>,
+        write: bool,
+        is_instr: bool,
+        first_touch: impl FnOnce() -> bool,
+    ) -> Option<usize> {
         self.accesses.bump();
-        let set_idx = self.set_index(line);
-        let Some(stack) = self.sets.get_mut(set_idx) else {
+        if self.fill.is_empty() {
+            self.allocate();
+        }
+        let (set, live, pos) = self.locate(line);
+        let tiers = self.tiers.len();
+        let base = set * self.depth;
+        let (Some(fill), Some(lines), Some(slots)) = (
+            self.fill.get_mut(set),
+            self.lines.get_mut(base..base + self.depth),
+            self.slots
+                .get_mut(base * tiers..(base + self.depth) * tiers),
+        ) else {
             // Unreachable: set_index masks into 0..num_sets. Degrade to
             // "not profiled" rather than panicking mid-simulation.
             return None;
         };
-        let depth = stack.iter().position(|e| e.line == line);
-        match depth {
+        let touch = word.map_or(0, |w| 1 << w.get()) | if write { DIRTY } else { 0 };
+        let fresh = touch | if is_instr { INSTR } else { 0 };
+        let len = match pos {
             Some(d) => {
                 self.distance.record(d);
                 for (ti, tier) in self.tiers.iter_mut().enumerate() {
-                    let ways = tier.ways as usize;
-                    if d < ways {
+                    if d < tier.ways as usize {
                         // Hit in this tier: touch the demanded word.
-                        if let Some(slot) = stack.get_mut(d).and_then(|e| e.slots.get_mut(ti)) {
-                            if let Some(w) = word {
-                                slot.footprint.touch(w);
-                            }
-                            slot.dirty |= write;
+                        if let Some(slot) = slots.get_mut(d * tiers + ti) {
+                            *slot |= touch;
                         }
                     } else {
-                        // Miss in this tier: its LRU line (stack position
-                        // ways-1, which exists because d >= ways) leaves
-                        // the tier, and the accessed line reinstalls.
-                        if let Some(victim) = stack.get(ways - 1).and_then(|e| e.slots.get(ti)) {
+                        // Miss in this tier: its LRU line (which exists
+                        // because d >= ways) leaves the tier, and the
+                        // accessed line reinstalls.
+                        if let Some(&victim) = slots.get(tier.victim_pos() * tiers + ti) {
                             tier.record_eviction(victim);
                         }
-                        if let Some(slot) = stack.get_mut(d).and_then(|e| e.slots.get_mut(ti)) {
-                            *slot = TierSlot::install(word, write, is_instr);
+                        if let Some(slot) = slots.get_mut(d * tiers + ti) {
+                            *slot = fresh;
                         }
                     }
                 }
-                // Promote to MRU.
-                let entry = stack.remove(d);
-                stack.insert(0, entry);
+                d + 1
             }
             None => {
-                if first_touch {
-                    self.compulsory += 1;
+                if first_touch() {
+                    self.compulsory.bump();
                 } else {
-                    self.beyond += 1;
+                    self.beyond.bump();
                 }
                 // Miss in every tier: each full tier evicts its LRU line.
                 for (ti, tier) in self.tiers.iter_mut().enumerate() {
-                    let ways = tier.ways as usize;
-                    if let Some(victim) = stack.get(ways - 1).and_then(|e| e.slots.get(ti)) {
-                        tier.record_eviction(victim);
+                    let victim = tier.victim_pos();
+                    if victim < live {
+                        if let Some(&slot) = slots.get(victim * tiers + ti) {
+                            tier.record_eviction(slot);
+                        }
                     }
                 }
-                // Reuse the allocation of the entry that falls off the
-                // profiled depth, if any.
-                let mut entry = if stack.len() >= self.max_ways as usize {
-                    stack.pop()
-                } else {
-                    None
+                // The line enters at MRU; a full stack drops its deepest
+                // entry, whose position the rotation below reuses.
+                if live < self.depth {
+                    *fill += 1;
                 }
-                .unwrap_or_else(|| StackEntry {
-                    line,
-                    slots: Vec::with_capacity(self.tiers.len()),
-                });
-                entry.line = line;
-                entry.slots.clear();
-                entry.slots.extend(
-                    self.tiers
-                        .iter()
-                        .map(|_| TierSlot::install(word, write, is_instr)),
-                );
-                stack.insert(0, entry);
+                (live + 1).min(self.depth)
+            }
+        };
+        // Promote to MRU: positions 0..len-1 shift down by one.
+        if let Some(stack) = lines.get_mut(..len) {
+            stack.rotate_right(1);
+        }
+        if let Some(stack) = slots.get_mut(..len * tiers) {
+            stack.rotate_right(tiers);
+        }
+        if pos.is_none() {
+            if let Some(mru) = lines.first_mut() {
+                *mru = line.raw();
+            }
+            if let Some(mru) = slots.get_mut(..tiers) {
+                mru.fill(fresh);
             }
         }
-        depth
+        pos
     }
 
     /// Merges an L1D-evicted footprint into the line's slot of every tier
@@ -282,23 +335,19 @@ impl MattsonProfiler {
     /// `dirty` (the line is gone, so the data goes to memory). Mirrors
     /// `BaselineL2::on_l1d_evict`. Never updates recency.
     pub fn merge_l1d_evict(&mut self, line: LineAddr, fp: Footprint, dirty: bool) {
-        let set_idx = self.set_index(line);
-        let Some(stack) = self.sets.get_mut(set_idx) else {
-            return;
-        };
-        let depth = stack.iter().position(|e| e.line == line);
+        let (set, _, pos) = self.locate(line);
+        let tiers = self.tiers.len();
+        let base = set * self.depth;
+        let bits = u32::from(fp.bits()) | if dirty { DIRTY } else { 0 };
         for (ti, tier) in self.tiers.iter_mut().enumerate() {
-            let resident = depth.is_some_and(|d| d < tier.ways as usize);
-            if resident {
-                if let Some(slot) = depth
-                    .and_then(|d| stack.get_mut(d))
-                    .and_then(|e| e.slots.get_mut(ti))
-                {
-                    slot.footprint.merge(fp);
-                    slot.dirty |= dirty;
+            match pos {
+                Some(d) if d < tier.ways as usize => {
+                    if let Some(slot) = self.slots.get_mut((base + d) * tiers + ti) {
+                        *slot |= bits;
+                    }
                 }
-            } else if dirty {
-                tier.writebacks.bump();
+                _ if dirty => tier.writebacks.bump(),
+                _ => {}
             }
         }
     }
@@ -353,12 +402,11 @@ impl MattsonProfiler {
     pub fn words_used_with_resident(&self, ways: u32) -> Option<Histogram> {
         let ti = self.tiers.iter().position(|t| t.ways == ways)?;
         let mut hist = self.tiers.get(ti)?.words_used_at_evict.clone();
-        for stack in &self.sets {
-            for entry in stack.iter().take(ways as usize) {
-                if let Some(slot) = entry.slots.get(ti) {
-                    if !slot.is_instr {
-                        hist.record(slot.footprint.used_words() as usize);
-                    }
+        let tiers = self.tiers.len();
+        for entry in self.resident(ways) {
+            if let Some(&slot) = self.slots.get(entry * tiers + ti) {
+                if slot & INSTR == 0 {
+                    hist.record(used_words(slot));
                 }
             }
         }
@@ -369,10 +417,19 @@ impl MattsonProfiler {
     /// stack entries of every set) — the inclusion-property view used by
     /// the property tests.
     pub fn resident_lines(&self, ways: u32) -> Vec<LineAddr> {
-        self.sets
-            .iter()
-            .flat_map(|stack| stack.iter().take(ways as usize).map(|e| e.line))
+        self.resident(ways)
+            .filter_map(|entry| self.lines.get(entry))
+            .map(|&l| LineAddr::new(l))
             .collect()
+    }
+
+    /// The `set * depth + pos` indices of the lines resident in the
+    /// `A`-way tier, set by set, MRU first.
+    fn resident(&self, ways: u32) -> impl Iterator<Item = usize> + '_ {
+        self.fill.iter().enumerate().flat_map(move |(set, &n)| {
+            let base = set * self.depth;
+            base..base + n.min(ways) as usize
+        })
     }
 
     /// Zeroes every counter and histogram without touching stack state or
@@ -397,6 +454,11 @@ impl MattsonProfiler {
             && cfg.geometry().words_per_line() == self.words_per_line
             && self.tiers.iter().any(|t| t.ways == cfg.ways())
     }
+}
+
+/// Words used by the footprint in a packed slot.
+fn used_words(slot: u32) -> usize {
+    (slot & FOOTPRINT).count_ones() as usize
 }
 
 #[cfg(test)]
@@ -538,5 +600,11 @@ mod tests {
     #[should_panic(expected = "at least one associativity")]
     fn rejects_empty_tier_list() {
         let _ = MattsonProfiler::new(4, &[], 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1 way")]
+    fn rejects_zero_way_tier() {
+        let _ = MattsonProfiler::new(4, &[0, 2], 8);
     }
 }

@@ -8,12 +8,11 @@
 //! `ways` consecutive tags, and the whole tag store lives in a handful of
 //! allocations regardless of cache size.
 //!
-//! The arena reproduces [`CacheSet`](crate::CacheSet) semantics exactly
-//! (same find order, same promotion, same victim choice);
-//! `tests/hotpath_equivalence.rs` drives both against random traces and
-//! asserts identical footprints and eviction order. [`CacheSet`] itself
-//! survives for the reverter's auxiliary tag directory, which probes a
-//! handful of leader sets and is not on the hot path.
+//! The arena reproduces the per-set true-LRU stack exactly (same find
+//! order, same promotion, same victim choice);
+//! `tests/hotpath_equivalence.rs` drives it against a per-set reference
+//! model over random traces and asserts identical footprints and eviction
+//! order.
 
 use crate::TagEntry;
 use ldis_mem::{Footprint, WordIndex};
@@ -84,7 +83,7 @@ impl SetArena {
     }
 
     /// The way of `set` holding `tag`, if present and valid. Scans ways in
-    /// ascending order — the same tie-break as `CacheSet::find`.
+    /// ascending order, so the lowest matching way wins.
     #[inline]
     pub fn find(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.ways;
@@ -236,7 +235,7 @@ impl SetArena {
     }
 
     /// The way a new line in `set` should replace: the first invalid way if
-    /// any, otherwise the LRU way — the same policy as `CacheSet::victim_way`.
+    /// any, otherwise the LRU way.
     #[inline]
     pub fn victim_way(&self, set: usize) -> usize {
         let base = set * self.ways;
@@ -379,17 +378,6 @@ impl SetArena {
         *cur |= fp.bits();
     }
 
-    /// OR-merges raw footprint bits into `(set, way)` without touching the
-    /// recency bookkeeping — the sectored L1's per-access span update,
-    /// where only the accumulated footprint matters (Section 4.2).
-    #[inline]
-    pub fn or_footprint_bits(&mut self, set: usize, way: usize, bits: u16) {
-        let i = self.idx(set, way);
-        if let Some(fp) = self.footprints.get_mut(i) {
-            *fp |= bits;
-        }
-    }
-
     /// Sets the dirty bit of `(set, way)` when `write` is true.
     #[inline]
     pub fn or_dirty(&mut self, set: usize, way: usize, write: bool) {
@@ -461,38 +449,175 @@ impl SetArena {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::CacheSet;
+
+    /// Installs `tag` in `(set, way)` and promotes it to MRU.
+    fn installed(arena: &mut SetArena, set: usize, way: usize, tag: u64) {
+        arena.install(set, way, tag, false, false);
+        arena.promote(set, way);
+    }
+
+    /// The recency order of `set` as way indices, MRU first.
+    fn order(arena: &SetArena, set: usize) -> Vec<usize> {
+        let mut ways: Vec<usize> = (0..arena.ways()).collect();
+        ways.sort_by_key(|&w| arena.position_of(set, w));
+        ways
+    }
+
+    /// Reference model: one cache set as an entry per way plus a true-LRU
+    /// stack of way indices (MRU first), the shape the arena flattens.
+    struct CacheSet {
+        entries: Vec<TagEntry>,
+        order: Vec<usize>,
+    }
+
+    impl CacheSet {
+        fn new(ways: usize) -> Self {
+            CacheSet {
+                entries: vec![TagEntry::invalid(); ways],
+                order: (0..ways).collect(),
+            }
+        }
+
+        fn find(&self, tag: u64) -> Option<usize> {
+            self.entries.iter().position(|e| e.valid && e.tag == tag)
+        }
+
+        fn position_of(&self, way: usize) -> u8 {
+            let pos = self.order.iter().position(|&w| w == way).unwrap();
+            u8::try_from(pos).unwrap()
+        }
+
+        fn promote(&mut self, way: usize) -> u8 {
+            let pos = self.position_of(way);
+            self.order.remove(usize::from(pos));
+            self.order.insert(0, way);
+            pos
+        }
+
+        fn victim_way(&self) -> usize {
+            match self.entries.iter().position(|e| !e.valid) {
+                Some(way) => way,
+                None => *self.order.last().unwrap(),
+            }
+        }
+    }
 
     #[test]
     fn find_promote_victim_match_cache_set() {
-        // Drive the arena and the legacy per-set stack through the same
+        // Drive the arena and per-set LRU stacks through the same
         // install/promote sequence; every observable must agree.
         let mut arena = SetArena::new(2, 4);
         let mut sets = [CacheSet::new(4), CacheSet::new(4)];
         for step in 0u64..64 {
             let set = (step % 2) as usize;
             let tag = step % 6;
-            let legacy = &mut sets[set];
-            assert_eq!(arena.find(set, tag), legacy.find(tag), "step {step}");
-            match legacy.find(tag) {
+            let reference = &mut sets[set];
+            assert_eq!(arena.find(set, tag), reference.find(tag), "step {step}");
+            match reference.find(tag) {
                 Some(way) => {
-                    assert_eq!(arena.promote(set, way), legacy.promote(way));
+                    assert_eq!(arena.promote(set, way), reference.promote(way));
                 }
                 None => {
-                    let way = legacy.victim_way();
+                    let way = reference.victim_way();
                     assert_eq!(arena.victim_way(set), way);
-                    legacy.entry_mut(way).install(tag, false, false);
+                    reference.entries[way].install(tag, false, false);
                     arena.install(set, way, tag, false, false);
-                    assert_eq!(arena.promote(set, way), legacy.promote(way));
+                    assert_eq!(arena.promote(set, way), reference.promote(way));
                 }
             }
         }
-        for (set, legacy) in sets.iter().enumerate() {
+        for (set, reference) in sets.iter().enumerate() {
             for way in 0..4 {
-                assert_eq!(arena.entry(set, way), *legacy.entry(way));
-                assert_eq!(arena.position_of(set, way), Some(legacy.position_of(way)));
+                assert_eq!(arena.entry(set, way), reference.entries[way]);
+                assert_eq!(
+                    arena.position_of(set, way),
+                    Some(reference.position_of(way))
+                );
             }
         }
+    }
+
+    #[test]
+    fn empty_set_has_no_matches() {
+        let arena = SetArena::new(2, 4);
+        assert_eq!(arena.find(0, 0), None);
+        assert_eq!(arena.find(1, 0), None);
+        assert_eq!(arena.ways(), 4);
+    }
+
+    #[test]
+    fn find_locates_valid_tags_only() {
+        let mut arena = SetArena::new(2, 4);
+        installed(&mut arena, 1, 0, 10);
+        assert_eq!(arena.find(1, 10), Some(0));
+        assert_eq!(arena.find(1, 11), None);
+        assert_eq!(arena.find(0, 10), None, "sets are independent");
+        arena.invalidate(1, 0);
+        assert_eq!(arena.find(1, 10), None);
+    }
+
+    #[test]
+    fn promote_returns_prior_position_and_moves_to_mru() {
+        let mut arena = SetArena::new(2, 4);
+        for (w, t) in [(0usize, 10u64), (1, 11), (2, 12), (3, 13)] {
+            installed(&mut arena, 1, w, t);
+        }
+        // Install order 0,1,2,3 → recency order (MRU..LRU) = 3,2,1,0.
+        assert_eq!(order(&arena, 1), [3, 2, 1, 0]);
+        assert_eq!(arena.promote(1, 1), 2);
+        assert_eq!(order(&arena, 1), [1, 3, 2, 0]);
+        assert_eq!(arena.position_of(1, 1), Some(0));
+        assert_eq!(arena.position_of(1, 0), Some(3));
+        assert_eq!(order(&arena, 0), [0, 1, 2, 3], "other sets untouched");
+    }
+
+    #[test]
+    fn victim_prefers_invalid_ways() {
+        let mut arena = SetArena::new(1, 3);
+        installed(&mut arena, 0, 0, 10);
+        installed(&mut arena, 0, 2, 12);
+        assert_eq!(arena.victim_way(0), 1);
+        installed(&mut arena, 0, 1, 11);
+        // All valid now: LRU is way 0 (installed first).
+        assert_eq!(arena.victim_way(0), 0);
+        // The fused install path picks the same victim.
+        let (way, victim) = arena.install_evict(0, 13, 0, false, false);
+        assert_eq!((way, victim.tag), (0, 10));
+    }
+
+    #[test]
+    fn recency_order_is_always_a_permutation() {
+        let mut arena = SetArena::new(2, 8);
+        for i in 0..100u64 {
+            let set = (i % 2) as usize;
+            installed(&mut arena, set, (i % 8) as usize, i);
+            // Every way holds exactly one recency position.
+            let mut positions: Vec<Option<u8>> =
+                (0..8).map(|way| arena.position_of(set, way)).collect();
+            positions.sort_unstable();
+            assert_eq!(positions, (0..8).map(Some).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn way_at_position_inverts_position_of() {
+        let mut arena = SetArena::new(2, 4);
+        for (w, t) in [(0usize, 1u64), (1, 2), (2, 3), (3, 4)] {
+            installed(&mut arena, 1, w, t);
+        }
+        arena.promote(1, 2);
+        for set in 0..2 {
+            // `order` reads the way at each position off `position_of`.
+            for (pos, way) in order(&arena, set).into_iter().enumerate() {
+                assert_eq!(arena.position_of(set, way), u8::try_from(pos).ok());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=255")]
+    fn rejects_zero_ways() {
+        let _ = SetArena::new(1, 0);
     }
 
     #[test]

@@ -61,7 +61,6 @@ mod health;
 mod hierarchy;
 mod second_level;
 mod sectored;
-mod set;
 mod stats;
 
 pub use arena::SetArena;
@@ -72,5 +71,4 @@ pub use health::{CacheHealth, DegradationEvent, FaultStats, ProtectionScheme, Re
 pub use hierarchy::{AccessTrace, Hierarchy, HierarchyStats};
 pub use second_level::{BaselineL2, L2Outcome, L2Request, L2Response, SecondLevel};
 pub use sectored::{EvictedL1Line, L1Lookup, SectoredCache};
-pub use set::CacheSet;
 pub use stats::{CompulsoryTracker, L2Stats};

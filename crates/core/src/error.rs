@@ -145,9 +145,10 @@ pub enum CellFailure {
         /// The last panic's payload, if it carried a string.
         message: String,
     },
-    /// The cell exceeded its wall-clock budget and was abandoned by the
-    /// watchdog. Hung cells are never retried: the stuck worker cannot be
-    /// reclaimed, so a retry would only leak another one.
+    /// An attempt of the cell exceeded its wall-clock budget. The attempt
+    /// ran on its own thread, which the watchdog abandons (it cannot be
+    /// reclaimed) while the pool worker moves on. Hung cells are never
+    /// retried: a retry would only strand another thread.
     Hung {
         /// The configured per-cell budget, in milliseconds.
         budget_ms: u64,
@@ -161,9 +162,9 @@ pub enum CellFailure {
         /// What diverged (or the panic message of a failed confirmation).
         detail: String,
     },
-    /// The cell's worker disappeared without reporting a result — the
-    /// executor's channel closed early. Indicates a harness defect, never
-    /// a simulation one.
+    /// The cell never reported a result: a watchdog attempt's thread
+    /// ended without sending one, or the cell's pool slot was never
+    /// filled. Indicates a harness defect, never a simulation one.
     ResultLost,
 }
 

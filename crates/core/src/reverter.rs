@@ -2,7 +2,7 @@
 //! auxiliary tag directory and a hysteretic policy-selection counter.
 
 use crate::{LdisError, ReverterConfig};
-use ldis_cache::CacheSet;
+use ldis_cache::SetArena;
 use ldis_mem::LineAddr;
 
 /// The reverter circuit: decides whether LDIS is enabled for follower sets.
@@ -29,8 +29,8 @@ pub struct Reverter {
     cfg: ReverterConfig,
     /// Distance between consecutive leader sets.
     stride: usize,
-    /// One ATD set (traditional `total_ways`-way LRU tags) per leader set.
-    atd: Vec<CacheSet>,
+    /// The ATD: one traditional `total_ways`-way LRU set per leader set.
+    atd: SetArena,
     psel: u16,
     enabled: bool,
     /// Misses observed by the distill leader sets.
@@ -61,9 +61,7 @@ impl Reverter {
         Reverter {
             cfg,
             stride,
-            atd: (0..cfg.leader_sets)
-                .map(|_| CacheSet::new(total_ways))
-                .collect(),
+            atd: SetArena::new(cfg.leader_sets as usize, total_ways),
             psel: cfg.psel_max.div_ceil(2),
             enabled: true,
             distill_leader_misses: 0,
@@ -96,30 +94,20 @@ impl Reverter {
     pub fn observe_leader_access(&mut self, set: usize, line: LineAddr, distill_missed: bool) {
         debug_assert!(self.is_leader(set));
         let leader = set / self.stride;
-        // Leader sets are `0, stride, 2*stride, ...`, so `leader` is in
-        // bounds whenever the caller honours the contract; a non-leader
-        // access is ignored rather than sampled into the wrong ATD set.
-        let Some(atd_set) = self.atd.get_mut(leader) else {
+        // Leader sets are `0, stride, 2*stride, ...`; a non-leader access,
+        // or one past the last leader set, is ignored rather than moving
+        // PSEL.
+        if !self.is_leader(set) || leader >= self.cfg.leader_sets as usize {
             return;
-        };
+        }
         let tag = line.raw();
-        let atd_missed = match atd_set.find(tag) {
-            Some(way) => {
-                atd_set.promote(way);
-                false
-            }
-            None => {
-                let way = atd_set.victim_way();
-                atd_set.entry_mut(way).install(tag, false, false);
-                atd_set.promote(way);
-                true
-            }
-        };
+        let atd_hit = self.atd.hit_update(leader, tag, 0, false, false).is_some();
         if distill_missed {
             self.distill_leader_misses += 1;
             self.psel = self.psel.saturating_sub(1);
         }
-        if atd_missed {
+        if !atd_hit {
+            self.atd.install_evict(leader, tag, 0, false, false);
             self.atd_misses += 1;
             self.psel = (self.psel + 1).min(self.cfg.psel_max);
         }

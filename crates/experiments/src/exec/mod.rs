@@ -2,8 +2,10 @@
 //! retry, watchdog timeouts and quarantine — the execution layer under
 //! the full benchmark × configuration sweep (`ldis-experiments sweep`).
 //!
-//! The plain [`parallel`](crate::parallel) engine already isolates each
-//! cell behind `catch_unwind`; this module turns isolated failures into a
+//! The executor is a per-cell recovery policy on the
+//! [`parallel`](crate::parallel) pool: each pending cell is one pool item,
+//! and the worker that takes it resolves it completely — every attempt,
+//! retry and replay — before taking the next. Isolated failures become a
 //! *recovery protocol* instead of a propagated panic:
 //!
 //! * **Retry.** A panicked cell replays from its derived seed up to
@@ -16,34 +18,35 @@
 //!   (`PartialEq` over every counter) or the cell is quarantined as
 //!   [`CellFailure::Nondeterministic`] — a result that changes between
 //!   replays cannot be trusted into a golden snapshot.
-//! * **Watchdog.** With a [`ExecPolicy::cell_timeout_ms`] budget, a
-//!   monitor loop on the collector thread marks over-budget cells
-//!   [`CellFailure::Hung`] and abandons them. Hung cells are *never*
-//!   retried — the stuck worker thread cannot be reclaimed, so a retry
-//!   would only leak another one; instead a replacement worker is spawned
-//!   so pool capacity survives the hang.
+//! * **Watchdog.** With a [`ExecPolicy::cell_timeout_ms`] budget, each
+//!   attempt runs on its own detached thread while the pool worker waits
+//!   for its result with `recv_timeout`. An attempt still running when
+//!   the budget expires is abandoned — its thread is left to finish or to
+//!   sleep until the process exits — the cell is quarantined as
+//!   [`CellFailure::Hung`], and the worker moves on to the next cell.
+//!   Hung cells are *never* retried: each retry would strand another
+//!   thread. Without a budget, attempts run on the pool worker itself and
+//!   the executor spawns no thread of its own.
 //! * **Quarantine.** The run always completes: every cell resolves to
 //!   `Ok(result)` or a typed [`CellFailure`], and downstream reporting
 //!   (golden comparison, the quarantine report) works over the survivors.
 //!
 //! Results are deterministic at every thread count for the same reason
-//! the plain sweep is: each cell's fate depends only on its own item (and
-//! its injected faults), never on scheduling order.
+//! the plain sweep is: each cell's fate depends only on its own item, its
+//! injected faults and its attempt number, never on scheduling order.
 //!
 //! Checkpointing lives in [`journal`]: the caller passes the set of
 //! already-completed cells (from a resumed journal) plus an
-//! `on_complete` hook that appends each newly finished cell.
+//! `on_complete` hook, which the pool calls on the calling thread as
+//! each newly executed cell succeeds — the journal appends there.
 
 pub mod journal;
 
-use crate::parallel::{panic_message, CellPanic};
+use crate::parallel::{run_isolated, run_pool, CellPanic};
 use ldis_distill::CellFailure;
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
-use std::time::Instant;
 
 /// How the crash-safe executor runs a matrix.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -206,61 +209,20 @@ impl<T> ExecReport<T> {
     }
 }
 
-/// A unit of work handed to a worker: one attempt of one cell.
-#[derive(Clone, Copy, Debug)]
-struct Task {
-    cell: usize,
-    attempt: u32,
-}
-
-/// Worker → collector messages.
-enum Msg<T> {
-    Started {
-        cell: usize,
-    },
-    Finished {
-        cell: usize,
-        outcome: Result<T, CellPanic>,
-    },
-}
-
-/// Per-cell recovery state on the collector.
-struct Recovery<T> {
-    /// Fallible attempts that panicked so far.
-    panics: u32,
-    /// Total runs executed (attempts + confirmation replays).
-    runs: u32,
-    /// A successful post-panic result awaiting its confirmation replay.
-    candidate: Option<T>,
-    /// Last panic message seen.
-    last_panic: String,
-}
-
-impl<T> Recovery<T> {
-    fn new() -> Self {
-        Recovery {
-            panics: 0,
-            runs: 0,
-            candidate: None,
-            last_panic: String::new(),
-        }
-    }
-}
-
-/// Runs one attempt of one cell under panic isolation, applying the
-/// fault plan first.
-fn run_cell<I, T, F>(
+/// One attempt of `cell`: the injected `fault` for this attempt (if
+/// any), then the job, under panic isolation.
+fn isolated_attempt<I, T, F>(
     items: &[I],
     job: &F,
-    faults: &FaultPlan,
     cell: usize,
     attempt: u32,
+    fault: Option<FaultKind>,
 ) -> Result<T, CellPanic>
 where
     F: Fn(usize, &I) -> T,
 {
-    catch_unwind(AssertUnwindSafe(|| {
-        match faults.action(cell, attempt) {
+    run_isolated(|| {
+        match fault {
             #[expect(
                 clippy::panic,
                 reason = "deliberate injected fault, caught by the cell's catch_unwind"
@@ -276,7 +238,7 @@ where
         }
         match items.get(cell) {
             Some(item) => job(cell, item),
-            // Unreachable: tasks are only created for in-range cells.
+            // Unreachable: only in-range cells are pending.
             #[expect(
                 clippy::panic,
                 reason = "harness invariant, not simulator state; caught by catch_unwind"
@@ -285,69 +247,86 @@ where
                 panic!("cell {cell} out of range")
             }
         }
-    }))
-    .map_err(|payload| CellPanic {
-        message: panic_message(payload.as_ref()),
     })
 }
 
-/// Spawns one detached worker pulling tasks from the shared queue.
-///
-/// Workers are deliberately *not* scoped: a hung worker must be leakable
-/// (abandoned mid-cell) while the run completes, which a scoped join
-/// would forbid. All captured state is `Arc`-owned, so leaking a worker
-/// leaks only its own stack and clones.
-fn spawn_worker<I, T, F>(
-    items: Arc<Vec<I>>,
-    job: Arc<F>,
-    faults: Arc<FaultPlan>,
-    tasks: Arc<Mutex<mpsc::Receiver<Task>>>,
-    results: mpsc::Sender<Msg<T>>,
-) where
+/// Runs attempt `n` (1-based) of `cell`. Without a watchdog budget it
+/// runs on the calling pool worker. With one it runs on its own detached
+/// thread, and the worker abandons it once the budget expires. The outer
+/// `Err` is a terminal failure (`Hung`, or `ResultLost` if the attempt's
+/// thread died without reporting); the inner result is the attempt's own.
+fn run_attempt<I, T, F>(
+    items: &Arc<Vec<I>>,
+    job: &Arc<F>,
+    policy: &ExecPolicy,
+    cell: usize,
+    n: u32,
+) -> Result<Result<T, CellPanic>, CellFailure>
+where
     I: Send + Sync + 'static,
     T: Send + 'static,
     F: Fn(usize, &I) -> T + Send + Sync + 'static,
 {
-    std::thread::spawn(move || loop {
-        let task = {
-            let rx = tasks
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            match rx.recv() {
-                Ok(t) => t,
-                Err(_) => break, // queue closed: run is over
-            }
-        };
-        if results.send(Msg::Started { cell: task.cell }).is_err() {
-            break;
-        }
-        let outcome = run_cell(
-            items.as_slice(),
-            job.as_ref(),
-            &faults,
-            task.cell,
-            task.attempt,
-        );
-        if results
-            .send(Msg::Finished {
-                cell: task.cell,
-                outcome,
-            })
-            .is_err()
-        {
-            break;
-        }
+    let fault = policy.faults.action(cell, n);
+    let Some(budget_ms) = policy.cell_timeout_ms else {
+        return Ok(isolated_attempt(items, job.as_ref(), cell, n, fault));
+    };
+    let (tx, rx) = mpsc::channel();
+    let (items, job) = (Arc::clone(items), Arc::clone(job));
+    std::thread::spawn(move || {
+        // The send fails only if the attempt was already abandoned.
+        let _ = tx.send(isolated_attempt(&items, job.as_ref(), cell, n, fault));
     });
+    match rx.recv_timeout(Duration::from_millis(budget_ms)) {
+        Ok(outcome) => Ok(outcome),
+        Err(mpsc::RecvTimeoutError::Timeout) => Err(CellFailure::Hung { budget_ms }),
+        Err(mpsc::RecvTimeoutError::Disconnected) => Err(CellFailure::ResultLost),
+    }
 }
 
-/// The watchdog's wall-clock read, confined to one helper so the
-/// `disallowed_methods` expectation shows exactly where time enters.
-#[expect(
-    clippy::disallowed_methods,
-    reason = "watchdog wall-clock read; never influences simulated state"
-)]
-fn wall_now() -> Instant {
-    Instant::now()
+/// Resolves one cell: the first attempt, same-seed retries after panics
+/// (up to `max_retries`), and a confirmation replay after a recovery.
+/// `run(n)` executes attempt `n`. Returns the cell's outcome and whether
+/// a retry ran.
+fn resolve<T: PartialEq>(
+    max_retries: u32,
+    mut run: impl FnMut(u32) -> Result<Result<T, CellPanic>, CellFailure>,
+) -> (Result<T, CellFailure>, bool) {
+    let mut panics = 0;
+    let outcome = loop {
+        match run(panics + 1) {
+            Err(terminal) => break Err(terminal),
+            // Clean first run: trusted without replay, exactly like the
+            // plain sweep.
+            Ok(Ok(value)) if panics == 0 => break Ok(value),
+            // Recovered after panics: confirm by replay.
+            Ok(Ok(value)) => {
+                let attempts = panics + 2;
+                break match run(attempts) {
+                    Ok(Ok(replay)) if replay == value => Ok(value),
+                    Ok(Ok(_)) => Err(CellFailure::Nondeterministic {
+                        attempts,
+                        detail: "two successful replays produced different results".to_owned(),
+                    }),
+                    Ok(Err(failure)) => Err(CellFailure::Nondeterministic {
+                        attempts,
+                        detail: format!("confirmation replay panicked: {}", failure.message),
+                    }),
+                    Err(terminal) => Err(terminal),
+                };
+            }
+            Ok(Err(failure)) => {
+                panics += 1;
+                if panics > max_retries {
+                    break Err(CellFailure::Panicked {
+                        attempts: panics,
+                        message: failure.message,
+                    });
+                }
+            }
+        }
+    };
+    (outcome, panics > 0 && max_retries > 0)
 }
 
 /// Runs `job` over every cell of `items` not already in `completed`,
@@ -356,7 +335,7 @@ fn wall_now() -> Instant {
 /// canonical matrix order; `completed` cells are passed through as
 /// `Ok` without re-execution.
 ///
-/// `on_complete(cell, result)` fires on the collector thread for each
+/// `on_complete(cell, result)` fires on the calling thread for each
 /// *newly executed* successful cell, in completion order — the journal
 /// appends there. Completion order varies with thread count; the final
 /// outcome vector does not.
@@ -376,191 +355,40 @@ where
     completed.retain(|&cell, _| cell < n);
     let resumed = completed.len();
     let pending: Vec<usize> = (0..n).filter(|i| !completed.contains_key(i)).collect();
-    let executed = pending.len();
-    let mut outcomes: Vec<Option<Result<T, CellFailure>>> = (0..n).map(|_| None).collect();
+    let (items, job) = (Arc::new(items), Arc::new(job));
+    let resolved = run_pool(
+        policy.threads,
+        &pending,
+        |_, &cell| {
+            resolve(policy.max_retries, |attempt| {
+                run_attempt(&items, &job, policy, cell, attempt)
+            })
+        },
+        |i, (outcome, _)| {
+            if let (Some(&cell), Ok(value)) = (pending.get(i), outcome) {
+                on_complete(cell, value);
+            }
+        },
+    );
+
+    let mut outcomes: Vec<Result<T, CellFailure>> =
+        (0..n).map(|_| Err(CellFailure::ResultLost)).collect();
     for (cell, value) in completed {
         if let Some(slot) = outcomes.get_mut(cell) {
-            *slot = Some(Ok(value));
+            *slot = Ok(value);
         }
     }
-
     let mut retried = 0;
-    if !pending.is_empty() {
-        let items = Arc::new(items);
-        let job = Arc::new(job);
-        let faults = Arc::new(policy.faults.clone());
-        let (task_tx, task_rx) = mpsc::channel::<Task>();
-        let (result_tx, result_rx) = mpsc::channel::<Msg<T>>();
-        let task_rx = Arc::new(Mutex::new(task_rx));
-        for &cell in &pending {
-            let _ = task_tx.send(Task { cell, attempt: 1 });
+    for (&cell, resolution) in pending.iter().zip(resolved) {
+        if let (Some(slot), Some((outcome, retry))) = (outcomes.get_mut(cell), resolution) {
+            *slot = outcome;
+            retried += usize::from(retry);
         }
-        let workers = policy.threads.clamp(1, pending.len());
-        for _ in 0..workers {
-            spawn_worker(
-                Arc::clone(&items),
-                Arc::clone(&job),
-                Arc::clone(&faults),
-                Arc::clone(&task_rx),
-                result_tx.clone(),
-            );
-        }
-        // With a watchdog we must keep a result sender to equip
-        // replacement workers, so disconnection never fires and hangs are
-        // caught by deadline instead. Without one, dropping our sender
-        // lets a dead pool surface as `ResultLost`.
-        let budget = policy.cell_timeout_ms.map(Duration::from_millis);
-        let spare_result_tx = budget.map(|_| result_tx.clone());
-        drop(result_tx);
-
-        let mut states: BTreeMap<usize, Recovery<T>> = BTreeMap::new();
-        let mut inflight: BTreeMap<usize, _> = BTreeMap::new();
-        let mut outstanding = pending.len();
-        let tick = budget
-            .map(|b| (b / 4).clamp(Duration::from_millis(5), Duration::from_millis(100)))
-            .unwrap_or(Duration::from_secs(3600));
-
-        while outstanding > 0 {
-            let msg = if budget.is_some() {
-                match result_rx.recv_timeout(tick) {
-                    Ok(m) => Some(m),
-                    Err(mpsc::RecvTimeoutError::Timeout) => None,
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            } else {
-                match result_rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                }
-            };
-            match msg {
-                Some(Msg::Started { cell }) => {
-                    if let Some(b) = budget {
-                        inflight.insert(cell, wall_now() + b);
-                    }
-                }
-                Some(Msg::Finished { cell, outcome }) => {
-                    inflight.remove(&cell);
-                    let resolved = outcomes.get(cell).is_some_and(Option::is_some);
-                    if resolved {
-                        continue; // late result of an already-quarantined cell
-                    }
-                    let state = states.entry(cell).or_insert_with(Recovery::new);
-                    state.runs += 1;
-                    let resolution: Option<Result<T, CellFailure>> = match outcome {
-                        Ok(value) => {
-                            if let Some(expected) = state.candidate.take() {
-                                // Confirmation replay of a recovered cell.
-                                if value == expected {
-                                    Some(Ok(value))
-                                } else {
-                                    Some(Err(CellFailure::Nondeterministic {
-                                        attempts: state.runs,
-                                        detail: "two successful replays produced different results"
-                                            .to_owned(),
-                                    }))
-                                }
-                            } else if state.panics == 0 {
-                                // Clean first run: trusted without replay,
-                                // exactly like the plain sweep.
-                                Some(Ok(value))
-                            } else {
-                                // Recovered after panics: confirm by replay.
-                                state.candidate = Some(value);
-                                let _ = task_tx.send(Task {
-                                    cell,
-                                    attempt: state.panics + 2,
-                                });
-                                None
-                            }
-                        }
-                        Err(failure) => {
-                            if state.candidate.take().is_some() {
-                                // The confirmation replay itself panicked.
-                                Some(Err(CellFailure::Nondeterministic {
-                                    attempts: state.runs,
-                                    detail: format!(
-                                        "confirmation replay panicked: {}",
-                                        failure.message
-                                    ),
-                                }))
-                            } else {
-                                state.panics += 1;
-                                state.last_panic = failure.message;
-                                if state.panics <= policy.max_retries {
-                                    if state.panics == 1 {
-                                        retried += 1;
-                                    }
-                                    let _ = task_tx.send(Task {
-                                        cell,
-                                        attempt: state.panics + 1,
-                                    });
-                                    None
-                                } else {
-                                    Some(Err(CellFailure::Panicked {
-                                        attempts: state.panics,
-                                        message: state.last_panic.clone(),
-                                    }))
-                                }
-                            }
-                        }
-                    };
-                    if let Some(resolution) = resolution {
-                        if let Ok(value) = &resolution {
-                            on_complete(cell, value);
-                        }
-                        if let Some(slot) = outcomes.get_mut(cell) {
-                            *slot = Some(resolution);
-                        }
-                        states.remove(&cell);
-                        outstanding -= 1;
-                    }
-                }
-                None => {} // watchdog tick
-            }
-            // Watchdog scan: quarantine over-budget cells and replace
-            // their (permanently stuck) workers.
-            if let (Some(b), Some(spare)) = (budget, &spare_result_tx) {
-                let now = wall_now();
-                let hung: Vec<usize> = inflight
-                    .iter()
-                    .filter(|(_, deadline)| **deadline <= now)
-                    .map(|(&cell, _)| cell)
-                    .collect();
-                for cell in hung {
-                    inflight.remove(&cell);
-                    let resolved = outcomes.get(cell).is_some_and(Option::is_some);
-                    if resolved {
-                        continue;
-                    }
-                    if let Some(slot) = outcomes.get_mut(cell) {
-                        *slot = Some(Err(CellFailure::Hung {
-                            budget_ms: u64::try_from(b.as_millis()).unwrap_or(u64::MAX),
-                        }));
-                    }
-                    states.remove(&cell);
-                    outstanding -= 1;
-                    spawn_worker(
-                        Arc::clone(&items),
-                        Arc::clone(&job),
-                        Arc::clone(&faults),
-                        Arc::clone(&task_rx),
-                        spare.clone(),
-                    );
-                }
-            }
-        }
-        // Task queue closes here (task_tx drops); idle workers drain out.
     }
-
-    let outcomes: Vec<Result<T, CellFailure>> = outcomes
-        .into_iter()
-        .map(|slot| slot.unwrap_or(Err(CellFailure::ResultLost)))
-        .collect();
     ExecReport {
         outcomes,
         resumed,
-        executed,
+        executed: pending.len(),
         retried,
     }
 }
@@ -712,10 +540,35 @@ mod tests {
                 Some(Err(CellFailure::Hung { budget_ms })) => assert_eq!(*budget_ms, 100),
                 other => panic!("expected Hung, got {other:?}"),
             }
-            // The replacement worker finished the rest of the matrix,
-            // even at threads=1 where the original worker is stuck.
+            // The pool worker abandoned the hung attempt and finished the
+            // rest of the matrix, even at threads=1.
             for (i, o) in report.outcomes.iter().enumerate() {
                 if i != 1 {
+                    assert_eq!(
+                        o.as_ref().ok(),
+                        Some(&plain_job(i, &(i as u64))),
+                        "cell {i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn watchdog_quarantines_a_retry_that_hangs() {
+        for threads in [1, 4] {
+            let mut policy = ExecPolicy::with_threads(threads);
+            policy.cell_timeout_ms = Some(100);
+            // Attempt 1 panics; the retry (attempt 2) hangs.
+            policy.faults = FaultPlan::parse("2:panic:1,2:hang:3").expect("valid spec");
+            let report = run_cells(items(6), plain_job, &policy, BTreeMap::new(), |_, _| {});
+            match report.outcomes.get(2) {
+                Some(Err(CellFailure::Hung { budget_ms })) => assert_eq!(*budget_ms, 100),
+                other => panic!("expected Hung, got {other:?}"),
+            }
+            assert_eq!(report.retried, 1, "threads={threads}");
+            for (i, o) in report.outcomes.iter().enumerate() {
+                if i != 2 {
                     assert_eq!(
                         o.as_ref().ok(),
                         Some(&plain_job(i, &(i as u64))),

@@ -1,4 +1,4 @@
-//! Deterministic parallel sweep engine.
+//! The worker pool every experiment matrix runs on.
 //!
 //! Every paper figure walks a benchmark × cache-configuration matrix whose
 //! cells are mutually independent: each cell constructs its own workload
@@ -15,24 +15,29 @@
 //! 2. the `LDIS_THREADS` environment variable;
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! Workers are plain scoped threads pulling cell indices from an atomic
-//! counter (work stealing without a queue): long cells — mcf's pointer
-//! chases take several times longer than eon's resident hot set — never
-//! stall short ones behind a static partition.
+//! One scoped pool runs every matrix: [`sweep`], [`sweep_with_threads`],
+//! [`try_sweep_with_threads`] and the crash-safe executor
+//! ([`crate::exec::run_cells`]). Its workers take cell indices from an
+//! atomic counter (work stealing without a queue), so long cells — mcf's
+//! pointer chases take several times longer than eon's resident hot set —
+//! never stall short ones behind a static partition. Each result goes
+//! back to the calling thread, which hands it to an `on_done` hook in
+//! completion order (the executor's journal appends there) and returns
+//! all results in index order. With one worker the pool runs inline on
+//! the caller.
 //!
-//! **Panic isolation.** Every cell runs under `catch_unwind`, so one
+//! **Panic isolation.** Every sweep cell runs under `catch_unwind`, so one
 //! panicking cell can never poison the merge or take sibling cells down
 //! with it. [`try_sweep_with_threads`] surfaces each cell's outcome as a
 //! typed `Result<T, CellPanic>`; the infallible [`sweep`] /
 //! [`sweep_with_threads`] wrappers keep the historical contract of
 //! re-raising the first (lowest-index) failure — deterministically, after
-//! every other cell has completed. The crash-safe executor
-//! ([`crate::exec`]) builds retry, watchdog and checkpoint semantics on
-//! top of the same isolation.
+//! every other cell has completed. The executor adds retry, watchdog and
+//! checkpoint semantics per cell on the same pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::mpsc;
 
 /// `--threads` override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -84,7 +89,7 @@ pub struct CellPanic {
 
 impl CellPanic {
     /// The failure recorded when a cell's slot was never filled — a
-    /// harness defect (a worker died outside the catch), never a
+    /// harness defect (a pool worker died outside the catch), never a
     /// simulation one.
     fn lost() -> Self {
         CellPanic {
@@ -102,7 +107,7 @@ impl std::fmt::Display for CellPanic {
 impl std::error::Error for CellPanic {}
 
 /// Renders a caught panic payload as a message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -118,13 +123,66 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// `AssertUnwindSafe` is sound here because each job is required to be a
 /// pure function of its item: on panic the partially-built result is
 /// dropped wholesale and nothing the closure touched outlives the catch.
-pub(crate) fn run_isolated<I, T, F>(job: &F, item: &I) -> Result<T, CellPanic>
-where
-    F: Fn(&I) -> T,
-{
-    catch_unwind(AssertUnwindSafe(|| job(item))).map_err(|payload| CellPanic {
+pub(crate) fn run_isolated<T>(cell: impl FnOnce() -> T) -> Result<T, CellPanic> {
+    catch_unwind(AssertUnwindSafe(cell)).map_err(|payload| CellPanic {
         message: panic_message(payload.as_ref()),
     })
+}
+
+/// Runs `job(i, &items[i])` for every index on up to `threads` scoped
+/// workers and returns the results in index order. Workers take indices
+/// from an atomic counter and send each result to the calling thread,
+/// which calls `on_done(i, &result)` in completion order. With one worker
+/// (or at most one item) the pool runs inline on the caller.
+///
+/// `job` must not unwind — callers isolate panics per cell — so every
+/// slot is filled; `None` marks a result that never arrived.
+pub(crate) fn run_pool<I, T, F>(
+    threads: usize,
+    items: &[I],
+    job: F,
+    mut on_done: impl FnMut(usize, &T),
+) -> Vec<Option<T>>
+where
+    I: Sync,
+    T: Send,
+    F: Fn(usize, &I) -> T + Sync,
+{
+    let mut slots: Vec<Option<T>> = items.iter().map(|_| None).collect();
+    let mut finish = |i: usize, result: T| {
+        on_done(i, &result);
+        if let Some(slot) = slots.get_mut(i) {
+            *slot = Some(result);
+        }
+    };
+    let threads = threads.clamp(1, items.len().max(1));
+    if threads == 1 {
+        for (i, item) in items.iter().enumerate() {
+            finish(i, job(i, item));
+        }
+    } else {
+        let (next, job) = (&AtomicUsize::new(0), &job);
+        let (tx, rx) = mpsc::channel();
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                let tx = tx.clone();
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(i) else { break };
+                    if tx.send((i, job(i, item))).is_err() {
+                        break;
+                    }
+                });
+            }
+            // The receive loop ends once every worker has dropped its
+            // sender, i.e. when the counter has run past the last item.
+            drop(tx);
+            for (i, result) in rx {
+                finish(i, result);
+            }
+        });
+    }
+    slots
 }
 
 /// Runs `job` over every item on the configured worker pool and returns
@@ -168,8 +226,8 @@ where
 
 /// [`sweep_with_threads`] with per-cell panic isolation: each cell's
 /// outcome is returned as `Ok(result)` or `Err(CellPanic)` in canonical
-/// item order. A panicking cell affects nothing but its own slot — sibling
-/// cells run to completion and the merge never sees a poisoned lock.
+/// item order. A panicking cell affects nothing but its own slot: sibling
+/// cells run to completion.
 pub fn try_sweep_with_threads<I, T, F>(
     threads: usize,
     items: &[I],
@@ -180,40 +238,15 @@ where
     T: Send,
     F: Fn(&I) -> T + Sync,
 {
-    let threads = threads.clamp(1, items.len().max(1));
-    if threads == 1 {
-        return items.iter().map(|item| run_isolated(&job, item)).collect();
-    }
-    // Each completed cell lands in its own slot, so the merge below is a
-    // plain in-order read no matter which worker finished it when.
-    let slots: Vec<Mutex<Option<Result<T, CellPanic>>>> =
-        items.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                let result = run_isolated(&job, item);
-                // slots and items have the same length, so the slot exists.
-                // Poisoning is unreachable (job panics are caught before
-                // the lock is taken), but recovery stays typed: the stored
-                // Option is valid regardless of a historical poison flag.
-                if let Some(slot) = slots.get(i) {
-                    let mut guard = slot.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-                    *guard = Some(result);
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .unwrap_or_else(|| Err(CellPanic::lost()))
-        })
-        .collect()
+    run_pool(
+        threads,
+        items,
+        |_, item| run_isolated(|| job(item)),
+        |_, _| {},
+    )
+    .into_iter()
+    .map(|slot| slot.unwrap_or_else(|| Err(CellPanic::lost())))
+    .collect()
 }
 
 #[cfg(test)]
@@ -249,6 +282,31 @@ mod tests {
             i
         });
         assert_eq!(out, items);
+    }
+
+    #[test]
+    fn pool_reports_every_index_once_before_returning() {
+        for threads in [1, 4, 16] {
+            for n in [0, 40] {
+                let items: Vec<usize> = (0..n).collect();
+                let mut seen = vec![0u32; n];
+                let out = run_pool(
+                    threads,
+                    &items,
+                    |i, &item| {
+                        assert_eq!(i, item);
+                        item * 2
+                    },
+                    |i, &result| {
+                        assert_eq!(result, i * 2);
+                        seen[i] += 1;
+                    },
+                );
+                assert!(seen.iter().all(|&c| c == 1), "threads={threads}: {seen:?}");
+                let expect: Vec<Option<usize>> = items.iter().map(|&i| Some(i * 2)).collect();
+                assert_eq!(out, expect, "threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //! byte for byte.
 
 use crate::report::{fmt_f, Json, Table};
+use crate::runner::drive;
 use crate::{for_each_benchmark, RunConfig};
-use ldis_cache::{FaultStats, Hierarchy, ProtectionScheme, SecondLevel as _};
+use ldis_cache::{FaultStats, ProtectionScheme};
 use ldis_distill::{DistillCache, DistillConfig, ResilienceConfig};
-use ldis_workloads::{memory_intensive, Benchmark, TraceLength};
+use ldis_workloads::{memory_intensive, Benchmark};
 
 /// The swept per-access fault rates (0 is the fault-free reference).
 pub const FAULT_RATES: &[f64] = &[1e-5, 1e-4, 1e-3];
@@ -78,13 +79,7 @@ fn run_point(
     // The workload seed derives from the cache label only — every scheme ×
     // rate point of a benchmark replays the *same* trace, so Δmpki always
     // compares like with like.
-    let mut workload = (benchmark.make)(cfg.seed_for(benchmark, dc.name()));
-    let mut hier = Hierarchy::hpca2007(dc);
-    if cfg.warmup > 0 {
-        workload.drive(&mut hier, TraceLength::accesses(cfg.warmup));
-        hier.reset_stats();
-    }
-    workload.drive(&mut hier, TraceLength::accesses(cfg.accesses));
+    let hier = drive(benchmark, cfg, dc);
     let mpki = hier.mpki();
     match hier.l2().health() {
         Some(h) => (mpki, h.faults, h.events.len() as u64, h.degraded),

@@ -109,7 +109,18 @@ where
     L2: SecondLevel,
     F: FnOnce() -> L2,
 {
-    let l2 = make_l2();
+    result_of(benchmark, &drive(benchmark, cfg, make_l2()))
+}
+
+/// The prologue every run shares: seeds `benchmark`'s workload for `l2`'s
+/// label ([`RunConfig::seed_for`]), puts `l2` under the paper's L1s, runs
+/// the warmup and resets the counters, then drives `cfg.accesses`
+/// measured accesses. Returns the hierarchy for the caller to read out.
+pub(crate) fn drive<L2: SecondLevel>(
+    benchmark: &Benchmark,
+    cfg: &RunConfig,
+    l2: L2,
+) -> Hierarchy<L2> {
     let mut workload = (benchmark.make)(cfg.seed_for(benchmark, l2.name()));
     let mut hier = Hierarchy::hpca2007(l2);
     if cfg.warmup > 0 {
@@ -117,6 +128,11 @@ where
         hier.reset_stats();
     }
     workload.drive(&mut hier, TraceLength::accesses(cfg.accesses));
+    hier
+}
+
+/// The distilled result of a finished run of `benchmark`.
+fn result_of<L2: SecondLevel>(benchmark: &Benchmark, hier: &Hierarchy<L2>) -> RunResult {
     RunResult {
         benchmark: benchmark.name.to_owned(),
         config: hier.l2().name().to_owned(),
@@ -163,28 +179,14 @@ pub fn run_baseline_with_words(
     cfg: &RunConfig,
     size_bytes: u64,
 ) -> (RunResult, ldis_mem::stats::Histogram) {
-    let l2 = BaselineL2::new(baseline_config(size_bytes));
-    let mut workload = (benchmark.make)(cfg.seed_for(benchmark, l2.name()));
-    let mut hier = Hierarchy::hpca2007(l2);
-    if cfg.warmup > 0 {
-        workload.drive(&mut hier, TraceLength::accesses(cfg.warmup));
-        hier.reset_stats();
-    }
-    workload.drive(&mut hier, TraceLength::accesses(cfg.accesses));
+    let hier = drive(benchmark, cfg, BaselineL2::new(baseline_config(size_bytes)));
     let mut words = hier.l2().stats().words_used_at_evict.clone();
     for (_, entry) in hier.l2().cache().iter_lines() {
         if !entry.is_instr {
             words.record(entry.footprint.used_words() as usize);
         }
     }
-    let result = RunResult {
-        benchmark: benchmark.name.to_owned(),
-        config: hier.l2().name().to_owned(),
-        mpki: hier.mpki(),
-        l2: hier.l2().stats().clone(),
-        hierarchy: *hier.stats(),
-    };
-    (result, words)
+    (result_of(benchmark, &hier), words)
 }
 
 /// One traditional cache size's reconstructed statistics within a
@@ -244,14 +246,7 @@ impl CapacitySweep {
 /// simulation instead of `sizes.len()`.
 pub fn run_capacity_sweep(benchmark: &Benchmark, cfg: &RunConfig, sizes: &[u64]) -> CapacitySweep {
     let configs: Vec<CacheConfig> = sizes.iter().map(|&s| baseline_config(s)).collect();
-    let l2 = MattsonL2::for_configs(&configs);
-    let mut workload = (benchmark.make)(cfg.seed_for(benchmark, l2.name()));
-    let mut hier = Hierarchy::hpca2007(l2);
-    if cfg.warmup > 0 {
-        workload.drive(&mut hier, TraceLength::accesses(cfg.warmup));
-        hier.reset_stats();
-    }
-    workload.drive(&mut hier, TraceLength::accesses(cfg.accesses));
+    let hier = drive(benchmark, cfg, MattsonL2::for_configs(&configs));
     let instructions = hier.stats().instructions;
     let points: Vec<CapacityPoint> = sizes
         .iter()
@@ -346,14 +341,7 @@ pub fn run_sampled_capacity_sweep(
     shards: &ShardsConfig,
 ) -> SampledCapacitySweep {
     let geom = LineGeometry::default();
-    let l2 = ShardsL2::new(geom, *shards);
-    let mut workload = (benchmark.make)(cfg.seed_for(benchmark, l2.name()));
-    let mut hier = Hierarchy::hpca2007(l2);
-    if cfg.warmup > 0 {
-        workload.drive(&mut hier, TraceLength::accesses(cfg.warmup));
-        hier.reset_stats();
-    }
-    workload.drive(&mut hier, TraceLength::accesses(cfg.accesses));
+    let hier = drive(benchmark, cfg, ShardsL2::new(geom, *shards));
     let instructions = hier.stats().instructions;
     let mrc = hier.l2().mrc();
     let points: Vec<SampledCapacityPoint> = sizes

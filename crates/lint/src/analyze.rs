@@ -14,7 +14,8 @@
 //! * **D3** flags floating-point accumulation that merges parallel-sweep
 //!   cell results outside the canonical-order merge: shared
 //!   `Mutex<f64>`-style accumulators, and float `+=`/`sum::<f64>`
-//!   reductions inside closures handed to `sweep`/`spawn`.
+//!   reductions inside closures handed to a worker-pool entry point
+//!   (`sweep`, `run_matrix`, `run_cells`, ...) or `spawn`.
 //! * **S1** (flow-sensitive, over [`crate::cfg`] + [`crate::dataflow`])
 //!   proves seed provenance: every `SimRng::new` argument must be
 //!   derived from the root seed on *every* path (must-analysis), salt
@@ -734,22 +735,25 @@ fn check_body(ws: &Workspace, id: FnId, vars: &VarMap, findings: &mut Vec<Findin
 
 // --- D3: float determinism ------------------------------------------------
 
-/// Files D3 applies to: experiments library sources (minus the canonical
-/// merge itself) and sim-crate sources.
-fn in_d3_scope(path: &str) -> bool {
-    if path == "crates/experiments/src/parallel.rs" {
-        return false; // the canonical-order merge lives here
-    }
-    in_panic_scope(path)
-}
-
-/// Entry points whose closures run on worker threads: accumulating
-/// floats inside them merges cells in completion order.
-const D3_PARALLEL_CALLS: &[&str] = &["sweep", "sweep_with_threads", "spawn"];
+/// Entry points whose closures run on worker threads (or, for the
+/// pool's completion hook, in completion order): accumulating floats
+/// inside them merges cells in completion order. D3 applies to
+/// experiments library sources and sim-crate sources.
+const D3_PARALLEL_CALLS: &[&str] = &[
+    "sweep",
+    "sweep_with_threads",
+    "try_sweep_with_threads",
+    "run_pool",
+    "for_each_benchmark",
+    "run_matrix",
+    "run_matrix_with_threads",
+    "run_cells",
+    "spawn",
+];
 
 fn d3(ws: &Workspace, findings: &mut Vec<Finding>) {
     for (idx, file) in ws.files.iter().enumerate() {
-        if !in_d3_scope(&file.path) {
+        if !in_panic_scope(&file.path) {
             continue;
         }
         let toks = &file.tokens;
@@ -1192,8 +1196,8 @@ fn rhs_makes_rng(toks: &[Token], rhs: Range<usize>) -> bool {
 }
 
 /// Does this statement span hand `var` to a parallel-region closure
-/// (`sweep`/`sweep_with_threads`/`spawn` call whose args contain a `|`
-/// closure mentioning `var`)?
+/// (a [`D3_PARALLEL_CALLS`] call whose args contain a `|` closure
+/// mentioning `var`)?
 fn captures_in_parallel(toks: &[Token], span: Range<usize>, var: &str) -> bool {
     for i in span.clone() {
         let t = &toks[i];

@@ -6,8 +6,8 @@
 //! alive as reference implementations and proves the fast paths bit-for-bit
 //! equal to them:
 //!
-//! * the flat [`SetAssocCache`] against a per-set model built from the
-//!   legacy [`CacheSet`]/[`TagEntry`] structures, over hundreds of
+//! * the flat [`SetAssocCache`] against a per-set model built from
+//!   [`TagEntry`] ways and an explicit recency stack, over hundreds of
 //!   SimRng-derived random traces — same hits, same footprints, same
 //!   words-used histograms, same eviction order;
 //! * [`Footprint::touch_span`] and the sectored-L1 span masks against the
@@ -17,7 +17,7 @@
 //! * a seeded mutation check: an off-by-one span mask (behind the
 //!   test-only `span_mask16_with_mutation` flag) must trip the suite.
 
-use ldis_cache::{CacheConfig, CacheSet, EvictedLine, SetAssocCache};
+use ldis_cache::{CacheConfig, EvictedLine, SetAssocCache, TagEntry};
 use ldis_mem::bitops::{
     aligned_stride, eligible_aligned_slots, free_aligned_windows, low_mask, span_mask16,
     span_mask16_with_mutation,
@@ -26,24 +26,73 @@ use ldis_mem::rng::{stable_id, SimRng};
 use ldis_mem::stats::Histogram;
 use ldis_mem::{Footprint, LineAddr, LineGeometry, WordIndex};
 
-/// The pre-overhaul reference: a set-associative cache whose sets are the
-/// legacy per-set [`CacheSet`] stacks and whose footprint updates go word
-/// by word through [`TagEntry`]'s scalar methods. This is exactly the
-/// structure `SetAssocCache` used before the arena rewrite.
+/// One reference set: `ways` tag entries plus a true-LRU stack of way
+/// indices, MRU first — the per-set layout the arena replaced.
+struct RefSet {
+    entries: Vec<TagEntry>,
+    order: Vec<usize>,
+}
+
+impl RefSet {
+    fn new(ways: u32) -> Self {
+        RefSet {
+            entries: vec![TagEntry::invalid(); ways as usize],
+            order: (0..ways as usize).collect(),
+        }
+    }
+
+    fn find(&self, tag: u64) -> Option<usize> {
+        self.entries.iter().position(|e| e.valid && e.tag == tag)
+    }
+
+    /// The recency position of `way` (0 = MRU).
+    fn position_of(&self, way: usize) -> u8 {
+        self.order.iter().position(|&w| w == way).unwrap() as u8
+    }
+
+    /// Moves `way` to MRU, returning its recency position before the move.
+    fn promote(&mut self, way: usize) -> u8 {
+        let pos = self.position_of(way);
+        self.order.remove(pos as usize);
+        self.order.insert(0, way);
+        pos
+    }
+
+    /// The first invalid way, else the LRU way.
+    fn victim_way(&self) -> usize {
+        match self.entries.iter().position(|e| !e.valid) {
+            Some(way) => way,
+            None => *self.order.last().unwrap(),
+        }
+    }
+
+    fn entry(&self, way: usize) -> &TagEntry {
+        &self.entries[way]
+    }
+
+    fn entry_mut(&mut self, way: usize) -> &mut TagEntry {
+        &mut self.entries[way]
+    }
+}
+
+/// The pre-overhaul reference: a set-associative cache whose sets are
+/// per-set [`RefSet`] stacks and whose footprint updates go word by word
+/// through [`TagEntry`]'s scalar methods. This is exactly the structure
+/// `SetAssocCache` used before the arena rewrite.
 struct RefCache {
     cfg: CacheConfig,
-    sets: Vec<CacheSet>,
+    sets: Vec<RefSet>,
 }
 
 impl RefCache {
     fn new(cfg: CacheConfig) -> Self {
         let sets = (0..cfg.num_sets())
-            .map(|_| CacheSet::new(cfg.ways()))
+            .map(|_| RefSet::new(cfg.ways()))
             .collect();
         RefCache { cfg, sets }
     }
 
-    fn set_mut(&mut self, line: LineAddr) -> (&mut CacheSet, u64) {
+    fn set_mut(&mut self, line: LineAddr) -> (&mut RefSet, u64) {
         let idx = self.cfg.set_index(line);
         let tag = self.cfg.tag(line);
         (&mut self.sets[idx], tag)

@@ -13,6 +13,11 @@
 //! `tests/hotpath_equivalence.rs` drives it against a per-set reference
 //! model over random traces and asserts identical footprints and eviction
 //! order.
+//!
+//! Promotion to MRU shifts the recency prefix down one position with
+//! [`shift_in_mru`], a carry-swap loop that inlines into every probe; the
+//! generic `<[T]>::rotate_right` it replaces is an out-of-line call that
+//! moves the few bytes of a set's order through `memcpy` and `memmove`.
 
 use crate::TagEntry;
 use ldis_mem::{Footprint, WordIndex};
@@ -40,6 +45,39 @@ pub struct SetArena {
 const VALID: u8 = 1 << 0;
 const DIRTY: u8 = 1 << 1;
 const INSTR: u8 = 1 << 2;
+
+/// LRU promotion on one recency-ordered column: writes `mru` into the
+/// first slot and shifts every other slot down one position, dropping the
+/// last slot's old value. Over the prefix that ends at a promoted entry,
+/// with `mru` that entry's value, this is `prefix.rotate_right(1)`.
+///
+/// # Example
+///
+/// ```
+/// use ldis_cache::shift_in_mru;
+///
+/// let mut order = [3u8, 1, 0, 2];
+/// shift_in_mru(&mut order[..=2], 0); // promote the way at position 2
+/// assert_eq!(order, [0, 3, 1, 2]);
+/// ```
+#[inline]
+pub fn shift_in_mru<'a, T: Copy + 'a>(column: impl IntoIterator<Item = &'a mut T>, mru: T) {
+    let mut carry = mru;
+    for slot in column {
+        carry = std::mem::replace(slot, carry);
+    }
+}
+
+/// Promotes the way at recency position `pos` of one set's `order` to
+/// MRU; out-of-range positions leave the order unchanged.
+#[inline]
+fn promote_at(order: &mut [u8], pos: usize) {
+    if let Some(prefix) = order.get_mut(..=pos) {
+        if let Some(&way) = prefix.last() {
+            shift_in_mru(prefix, way);
+        }
+    }
+}
 
 impl SetArena {
     /// Creates an empty arena of `num_sets` sets with `ways` ways each.
@@ -125,10 +163,8 @@ impl SetArena {
         let Some(pos) = order.iter().position(|&w| w as usize == way) else {
             return 0;
         };
-        if let Some(prefix) = order.get_mut(..=pos) {
-            // Equivalent to remove(pos) + insert(0, way) on the per-set stack.
-            prefix.rotate_right(1);
-        }
+        // Equivalent to remove(pos) + insert(0, way) on the per-set stack.
+        promote_at(order, pos);
         pos as u8
     }
 
@@ -165,9 +201,7 @@ impl SetArena {
             reason = "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()"
         )]
         let pos = order.iter().position(|&w| w as usize == way)? as u8;
-        if let Some(prefix) = order.get_mut(..=pos as usize) {
-            prefix.rotate_right(1);
-        }
+        promote_at(order, pos as usize);
         if latch {
             let seen = match self.pos_seen.get_mut(i) {
                 Some(s) => {
@@ -303,9 +337,7 @@ impl SetArena {
         }
         if let Some(order) = self.order.get_mut(base..end) {
             if let Some(pos) = order.iter().position(|&w| w as usize == way) {
-                if let Some(prefix) = order.get_mut(..=pos) {
-                    prefix.rotate_right(1);
-                }
+                promote_at(order, pos);
             }
         }
         (way, victim)

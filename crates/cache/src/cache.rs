@@ -110,6 +110,7 @@ impl SetAssocCache {
     /// Looks up `line`; on a hit promotes it to MRU, updates the recency
     /// bookkeeping, marks `word` used (if given) and sets the dirty bit for
     /// writes. Returns whether the access hit.
+    #[inline]
     pub fn access(&mut self, line: LineAddr, word: Option<WordIndex>, write: bool) -> bool {
         let set = self.cfg.set_index(line);
         let tag = self.cfg.tag(line);
@@ -121,6 +122,7 @@ impl SetAssocCache {
     /// The demanded `word` (if any) becomes the first footprint bit; a
     /// write-allocate sets the dirty bit. Returns the evicted line, if a
     /// valid line was displaced.
+    #[inline]
     pub fn install(
         &mut self,
         line: LineAddr,
@@ -142,6 +144,7 @@ impl SetAssocCache {
     /// OR-merges `fp` into `line`'s footprint if resident (the L1D → LOC
     /// merge of Section 4.1), optionally marking it dirty. Returns whether
     /// the line was resident. Does **not** update recency.
+    #[inline]
     pub fn merge_footprint(&mut self, line: LineAddr, fp: Footprint, dirty: bool) -> bool {
         let set = self.cfg.set_index(line);
         self.arena

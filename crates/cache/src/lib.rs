@@ -63,7 +63,7 @@ mod second_level;
 mod sectored;
 mod stats;
 
-pub use arena::SetArena;
+pub use arena::{shift_in_mru, SetArena};
 pub use cache::{EvictedLine, FootprintFault, SetAssocCache};
 pub use config::CacheConfig;
 pub use entry::TagEntry;

@@ -195,6 +195,7 @@ impl BaselineL2 {
 }
 
 impl SecondLevel for BaselineL2 {
+    #[inline]
     fn access(&mut self, req: L2Request) -> L2Response {
         self.stats.accesses.bump();
         let word = if req.is_instr { None } else { Some(req.word) };
@@ -220,6 +221,7 @@ impl SecondLevel for BaselineL2 {
         }
     }
 
+    #[inline]
     fn on_l1d_evict(&mut self, line: LineAddr, footprint: Footprint, dirty: bool) {
         if !self.cache.merge_footprint(line, footprint, dirty) && dirty {
             // Not resident (inclusion is not enforced): write back to memory.

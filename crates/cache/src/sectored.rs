@@ -91,6 +91,7 @@ impl SectoredCache {
 
     /// Classifies an access to words `first..=last` of `line` without
     /// changing any state.
+    #[inline]
     pub fn lookup(&self, line: LineAddr, first: WordIndex, last: WordIndex) -> L1Lookup {
         let set = self.cfg.set_index(line);
         match self.arena.find(set, self.cfg.tag(line)) {
@@ -117,6 +118,7 @@ impl SectoredCache {
     /// caller must fetch the missing words via [`fill_words`].
     ///
     /// [`fill_words`]: SectoredCache::fill_words
+    #[inline]
     pub fn access(
         &mut self,
         line: LineAddr,
@@ -179,6 +181,7 @@ impl SectoredCache {
     /// [`access`](SectoredCache::access), fused: the fresh footprint is the
     /// demand span, the dirty bit follows `write`, and the lookup result
     /// reports whether the delivered words cover the span.
+    #[inline]
     pub fn fill_demand(
         &mut self,
         line: LineAddr,
@@ -218,6 +221,7 @@ impl SectoredCache {
 
     /// Adds valid words to a resident line (a sector fill). Returns whether
     /// the line was resident.
+    #[inline]
     pub fn fill_words(&mut self, line: LineAddr, valid_words: Footprint) -> bool {
         let set = self.cfg.set_index(line);
         match self.arena.find(set, self.cfg.tag(line)) {
@@ -233,6 +237,7 @@ impl SectoredCache {
     }
 
     /// Whether every word in `first..=last` of `line` is valid.
+    #[inline]
     pub fn words_valid(&self, line: LineAddr, first: WordIndex, last: WordIndex) -> bool {
         self.lookup(line, first, last) == L1Lookup::Hit
     }

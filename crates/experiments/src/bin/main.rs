@@ -200,7 +200,8 @@ fn main() {
             ph
         });
         if let Some(path) = out {
-            let rendered = perf::snapshot(&cfg, &points, phases.as_ref()).render_pretty();
+            let host = perf::HostFacts::probe();
+            let rendered = perf::snapshot(&cfg, &host, &points, phases.as_ref()).render_pretty();
             if let Err(e) = std::fs::write(&path, rendered) {
                 eprintln!("cannot write {}: {e}", path.display());
                 std::process::exit(1);
@@ -243,7 +244,8 @@ fn main() {
         let points = perf::measure_mrc(&cfg, &[0.1, 0.01, 0.001]);
         println!("{}", perf::mrc_report(&cfg, &points));
         if let Some(path) = out {
-            let rendered = perf::mrc_snapshot(&cfg, &points).render_pretty();
+            let host = perf::HostFacts::probe();
+            let rendered = perf::mrc_snapshot(&cfg, &host, &points).render_pretty();
             if let Err(e) = std::fs::write(&path, rendered) {
                 eprintln!("cannot write {}: {e}", path.display());
                 std::process::exit(1);

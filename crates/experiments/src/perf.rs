@@ -7,7 +7,9 @@
 //! snapshots the numbers are host-dependent by nature — the artifact
 //! tracks the *trend* across PRs (simulated accesses per second,
 //! nanoseconds per access, parallel speedup), not exact bytes, so it is
-//! exempt from byte-stability checks.
+//! exempt from byte-stability checks. Each artifact records the
+//! [`HostFacts`] it was measured on, so numbers from different hosts are
+//! never compared blindly.
 #![expect(
     clippy::disallowed_methods,
     reason = "this module measures wall-clock throughput; simulated state never reads the clock"
@@ -15,11 +17,67 @@
 
 use crate::exec::{run_cells, ExecPolicy, FaultPlan};
 use crate::report::{fmt_f, Json, Table};
-use crate::{mrc, run_capacity_sweep, run_sampled_capacity_sweep, sweep, RunConfig};
+use crate::{mrc, parallel, run_capacity_sweep, run_sampled_capacity_sweep, sweep, RunConfig};
 use ldis_mrc::ShardsConfig;
 use ldis_workloads::Workload;
 use std::collections::BTreeMap;
+use std::path::Path;
 use std::time::Instant;
+
+/// The host an artifact was measured on: the facts `perfbench` prints
+/// beside its results.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct HostFacts {
+    /// Hardware threads available to the process.
+    pub nproc: usize,
+    /// The `rustc -V` line of the compiler on `PATH`.
+    pub rustc: String,
+    /// The commit checked out in the current directory.
+    pub git_rev: String,
+}
+
+impl HostFacts {
+    /// Probes this host; a fact that cannot be read is `"unknown"`.
+    pub fn probe() -> HostFacts {
+        let rustc = std::process::Command::new("rustc")
+            .arg("-V")
+            .output()
+            .ok()
+            .and_then(|out| String::from_utf8(out.stdout).ok())
+            .map(|v| v.trim().to_owned())
+            .filter(|v| !v.is_empty());
+        HostFacts {
+            nproc: parallel::available_threads(),
+            rustc: rustc.unwrap_or_else(|| "unknown".to_owned()),
+            git_rev: git_rev(Path::new(".git")),
+        }
+    }
+
+    fn json(&self) -> Json {
+        Json::obj([
+            ("nproc", Json::uint(self.nproc as u64)),
+            ("rustc", Json::str(&self.rustc)),
+            ("git_rev", Json::str(&self.git_rev)),
+        ])
+    }
+}
+
+/// The commit `HEAD` names in `git_dir`, read without running git (which
+/// would find an enclosing repository when the checkout is not one), the
+/// way `perfbench/run.py` reads it.
+fn git_rev(git_dir: &Path) -> String {
+    let read = |path: &Path| {
+        std::fs::read_to_string(path)
+            .ok()
+            .map(|text| text.trim().to_owned())
+    };
+    read(&git_dir.join("HEAD"))
+        .and_then(|head| match head.strip_prefix("ref: ") {
+            Some(name) => read(&git_dir.join(name)),
+            None => Some(head),
+        })
+        .unwrap_or_else(|| "unknown".to_owned())
+}
 
 /// One timed configuration.
 #[derive(Clone, Copy, Debug)]
@@ -222,7 +280,12 @@ fn committed_serial_ns(json: &Json) -> Option<f64> {
 }
 
 /// The committed `BENCH_sweep.json` artifact.
-pub fn snapshot(cfg: &RunConfig, points: &[BenchPoint], phases: Option<&PhaseBreakdown>) -> Json {
+pub fn snapshot(
+    cfg: &RunConfig,
+    host: &HostFacts,
+    points: &[BenchPoint],
+    phases: Option<&PhaseBreakdown>,
+) -> Json {
     Json::obj([
         ("bench", Json::str("sweep")),
         (
@@ -233,6 +296,7 @@ pub fn snapshot(cfg: &RunConfig, points: &[BenchPoint], phases: Option<&PhaseBre
                 ("seed", Json::uint(cfg.seed)),
             ]),
         ),
+        ("host", host.json()),
         (
             "results",
             Json::arr(points.iter().map(|p| {
@@ -335,7 +399,7 @@ pub fn measure_mrc(cfg: &RunConfig, rates: &[f64]) -> Vec<MrcBenchPoint> {
 
 /// The committed `BENCH_mrc.json` artifact: exact vs sampled pass
 /// wall-time and peak sample-set size per rate.
-pub fn mrc_snapshot(cfg: &RunConfig, points: &[MrcBenchPoint]) -> Json {
+pub fn mrc_snapshot(cfg: &RunConfig, host: &HostFacts, points: &[MrcBenchPoint]) -> Json {
     Json::obj([
         ("bench", Json::str("mrc")),
         (
@@ -347,6 +411,7 @@ pub fn mrc_snapshot(cfg: &RunConfig, points: &[MrcBenchPoint]) -> Json {
                 ("seed", Json::uint(cfg.seed)),
             ]),
         ),
+        ("host", host.json()),
         (
             "results",
             Json::arr(points.iter().map(|p| {
@@ -447,6 +512,14 @@ pub fn phase_report(ph: &PhaseBreakdown) -> String {
 mod tests {
     use super::*;
 
+    fn host() -> HostFacts {
+        HostFacts {
+            nproc: 2,
+            rustc: "rustc 1.0.0".to_owned(),
+            git_rev: "abc123".to_owned(),
+        }
+    }
+
     #[test]
     fn bench_snapshot_shape_is_stable() {
         let cfg = RunConfig::quick();
@@ -469,9 +542,17 @@ mod tests {
             generation_ns_per_access: 65.8,
             simulation_ns_per_access: 98.8,
         };
-        let json = snapshot(&cfg, &points, Some(&phases));
+        let json = snapshot(&cfg, &host(), &points, Some(&phases));
         let text = json.render();
         assert!(text.contains("\"bench\": \"sweep\""), "{text}");
+        assert!(
+            text.contains(
+                "\"host\": {\"nproc\": 2, \"rustc\": \"rustc 1.0.0\", \"git_rev\": \"abc123\"}"
+            ),
+            "{text}"
+        );
+        let mrc_text = mrc_snapshot(&cfg, &host(), &[]).render();
+        assert!(mrc_text.contains("\"git_rev\": \"abc123\""), "{mrc_text}");
         assert!(text.contains("\"threads\": 1"), "{text}");
         assert!(text.contains("\"regenerate\""), "{text}");
         assert!(
@@ -496,7 +577,7 @@ mod tests {
             accesses_per_s: 10_000_000.0,
             ns_per_access: 100.0,
         }];
-        let artifact = snapshot(&cfg, &committed, None).render_pretty();
+        let artifact = snapshot(&cfg, &host(), &committed, None).render_pretty();
         let fresh_ok = BenchPoint {
             ns_per_access: 109.0,
             ..committed[0]
@@ -521,7 +602,7 @@ mod tests {
             accesses_per_s: 10_000_000.0,
             ns_per_access: 100.0,
         }];
-        let artifact = snapshot(&cfg, &committed, None).render_pretty();
+        let artifact = snapshot(&cfg, &host(), &committed, None).render_pretty();
         let slow = BenchPoint {
             ns_per_access: 140.0,
             ..committed[0]
@@ -549,6 +630,21 @@ mod tests {
             panic!("must not re-measure after a pass")
         });
         assert!(no_retry.is_ok());
+    }
+
+    #[test]
+    fn git_rev_follows_head_like_the_benchmark_runner() {
+        let dir = std::env::temp_dir().join("ldis-perf-git-rev");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("refs/heads")).expect("temp dir");
+        assert_eq!(git_rev(&dir), "unknown", "no HEAD");
+        std::fs::write(dir.join("HEAD"), "ref: refs/heads/main\n").expect("write HEAD");
+        assert_eq!(git_rev(&dir), "unknown", "dangling ref");
+        std::fs::write(dir.join("refs/heads/main"), "0123abcd\n").expect("write ref");
+        assert_eq!(git_rev(&dir), "0123abcd");
+        std::fs::write(dir.join("HEAD"), "89efcdab\n").expect("write HEAD");
+        assert_eq!(git_rev(&dir), "89efcdab", "detached HEAD");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

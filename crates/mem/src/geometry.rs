@@ -117,6 +117,7 @@ impl LineGeometry {
     /// `addr`, clamped to the line containing `addr` (the simulator, like
     /// the paper's Alpha traces, never issues line-crossing accesses; a
     /// crossing access is clamped rather than split).
+    #[inline]
     pub fn word_span(&self, addr: Addr, size: u32) -> (WordIndex, WordIndex) {
         let first = self.word_index(addr);
         let size = size.max(1);

@@ -9,7 +9,8 @@
 //! * [`Footprint`] — the per-line used-word bit vector at the heart of the
 //!   paper (one bit per word of a cache line);
 //! * [`SimRng`] — a small, fully deterministic PRNG so that every experiment
-//!   is reproducible bit-for-bit from its seed;
+//!   is reproducible bit-for-bit from its seed, and [`GeometricTable`], its
+//!   table-driven sampler of instruction gaps;
 //! * [`stats`] — histograms and summary helpers used by the experiment
 //!   harness.
 //!
@@ -46,6 +47,7 @@ mod access;
 mod addr;
 pub mod bitops;
 mod footprint;
+mod geometric;
 mod geometry;
 pub mod rng;
 pub mod stats;
@@ -55,6 +57,7 @@ mod trace_io;
 pub use access::{Access, AccessKind};
 pub use addr::{Addr, LineAddr, WordIndex};
 pub use footprint::Footprint;
+pub use geometric::GeometricTable;
 pub use geometry::LineGeometry;
 pub use rng::{fnv1a, stable_id, SimRng};
 pub use trace::{Trace, TraceSource};

@@ -110,19 +110,19 @@ impl SimRng {
     /// Panics if `bound` is 0.
     pub fn range(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "range bound must be positive");
-        // Lemire's unbiased multiply-shift rejection method.
-        loop {
-            let x = self.next_u64();
-            let m = (x as u128).wrapping_mul(bound as u128);
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "Lemire's method keeps the low 64 bits of the 128-bit product"
-            )]
-            let lo = m as u64;
-            if lo >= bound || lo >= lo.wrapping_neg() % bound {
-                return (m >> 64) as u64;
+        // Lemire's unbiased multiply-shift method: the high half of
+        // `draw * bound` is uniform once draws whose low half falls below
+        // (2^64 - bound) mod bound are rejected. That threshold is below
+        // `bound`, so the division is only needed for a low half below
+        // `bound`.
+        let mut m = u128::from(self.next_u64()) * u128::from(bound);
+        if low_half(m) < bound {
+            let threshold = bound.wrapping_neg() % bound;
+            while low_half(m) < threshold {
+                m = u128::from(self.next_u64()) * u128::from(bound);
             }
         }
+        (m >> 64) as u64
     }
 
     /// A uniform integer in `0..bound`, as `usize`.
@@ -136,7 +136,7 @@ impl SimRng {
 
     /// A uniform floating point number in `[0, 1)`.
     pub fn f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64() >> 11)
     }
 
     /// `true` with probability `p` (clamped to `[0, 1]`).
@@ -293,19 +293,48 @@ impl SimRng {
     }
 
     /// [`SimRng::geometric`] with the log-denominator precomputed via
-    /// [`SimRng::geometric_denom`] — the hot-path form for generators that
-    /// draw instruction gaps with a fixed mean. The division by `denom` is
-    /// kept as a division (not a reciprocal multiply) so results match
-    /// `geometric` bit for bit.
+    /// [`SimRng::geometric_denom`]: one draw, then a libm `ln`, a division
+    /// and a floor. The division by `denom` is kept as a division (not a
+    /// reciprocal multiply) so results match `geometric` bit for bit.
+    /// Generators that draw many gaps at one mean use
+    /// [`GeometricTable`](crate::GeometricTable), which returns the same
+    /// gap for the same draw without the `ln`.
     pub fn geometric_with_denom(&mut self, denom: f64) -> u32 {
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "float-to-int casts saturate rather than truncate, and the next line clamps the result to <= 1_000_000"
-        )]
-        let v = (u.ln() / denom).floor() as u32;
-        v.saturating_add(1).min(1_000_000)
+        geometric_gap(self.next_u64() >> 11, denom)
     }
+}
+
+/// The low 64 bits of a 128-bit product.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "Lemire's method compares the low 64 bits of the 128-bit product"
+)]
+fn low_half(m: u128) -> u64 {
+    m as u64
+}
+
+/// The 53-bit draw `x` (`next_u64() >> 11`) as a float in `[0, 1)`:
+/// exact, since `x < 2^53` and the scale is a power of two.
+fn unit_f64(x: u64) -> f64 {
+    x as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// The geometric gap of the 53-bit draw `x` at log-denominator `denom`
+/// (`denom < 0`, see [`SimRng::geometric_denom`]) — the one definition of
+/// the gap, shared by [`SimRng::geometric_with_denom`] and
+/// [`GeometricTable`](crate::GeometricTable)'s thresholds so the two
+/// cannot drift apart. Non-increasing in `x`: `unit_f64`, the division
+/// by a negative constant and `floor` are monotone, and the logarithms
+/// of neighbouring draws differ by more than one ulp, more than the
+/// libm `ln` error, so their rounded values keep their order too.
+pub(crate) fn geometric_gap(x: u64, denom: f64) -> u32 {
+    let u = unit_f64(x).max(f64::MIN_POSITIVE);
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "float-to-int casts saturate rather than truncate, and the next line clamps the result to <= 1_000_000"
+    )]
+    let v = (u.ln() / denom).floor() as u32;
+    v.saturating_add(1).min(1_000_000)
 }
 
 #[cfg(test)]
@@ -338,6 +367,43 @@ mod tests {
             seen[x] = true;
         }
         assert!(seen.iter().all(|&s| s), "all values of 0..8 should appear");
+    }
+
+    /// Lemire's method as published ("Fast Random Integer Generation in
+    /// an Interval", 2019): reject a low product below
+    /// `(2^64 - bound) mod bound`.
+    fn textbook_range(rng: &mut SimRng, bound: u64) -> u64 {
+        loop {
+            let m = u128::from(rng.next_u64()) * u128::from(bound);
+            let lo = m as u64;
+            if lo >= bound.wrapping_neg() % bound {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn range_replays_the_textbook_lemire_method() {
+        // Huge bounds reject often, so a wrong threshold diverges within
+        // a few draws; small bounds almost never reach the threshold.
+        for (bound, draws) in [
+            (3 << 62, 1_000),
+            ((1 << 63) + 1, 1_000),
+            (u64::MAX - 1, 1_000),
+            (1_000_000, 100_000),
+            (12_345, 100_000),
+        ] {
+            let mut ours = SimRng::new(31);
+            let mut textbook = SimRng::new(31);
+            for i in 0..draws {
+                assert_eq!(
+                    ours.range(bound),
+                    textbook_range(&mut textbook, bound),
+                    "bound {bound}, draw {i}"
+                );
+            }
+            assert_eq!(ours, textbook, "bound {bound}: draw counts differ");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The per-set Mattson stack-distance profiler for one set count.
 
-use ldis_cache::CacheConfig;
+use ldis_cache::{shift_in_mru, CacheConfig};
 use ldis_mem::stats::{Counter, Histogram};
 use ldis_mem::{Footprint, LineAddr, WordIndex};
 
@@ -69,8 +69,10 @@ impl TierStats {
 /// `ldis_cache::SetArena`: line addresses in one array indexed
 /// `set * depth + pos` (0 = MRU) with a per-set fill count, and the
 /// packed per-tier footprint, dirty and instruction bits in one array
-/// indexed `(set * depth + pos) * tiers + tier`. Promotion to MRU rotates
-/// both slices. The arrays are allocated on the first
+/// indexed `(set * depth + pos) * tiers + tier`. Promotion to MRU shifts
+/// the set's line prefix, and each tier's column of the slot prefix, down
+/// one position with the inlined [`shift_in_mru`] loop. The arrays are
+/// allocated on the first
 /// [`record`](MattsonProfiler::record), not in
 /// [`new`](MattsonProfiler::new), so constructing a profiler that never
 /// records costs no zeroed memory.
@@ -304,26 +306,27 @@ impl MattsonProfiler {
                     }
                 }
                 // The line enters at MRU; a full stack drops its deepest
-                // entry, whose position the rotation below reuses.
+                // entry, which the shift below pushes out.
                 if live < self.depth {
                     *fill += 1;
                 }
                 (live + 1).min(self.depth)
             }
         };
-        // Promote to MRU: positions 0..len-1 shift down by one.
+        // Promote to MRU: positions 0..len-1 shift down by one and the
+        // accessed line enters at the front — on a hit from position
+        // len-1 with its per-tier slots as updated above, on a miss
+        // fresh in every tier.
         if let Some(stack) = lines.get_mut(..len) {
-            stack.rotate_right(1);
+            shift_in_mru(stack, line.raw());
         }
         if let Some(stack) = slots.get_mut(..len * tiers) {
-            stack.rotate_right(tiers);
-        }
-        if pos.is_none() {
-            if let Some(mru) = lines.first_mut() {
-                *mru = line.raw();
-            }
-            if let Some(mru) = slots.get_mut(..tiers) {
-                mru.fill(fresh);
+            for ti in 0..tiers {
+                let mru = match pos {
+                    Some(d) => stack.get(d * tiers + ti).copied().unwrap_or(fresh),
+                    None => fresh,
+                };
+                shift_in_mru(stack.iter_mut().skip(ti).step_by(tiers), mru);
             }
         }
         pos

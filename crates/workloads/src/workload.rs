@@ -2,7 +2,9 @@
 
 use crate::{Stream, ValueProfile, VisitKind};
 use ldis_cache::{Hierarchy, SecondLevel};
-use ldis_mem::{Access, AccessKind, Addr, LineGeometry, SimRng, Trace, TraceSource};
+use ldis_mem::{
+    Access, AccessKind, Addr, GeometricTable, LineGeometry, SimRng, Trace, TraceSource,
+};
 use std::collections::VecDeque;
 
 /// How long to run a workload.
@@ -56,14 +58,16 @@ pub struct Workload {
     store_frac: f64,
     values: ValueProfile,
     queue: VecDeque<Access>,
-    pcs_per_stream: u64,
     /// Precomputed `weights.iter().sum()` — the same f64 the per-call sum
     /// would produce, hoisted out of the per-visit hot path.
     weight_total: f64,
-    /// Precomputed geometric-draw denominator for `inst_gap` (`None` when
-    /// the gap degenerates to a constant 1 and no draw is consumed).
-    gap_denom: Option<f64>,
+    /// The instruction-gap sampler for `inst_gap`.
+    gaps: GeometricTable,
 }
+
+/// Distinct PCs each stream issues its data accesses from; a power of
+/// two, so picking a line's PC slot is a mask.
+const PCS_PER_STREAM: u64 = 8;
 
 impl std::fmt::Debug for Workload {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -200,13 +204,10 @@ impl Workload {
     }
 
     /// One instruction-gap draw; bit-identical to
-    /// `rng.geometric(self.inst_gap)` with the log denominator hoisted.
+    /// `rng.geometric(self.inst_gap)`, by table lookup instead of `ln`.
     #[inline]
     fn next_gap(&mut self) -> u32 {
-        match self.gap_denom {
-            None => 1,
-            Some(denom) => self.rng.geometric_with_denom(denom),
-        }
+        self.gaps.sample(&mut self.rng)
     }
 
     fn refill(&mut self) {
@@ -246,7 +247,7 @@ impl Workload {
                 // (stream, line) so the spatial footprint predictor has
                 // something to learn.
                 let pc_base = 0x0040_0000 + (idx as u64) * 0x1_0000;
-                let pc_slot = (visit.line.raw() ^ visit.line.raw() >> 7) % self.pcs_per_stream;
+                let pc_slot = (visit.line.raw() ^ visit.line.raw() >> 7) % PCS_PER_STREAM;
                 let pc = Addr::new(pc_base + pc_slot * 4);
                 for word in visit.words.iter_used() {
                     let kind = if self.rng.chance(self.store_frac) {
@@ -349,7 +350,6 @@ impl WorkloadBuilder {
             "a workload needs at least one stream"
         );
         let weight_total: f64 = self.weights.iter().sum();
-        let gap_denom = SimRng::geometric_denom(self.inst_gap);
         Workload {
             name: self.name,
             streams: self.streams,
@@ -360,9 +360,8 @@ impl WorkloadBuilder {
             store_frac: self.store_frac,
             values: self.values,
             queue: VecDeque::new(),
-            pcs_per_stream: 8,
             weight_total,
-            gap_denom,
+            gaps: GeometricTable::new(self.inst_gap),
         }
     }
 }

@@ -183,7 +183,7 @@ impl RefCache {
 fn run_trace(seed: u64) -> (Histogram, Histogram) {
     let mut rng = SimRng::new(seed);
     let sets = 1u64 << rng.range(3); // 1, 2 or 4 sets
-    let ways = 1 + rng.range(8) as u32; // 1..=8 ways
+    let ways = 1 + rng.range(16) as u32; // 1..=16 ways, up to the 12- and 16-way L2 shapes
     let cfg = CacheConfig::with_sets(sets, ways, LineGeometry::default());
     let mut fast = SetAssocCache::new(cfg);
     let mut slow = RefCache::new(cfg);

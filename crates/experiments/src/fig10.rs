@@ -1,7 +1,7 @@
 //! Figure 10: compressibility of cache lines — all words vs. used words
 //! only.
 
-use crate::report::{fmt_f, Table};
+use crate::report::{fmt_f, Json, Table};
 use crate::{baseline_config, for_each_benchmark, RunConfig};
 use ldis_cache::{BaselineL2, Hierarchy, SecondLevel};
 use ldis_compress::{SizeCategory, ValueSizeModel};
@@ -13,6 +13,8 @@ use ldis_workloads::{memory_intensive, TraceLength};
 pub struct Fig10Row {
     /// Benchmark name.
     pub benchmark: String,
+    /// Resident data lines classified.
+    pub lines: u64,
     /// Class fractions compressing every word of each resident line.
     pub all_words: [f64; 4],
     /// Class fractions compressing only each line's used words (sizes
@@ -79,10 +81,35 @@ pub fn data_for(benches: &[ldis_workloads::Benchmark], cfg: &RunConfig) -> Vec<F
         };
         Fig10Row {
             benchmark: b.name.to_owned(),
+            lines,
             all_words: frac(all),
             used_words: frac(used),
         }
     })
+}
+
+/// The golden snapshot (compared against `tests/golden/fig10.json`). The
+/// class fractions are kept at full precision, so with the line count
+/// they pin every class count, and through them the compressed size of
+/// every resident line.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("benchmark", Json::str(&r.benchmark)),
+                ("lines", Json::uint(r.lines)),
+                ("all_words", Json::arr(r.all_words.map(Json::num))),
+                ("used_words", Json::arr(r.used_words.map(Json::num))),
+            ])
+        })
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("experiment", Json::str("fig10")),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 /// Renders the Figure 10 report.

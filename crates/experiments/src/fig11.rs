@@ -1,7 +1,9 @@
 //! Figure 11: LDIS vs. compression vs. footprint-aware compression.
 
-use crate::report::{fmt_f, fmt_pct, Table};
+use crate::golden::l2_counts;
+use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
+use ldis_cache::L2Stats;
 use ldis_compress::{fac_cache, CmprCache, CmprConfig, ValueSizeModel};
 use ldis_distill::{DistillCache, DistillConfig};
 use ldis_mem::stats::percent_reduction;
@@ -22,6 +24,10 @@ pub struct Fig11Row {
     pub cmpr_4x: f64,
     /// Footprint-aware compression with 3 WOC ways reduction (%).
     pub fac_4x: f64,
+    /// The CMPR-4xTags run's L2 counters.
+    pub cmpr_l2: L2Stats,
+    /// The FAC-4xTags run's L2 counters.
+    pub fac_l2: L2Stats,
 }
 
 /// Runs the Figure 11 matrix.
@@ -51,8 +57,37 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig11Row> {
             ldis_4x: red(ldis_4x.mpki),
             cmpr_4x: red(cmpr.mpki),
             fac_4x: red(fac.mpki),
+            cmpr_l2: cmpr.l2,
+            fac_l2: fac.l2,
         }
     })
+}
+
+/// The golden snapshot (compared against `tests/golden/fig11.json`): the
+/// reductions at full precision plus the raw counters of the two
+/// compressed caches, which no other golden covers.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("benchmark", Json::str(&r.benchmark)),
+                ("base_mpki", Json::num(r.base)),
+                ("ldis_3x_reduction_pct", Json::num(r.ldis_3x)),
+                ("ldis_4x_reduction_pct", Json::num(r.ldis_4x)),
+                ("cmpr_4x_reduction_pct", Json::num(r.cmpr_4x)),
+                ("fac_4x_reduction_pct", Json::num(r.fac_4x)),
+                ("cmpr_4x", l2_counts(&r.cmpr_l2)),
+                ("fac_4x", l2_counts(&r.fac_l2)),
+            ])
+        })
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("experiment", Json::str("fig11")),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 /// Mean-MPKI reductions per configuration (the paper's summary metric).
@@ -148,6 +183,8 @@ mod tests {
                 ldis_4x: 50.0,
                 cmpr_4x: 0.0,
                 fac_4x: 50.0,
+                cmpr_l2: L2Stats::default(),
+                fac_l2: L2Stats::default(),
             },
             Fig11Row {
                 benchmark: "b".into(),
@@ -156,6 +193,8 @@ mod tests {
                 ldis_4x: 0.0,
                 cmpr_4x: 0.0,
                 fac_4x: 50.0,
+                cmpr_l2: L2Stats::default(),
+                fac_l2: L2Stats::default(),
             },
         ];
         let (l3, _, c4, f4) = mean_reductions(&rows);

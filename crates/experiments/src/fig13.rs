@@ -1,7 +1,9 @@
 //! Figure 13: spatial footprint prediction (SFP) vs. line distillation.
 
-use crate::report::{fmt_f, fmt_pct, Table};
+use crate::golden::l2_counts;
+use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
+use ldis_cache::L2Stats;
 use ldis_distill::{DistillCache, DistillConfig};
 use ldis_mem::stats::percent_reduction;
 use ldis_sfp::{SfpCache, SfpConfig};
@@ -21,6 +23,10 @@ pub struct Fig13Row {
     pub sfp_64k: f64,
     /// LDIS-MT-RC: reduction (%).
     pub ldis: f64,
+    /// The SFP-16k run's L2 counters.
+    pub sfp_16k_l2: L2Stats,
+    /// The SFP-64k run's L2 counters.
+    pub sfp_64k_l2: L2Stats,
 }
 
 /// Runs the Figure 13 matrix.
@@ -40,8 +46,36 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig13Row> {
             sfp_16k: red(s16.mpki),
             sfp_64k: red(s64.mpki),
             ldis: red(ldis.mpki),
+            sfp_16k_l2: s16.l2,
+            sfp_64k_l2: s64.l2,
         }
     })
+}
+
+/// The golden snapshot (compared against `tests/golden/fig13.json`): the
+/// reductions at full precision plus the raw counters of both SFP
+/// predictor sizes, which no other golden covers.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("benchmark", Json::str(&r.benchmark)),
+                ("base_mpki", Json::num(r.base)),
+                ("sfp_16k_reduction_pct", Json::num(r.sfp_16k)),
+                ("sfp_64k_reduction_pct", Json::num(r.sfp_64k)),
+                ("ldis_reduction_pct", Json::num(r.ldis)),
+                ("sfp_16k", l2_counts(&r.sfp_16k_l2)),
+                ("sfp_64k", l2_counts(&r.sfp_64k_l2)),
+            ])
+        })
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("experiment", Json::str("fig13")),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 /// Mean-MPKI reductions for the three configurations.
@@ -115,6 +149,8 @@ mod tests {
                 sfp_16k: red(sfp.mpki),
                 sfp_64k: f64::NAN,
                 ldis: red(ldis.mpki),
+                sfp_16k_l2: sfp.l2,
+                sfp_64k_l2: L2Stats::default(),
             }
         });
         let avg_sfp: f64 = rows.iter().map(|r| r.sfp_16k).sum::<f64>() / rows.len() as f64;
@@ -147,6 +183,8 @@ mod tests {
             sfp_16k: 10.0,
             sfp_64k: 12.0,
             ldis: 30.0,
+            sfp_16k_l2: L2Stats::default(),
+            sfp_64k_l2: L2Stats::default(),
         }];
         assert!(report(&rows).contains("SFP-64k"));
     }

@@ -21,6 +21,7 @@
 
 use crate::report::Json;
 use crate::RunConfig;
+use ldis_cache::L2Stats;
 use std::fs;
 use std::path::PathBuf;
 
@@ -30,6 +31,19 @@ use std::path::PathBuf;
 /// work.
 pub fn golden_config() -> RunConfig {
     RunConfig::quick()
+}
+
+/// The raw L2 counters a golden row pins beside its rounded
+/// percentages: hits, demand misses, evictions, writebacks and WOC
+/// installs.
+pub fn l2_counts(stats: &L2Stats) -> Json {
+    Json::obj([
+        ("hits", Json::uint(stats.hits())),
+        ("misses", Json::uint(stats.demand_misses())),
+        ("evictions", Json::uint(stats.evictions)),
+        ("writebacks", Json::uint(stats.writebacks)),
+        ("woc_installs", Json::uint(stats.woc_installs)),
+    ])
 }
 
 /// The snapshot directory: `LDIS_GOLDEN_DIR` if set (tests use a

@@ -8,8 +8,8 @@
 //! commit the diff alongside the change.
 
 use line_distillation::experiments::{
-    advisor, appendix, exec, fig8, golden, linesize, motivation, mrc, parallel, resilience, sweep,
-    table3,
+    advisor, appendix, exec, fig10, fig11, fig13, fig8, golden, linesize, motivation, mrc,
+    parallel, resilience, sweep, table3,
 };
 
 #[test]
@@ -39,6 +39,24 @@ fn resilience_matches_golden() {
 fn fig8_matches_golden() {
     let cfg = golden::golden_config();
     golden::assert_matches("fig8", &fig8::snapshot(&cfg));
+}
+
+#[test]
+fn fig10_matches_golden() {
+    let cfg = golden::golden_config();
+    golden::assert_matches("fig10", &fig10::snapshot(&cfg));
+}
+
+#[test]
+fn fig11_matches_golden() {
+    let cfg = golden::golden_config();
+    golden::assert_matches("fig11", &fig11::snapshot(&cfg));
+}
+
+#[test]
+fn fig13_matches_golden() {
+    let cfg = golden::golden_config();
+    golden::assert_matches("fig13", &fig13::snapshot(&cfg));
 }
 
 #[test]

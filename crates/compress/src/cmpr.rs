@@ -6,12 +6,21 @@
 //! `tag_factor ×` ways tag entries, so compressible lines multiply the
 //! effective capacity. Replacement is perfect LRU over whole lines, per
 //! the paper's CMPR configuration (Section 8.2).
+//!
+//! Each set is a flat LRU stack of `tags_per_set` slots, MRU first, with
+//! a running line count and segment total. A hit shifts the line to the
+//! front ([`shift_in_mru`]); a miss pops lines off the tail until the new
+//! line fits both budgets and shifts it in. A miss evicts a variable
+//! number of LRU lines, which an MRU-ordered stack pops off its tail
+//! without scanning a way permutation as
+//! [`SetArena`](ldis_cache::SetArena) would.
 
 use crate::ValueSizeModel;
-use ldis_cache::{CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel};
+use ldis_cache::{
+    shift_in_mru, CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel,
+};
 use ldis_mem::stats::Counter;
 use ldis_mem::{Footprint, LineAddr, LineGeometry};
-use std::collections::VecDeque;
 
 /// Configuration of the compressed cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,11 +65,12 @@ impl CmprConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct CmprLine {
-    tag: u64,
+/// A set's running totals: its stack holds `lines` lines occupying
+/// `segments` segments.
+#[derive(Clone, Copy, Debug, Default)]
+struct SetFill {
+    lines: u32,
     segments: u32,
-    dirty: bool,
 }
 
 /// A compressed traditional L2 cache with perfect LRU replacement.
@@ -82,8 +92,14 @@ struct CmprLine {
 pub struct CmprCache {
     cfg: CmprConfig,
     model: ValueSizeModel,
-    /// Per set: lines in LRU order, MRU at the front.
-    sets: Vec<VecDeque<CmprLine>>,
+    /// `tags_per_set()`, the stride of the slot arrays.
+    stack_len: usize,
+    /// Per slot `set * stack_len + pos` (0 = MRU): the line's tag.
+    tags: Vec<u64>,
+    /// Per slot, same indexing: the line's segments `<< 1 | dirty`.
+    meta: Vec<u32>,
+    /// Per set: lines held (slots `0..lines` are live) and segments used.
+    fill: Vec<SetFill>,
     stats: L2Stats,
     compulsory: CompulsoryTracker,
     label: String,
@@ -91,11 +107,41 @@ pub struct CmprCache {
 
 impl CmprCache {
     /// Creates an empty compressed cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg` has at least one way, a tag factor of at least
+    /// one, a non-zero segment size that divides the line, and a size that
+    /// is a whole power-of-two number of sets (the set index is a mask).
     pub fn new(cfg: CmprConfig, model: ValueSizeModel) -> Self {
-        let stats = L2Stats::new(cfg.geometry.words_per_line(), cfg.ways);
+        assert!(cfg.ways >= 1, "CMPR needs at least one way");
+        assert!(cfg.tag_factor >= 1, "CMPR needs a tag factor of at least 1");
+        let line = cfg.geometry.line_bytes();
+        assert!(
+            cfg.segment_bytes > 0 && line.is_multiple_of(cfg.segment_bytes),
+            "segment size {} must be non-zero and divide the {line} B line",
+            cfg.segment_bytes
+        );
+        assert!(
+            cfg.size_bytes
+                .is_multiple_of(u64::from(line) * u64::from(cfg.ways))
+                && cfg.num_sets().is_power_of_two(),
+            "CMPR size {} must be a power-of-two number of {}-way sets",
+            cfg.size_bytes,
+            cfg.ways
+        );
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the set count sizes in-memory arrays, so it fits usize"
+        )]
+        let sets = cfg.num_sets() as usize;
+        let stack_len = cfg.tags_per_set() as usize;
         CmprCache {
-            sets: (0..cfg.num_sets()).map(|_| VecDeque::new()).collect(),
-            stats,
+            stack_len,
+            tags: vec![0; sets * stack_len],
+            meta: vec![0; sets * stack_len],
+            fill: vec![SetFill::default(); sets],
+            stats: L2Stats::new(cfg.geometry.words_per_line(), cfg.ways),
             compulsory: CompulsoryTracker::new(),
             label: format!("CMPR-{}xTags", cfg.tag_factor),
             model,
@@ -110,14 +156,12 @@ impl CmprCache {
 
     /// Number of lines currently stored in `set` (0 if out of range).
     pub fn lines_in_set(&self, set: usize) -> usize {
-        self.sets.get(set).map_or(0, |s| s.len())
+        self.fill.get(set).map_or(0, |f| f.lines as usize)
     }
 
     /// Segments currently occupied in `set` (0 if out of range).
     pub fn segments_in_set(&self, set: usize) -> u32 {
-        self.sets
-            .get(set)
-            .map_or(0, |s| s.iter().map(|l| l.segments).sum())
+        self.fill.get(set).map_or(0, |f| f.segments)
     }
 
     #[expect(
@@ -139,29 +183,44 @@ impl CmprCache {
             .min(self.cfg.geometry.line_bytes());
         bytes.div_ceil(self.cfg.segment_bytes).max(1)
     }
+
+    /// The index of `set`'s MRU slot in the slot arrays.
+    fn stack_start(&self, set: usize) -> usize {
+        set.wrapping_mul(self.stack_len)
+    }
+
+    /// Shifts a line in at the MRU slot of the stack prefix
+    /// `first..=last`, moving the lines there down one slot.
+    fn shift_in(&mut self, first: usize, last: usize, tag: u64, meta: u32) {
+        if let Some(tags) = self.tags.get_mut(first..=last) {
+            shift_in_mru(tags, tag);
+        }
+        if let Some(metas) = self.meta.get_mut(first..=last) {
+            shift_in_mru(metas, meta);
+        }
+    }
 }
 
 impl SecondLevel for CmprCache {
     fn access(&mut self, req: L2Request) -> L2Response {
         self.stats.accesses.bump();
-        let (set_idx, tag) = self.set_and_tag(req.line);
+        let (set, tag) = self.set_and_tag(req.line);
         let full = Footprint::full(self.cfg.geometry.words_per_line());
-        // `set_idx` is masked to `0..num_sets` by `set_and_tag`, so the
-        // `get_mut` lookups cannot miss.
-        if let Some(set) = self.sets.get_mut(set_idx) {
-            if let Some(mut line) = set
-                .iter()
-                .position(|l| l.tag == tag)
-                .and_then(|pos| set.remove(pos))
-            {
-                line.dirty |= req.write;
-                set.push_front(line);
-                self.stats.loc_hits.bump();
-                return L2Response {
-                    outcome: L2Outcome::LocHit,
-                    valid_words: full,
-                };
-            }
+        let first = self.stack_start(set);
+        let mut fill = self.fill.get(set).copied().unwrap_or_default();
+        let live = self
+            .tags
+            .get(first..first.wrapping_add(fill.lines as usize))
+            .unwrap_or_default();
+        if let Some(pos) = live.iter().position(|&t| t == tag) {
+            let hit = first.wrapping_add(pos);
+            let meta = self.meta.get(hit).copied().unwrap_or(0) | u32::from(req.write);
+            self.shift_in(first, hit, tag, meta);
+            self.stats.loc_hits.bump();
+            return L2Response {
+                outcome: L2Outcome::LocHit,
+                valid_words: full,
+            };
         }
 
         self.stats.line_misses.bump();
@@ -169,31 +228,31 @@ impl SecondLevel for CmprCache {
             self.stats.compulsory_misses.bump();
         }
         let segments = self.segments_for(req.line);
-        // Perfect LRU: evict from the tail until both the segment budget
-        // and the tag budget hold.
+        // Perfect LRU: evict from the tail until the new line fits both
+        // the tag budget and the segment budget. `new` guarantees a lone
+        // line always fits, so the new line itself is never a victim.
         let budget = self.cfg.segments_per_set();
-        let max_tags = self.cfg.tags_per_set() as usize;
-        if let Some(set) = self.sets.get_mut(set_idx) {
-            set.push_front(CmprLine {
-                tag,
-                segments,
-                dirty: req.write,
-            });
-            loop {
-                let used: u32 = set.iter().map(|l| l.segments).sum();
-                if used <= budget && set.len() <= max_tags {
-                    break;
-                }
-                // The freshly inserted line keeps the set non-empty whenever
-                // the budgets are exceeded; stop if that ever fails to hold.
-                let Some(victim) = set.pop_back() else {
-                    break;
-                };
-                self.stats.evictions.bump();
-                if victim.dirty {
-                    self.stats.writebacks.bump();
-                }
+        while fill.lines > 0
+            && (fill.lines as usize >= self.stack_len || fill.segments + segments > budget)
+        {
+            fill.lines -= 1;
+            let victim = self
+                .meta
+                .get(first.wrapping_add(fill.lines as usize))
+                .copied()
+                .unwrap_or(0);
+            fill.segments -= victim >> 1;
+            self.stats.evictions.bump();
+            if victim & 1 != 0 {
+                self.stats.writebacks.bump();
             }
+        }
+        let last = first.wrapping_add(fill.lines as usize);
+        self.shift_in(first, last, tag, segments << 1 | u32::from(req.write));
+        fill.lines += 1;
+        fill.segments += segments;
+        if let Some(f) = self.fill.get_mut(set) {
+            *f = fill;
         }
         L2Response {
             outcome: L2Outcome::LineMiss,
@@ -205,13 +264,15 @@ impl SecondLevel for CmprCache {
         if !dirty {
             return;
         }
-        let (set_idx, tag) = self.set_and_tag(line);
-        match self
-            .sets
-            .get_mut(set_idx)
-            .and_then(|s| s.iter_mut().find(|l| l.tag == tag))
-        {
-            Some(l) => l.dirty = true,
+        let (set, tag) = self.set_and_tag(line);
+        let first = self.stack_start(set);
+        let lines = self.lines_in_set(set);
+        let pos = self
+            .tags
+            .get(first..first.wrapping_add(lines))
+            .and_then(|live| live.iter().position(|&t| t == tag));
+        match pos.and_then(|pos| self.meta.get_mut(first.wrapping_add(pos))) {
+            Some(meta) => *meta |= 1,
             None => self.stats.writebacks.bump(),
         }
     }
@@ -307,6 +368,44 @@ mod tests {
             c.access(req(i * 2048));
         }
         assert_eq!(c.stats().writebacks, 1);
+    }
+
+    fn cmpr(edit: impl FnOnce(&mut CmprConfig)) -> CmprCache {
+        let mut cfg = CmprConfig::cmpr_4x_tags();
+        edit(&mut cfg);
+        CmprCache::new(cfg, zero_model())
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two number")]
+    fn rejects_a_set_count_that_is_not_a_power_of_two() {
+        // 1.5 MB of 8-way sets is 3072 sets: the set mask would never
+        // select sets 1024..2048.
+        cmpr(|c| c.size_bytes = 3 << 19);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn rejects_zero_ways() {
+        cmpr(|c| c.ways = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tag factor")]
+    fn rejects_a_zero_tag_factor() {
+        cmpr(|c| c.tag_factor = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment size 0")]
+    fn rejects_zero_byte_segments() {
+        cmpr(|c| c.segment_bytes = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "segment size 24")]
+    fn rejects_segments_that_do_not_divide_the_line() {
+        cmpr(|c| c.segment_bytes = 24);
     }
 
     #[test]

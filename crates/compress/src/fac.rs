@@ -6,18 +6,25 @@
 //! that lets the compressor skip dead words — which is why the combination
 //! beats either technique alone (Figure 11).
 //!
-//! Implementation: a [`CompressedWoc`] implements
-//! [`WordStore`](ldis_distill::WordStore), so the full
-//! [`DistillCache`](ldis_distill::DistillCache) machinery (LOC, median
-//! threshold, reverter) is reused unchanged.
+//! Implementation: a [`CompressedWoc`] is the distill cache's own
+//! [`Woc`] plus a slot-sizing rule. It sizes each line from its
+//! compressed used words and stores it as a shorter run
+//! ([`Woc::install_run`]), so placement, eviction and lookup are the WOC's.
+//! It implements [`WordStore`], so the full [`DistillCache`] machinery
+//! (LOC, median threshold, reverter) is reused unchanged.
 
 use crate::ValueSizeModel;
-use ldis_distill::{DistillCache, DistillConfig, WocEviction, WocLineHit, WordStore};
-use ldis_mem::{Footprint, LineAddr, SimRng};
+use ldis_distill::{
+    DistillCache, DistillConfig, LdisError, Woc, WocEviction, WocLineHit, WordStore,
+};
+use ldis_mem::{Footprint, LineAddr};
 
 /// A FAC distill cache: a [`DistillCache`] whose WOC stores compressed
 /// used words.
 pub type FacCache = DistillCache<CompressedWoc>;
+
+/// Bytes one WOC slot holds: one 8 B word.
+const SLOT_BYTES: u32 = 8;
 
 /// Builds the paper's FAC-4xTags configuration: a distill cache with three
 /// of eight ways devoted to a compressed WOC, median-threshold filtering
@@ -41,41 +48,22 @@ pub fn fac_cache(cfg: DistillConfig, model: ValueSizeModel) -> FacCache {
     cache
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct FacEntry {
-    valid: bool,
-    dirty: bool,
-    head: bool,
-    tag: u64,
-    /// The full set of stored (compressed) words; meaningful at the head.
-    words: Footprint,
-}
-
 /// A word-organized store that keeps each line's used words *compressed*:
-/// a line occupies `ceil(compressed_bytes / word_bytes)` slots (rounded up
-/// to a power of two, capped at the uncompressed slot count), but all its
-/// used words remain addressable — compression shrinks occupancy, not
+/// a line occupies `ceil(compressed_bytes / 8)` slots (rounded up to a
+/// power of two, capped at the uncompressed slot count), but all its used
+/// words remain addressable — compression shrinks occupancy, not
 /// coverage.
 ///
-/// Placement and replacement follow the same aligned/head-bit/random rules
-/// as the uncompressed [`Woc`](ldis_distill::Woc).
+/// Placement and replacement are the uncompressed [`Woc`]'s: aligned
+/// runs, head bits and random replacement. It has no fault model.
 #[derive(Clone, Debug)]
 pub struct CompressedWoc {
-    ways: usize,
-    words_per_line: usize,
-    num_sets: usize,
-    entries: Vec<FacEntry>,
-    rng: SimRng,
     model: ValueSizeModel,
-    word_bytes: u32,
+    woc: Woc,
 }
 
 impl CompressedWoc {
     /// Creates an empty compressed WOC.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the set count sizes in-memory arrays, so it fits usize"
-    )]
     pub fn new(
         num_sets: u64,
         ways: u32,
@@ -83,18 +71,9 @@ impl CompressedWoc {
         seed: u64,
         model: ValueSizeModel,
     ) -> Self {
-        assert!(ways >= 1, "WOC needs at least one way");
         CompressedWoc {
-            ways: ways as usize,
-            words_per_line: words_per_line as usize,
-            num_sets: num_sets as usize,
-            entries: vec![
-                FacEntry::default();
-                num_sets as usize * ways as usize * words_per_line as usize
-            ],
-            rng: SimRng::new(seed),
-            word_bytes: 8,
             model,
+            woc: Woc::new(num_sets, ways, words_per_line, seed),
         }
     }
 
@@ -102,171 +81,19 @@ impl CompressedWoc {
     pub fn slots_for(&self, line: LineAddr, words: Footprint) -> usize {
         let uncompressed = words.woc_slots() as usize;
         let bytes = self.model.compressed_bytes(line, Some(words));
-        let slots = bytes.div_ceil(self.word_bytes).max(1) as usize;
+        let slots = bytes.div_ceil(SLOT_BYTES).max(1) as usize;
         slots.next_power_of_two().min(uncompressed.max(1))
     }
 
-    fn set_base(&self, set: usize) -> usize {
-        debug_assert!(set < self.num_sets);
-        set * self.ways.saturating_mul(self.words_per_line)
-    }
-
-    fn way_slice(&self, set: usize, way: usize) -> &[FacEntry] {
-        let base = self.set_base(set) + way * self.words_per_line;
-        self.entries
-            .get(base..base + self.words_per_line)
-            .unwrap_or_default()
-    }
-
-    fn way_slice_mut(&mut self, set: usize, way: usize) -> &mut [FacEntry] {
-        let base = self.set_base(set) + way * self.words_per_line;
-        self.entries
-            .get_mut(base..base + self.words_per_line)
-            .unwrap_or_default()
-    }
-
-    /// All `ways * words_per_line` entries of one set.
-    fn set_slice_mut(&mut self, set: usize) -> &mut [FacEntry] {
-        let base = self.set_base(set);
-        let len = self.ways.saturating_mul(self.words_per_line);
-        self.entries.get_mut(base..base + len).unwrap_or_default()
-    }
-
-    fn choose_position(&mut self, set: usize, slots: usize) -> (usize, usize) {
-        let mut free = Vec::new();
-        let mut eligible = Vec::new();
-        for way in 0..self.ways {
-            let entries = self.way_slice(set, way);
-            for offset in (0..self.words_per_line).step_by(slots) {
-                let Some(first) = entries.get(offset) else {
-                    continue;
-                };
-                if !first.valid || first.head {
-                    eligible.push((way, offset));
-                    let window_free = entries
-                        .get(offset..offset + slots)
-                        .is_some_and(|w| w.iter().all(|e| !e.valid));
-                    if window_free {
-                        free.push((way, offset));
-                    }
-                }
-            }
-        }
-        // `index(len) < len`, so the lookups cannot miss on non-empty lists.
-        if !free.is_empty() {
-            let i = self.rng.index(free.len());
-            if let Some(&pos) = free.get(i) {
-                return pos;
-            }
-        }
-        assert!(!eligible.is_empty(), "alignment guarantees a candidate");
-        let i = self.rng.index(eligible.len());
-        eligible.get(i).copied().unwrap_or((0, 0))
-    }
-
-    fn evict_range(
-        &mut self,
-        set: usize,
-        way: usize,
-        offset: usize,
-        slots: usize,
-    ) -> Vec<WocEviction> {
-        let words_per_line = self.words_per_line;
-        let entries = self.way_slice_mut(set, way);
-        debug_assert!(
-            offset == 0 || !entries.get(offset).is_some_and(|e| e.valid && !e.head),
-            "chosen offset must not split a line"
-        );
-        let mut evictions: Vec<WocEviction> = Vec::new();
-        let mut i = offset;
-        while i < words_per_line {
-            let Some(e) = entries.get(i).copied() else {
-                break;
-            };
-            if !e.valid {
-                if i >= offset + slots {
-                    break;
-                }
-                i += 1;
-                continue;
-            }
-            if e.head {
-                if i >= offset + slots {
-                    break;
-                }
-                evictions.push(WocEviction {
-                    tag: e.tag,
-                    words: e.words,
-                    dirty: e.dirty,
-                });
-            } else {
-                // Well-formed ways open with a head; corrupted metadata can
-                // present a headless body entry. Open a fresh record for it
-                // so the debris is still cleared and its dirtiness kept.
-                match evictions.last_mut() {
-                    Some(ev) => {
-                        debug_assert_eq!(ev.tag, e.tag);
-                        ev.dirty |= e.dirty;
-                    }
-                    None => evictions.push(WocEviction {
-                        tag: e.tag,
-                        words: e.words,
-                        dirty: e.dirty,
-                    }),
-                }
-            }
-            if let Some(slot) = entries.get_mut(i) {
-                *slot = FacEntry::default();
-            }
-            i += 1;
-        }
-        evictions
-    }
-
     /// Checks structural invariants of one set (tests and property checks).
-    pub fn check_invariants(&self, set: usize) -> Result<(), String> {
-        for way in 0..self.ways {
-            let entries = self.way_slice(set, way);
-            let mut i = 0;
-            while let Some(e) = entries.get(i) {
-                if !e.valid {
-                    i += 1;
-                    continue;
-                }
-                if !e.head {
-                    return Err(format!("way {way} slot {i}: valid entry without head"));
-                }
-                let tag = e.tag;
-                let start = i;
-                i += 1;
-                while let Some(next) = entries.get(i).filter(|e| e.valid && !e.head) {
-                    if next.tag != tag {
-                        return Err(format!("way {way} slot {i}: tag mismatch"));
-                    }
-                    i += 1;
-                }
-                let len = i - start;
-                if start % len.next_power_of_two() != 0 {
-                    return Err(format!("way {way}: misaligned line at {start} len {len}"));
-                }
-            }
-        }
-        Ok(())
+    pub fn check_invariants(&self, set: usize) -> Result<(), LdisError> {
+        self.woc.check_invariants(set)
     }
 }
 
 impl WordStore for CompressedWoc {
     fn lookup(&self, set: usize, tag: u64) -> Option<WocLineHit> {
-        for way in 0..self.ways {
-            for e in self.way_slice(set, way) {
-                if e.valid && e.head && e.tag == tag {
-                    return Some(WocLineHit {
-                        valid_words: e.words,
-                    });
-                }
-            }
-        }
-        None
+        self.woc.lookup(set, tag)
     }
 
     fn install(
@@ -278,64 +105,28 @@ impl WordStore for CompressedWoc {
         dirty: bool,
         evicted: &mut Vec<WocEviction>,
     ) {
-        assert!(!words.is_empty(), "cannot install an empty footprint");
-        debug_assert!(self.lookup(set, tag).is_none(), "already present");
-        evicted.clear();
-        let slots = self.slots_for(line, words).min(self.words_per_line);
-        let (way, offset) = self.choose_position(set, slots);
-        evicted.extend(self.evict_range(set, way, offset, slots));
-        let entries = self.way_slice_mut(set, way);
-        let window = entries.get_mut(offset..offset + slots).unwrap_or_default();
-        for (i, slot) in window.iter_mut().enumerate() {
-            *slot = FacEntry {
-                valid: true,
-                dirty,
-                head: i == 0,
-                tag,
-                words: if i == 0 { words } else { Footprint::empty() },
-            };
-        }
+        let entries = self.slots_for(line, words);
+        self.woc
+            .install_run(set, tag, words, entries, dirty, evicted);
     }
 
     fn invalidate_line(&mut self, set: usize, tag: u64) -> Option<WocEviction> {
-        let mut record: Option<WocEviction> = None;
-        for e in self.set_slice_mut(set) {
-            if e.valid && e.tag == tag {
-                let rec = record.get_or_insert(WocEviction {
-                    tag,
-                    words: Footprint::empty(),
-                    dirty: false,
-                });
-                if e.head {
-                    rec.words = e.words;
-                }
-                rec.dirty |= e.dirty;
-                *e = FacEntry::default();
-            }
-        }
-        record
+        self.woc.invalidate_line(set, tag)
     }
 
     fn mark_dirty(&mut self, set: usize, tag: u64) -> bool {
-        let mut found = false;
-        for e in self.set_slice_mut(set) {
-            if e.valid && e.tag == tag {
-                e.dirty = true;
-                found = true;
-            }
-        }
-        found
+        self.woc.mark_dirty(set, tag)
     }
 
     fn occupancy(&self) -> u64 {
-        self.entries.iter().filter(|e| e.valid).count() as u64
+        self.woc.occupancy()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldis_mem::LineGeometry;
+    use ldis_mem::{LineGeometry, SimRng};
     use ldis_workloads::ValueProfile;
 
     fn zero_model() -> ValueSizeModel {

@@ -35,14 +35,19 @@ pub fn class_of(value: u32) -> WordClass {
     }
 }
 
-/// Encoded size of one 32-bit chunk, in bits (code + payload).
-pub fn encoded_bits(value: u32) -> u64 {
+/// Encoded size of one 32-bit chunk of `class`, in bits (code + payload).
+const fn class_bits(class: WordClass) -> u64 {
     CODE_BITS
-        + match class_of(value) {
+        + match class {
             WordClass::Zero | WordClass::One => 0,
             WordClass::Narrow => 16,
             WordClass::Full => 32,
         }
+}
+
+/// Encoded size of one 32-bit chunk, in bits (code + payload).
+pub fn encoded_bits(value: u32) -> u64 {
+    class_bits(class_of(value))
 }
 
 /// Encoded size of a sequence of 32-bit chunks, in bits.
@@ -51,12 +56,17 @@ pub fn compressed_bits(values: &[u32]) -> u64 {
 }
 
 /// Encoded size in bytes, rounded up.
+pub fn compressed_bytes(values: &[u32]) -> u32 {
+    bytes_of(compressed_bits(values))
+}
+
+/// `bits` rounded up to whole bytes.
 #[expect(
     clippy::cast_possible_truncation,
     reason = "callers compress at most one cache line of words (<= 16 values at <= 34 bits each), so the byte count fits u32 with room to spare"
 )]
-pub fn compressed_bytes(values: &[u32]) -> u32 {
-    compressed_bits(values).div_ceil(8) as u32
+const fn bytes_of(bits: u64) -> u32 {
+    bits.div_ceil(8) as u32
 }
 
 /// The four size categories of Figure 10.
@@ -118,7 +128,9 @@ impl ValueSizeModel {
         }
     }
 
-    /// The 32-bit chunks of `line`, restricted to `words` if given.
+    /// The 32-bit chunks of `line`, restricted to `words` if given. The
+    /// sizing methods never build this list; it is the reference their
+    /// tests compare against.
     pub fn chunks(&self, line: LineAddr, words: Option<Footprint>) -> Vec<u32> {
         let chunks_per_word = self.geometry.word_bytes() / 4;
         let mut out = Vec::new();
@@ -142,8 +154,30 @@ impl ValueSizeModel {
 
     /// Compressed size in bytes of `line`, over all words or only the
     /// `words` subset (footprint-aware compression).
+    ///
+    /// A chunk's encoded size depends only on its Table 4 class, and
+    /// [`ValueProfile::value_at`] picks each value *from*
+    /// [`ValueProfile::class_at`], so summing the class sizes gives exactly
+    /// the size of the encoded [`chunks`](Self::chunks) without building
+    /// them or hashing twice per chunk.
     pub fn compressed_bytes(&self, line: LineAddr, words: Option<Footprint>) -> u32 {
-        compressed_bytes(&self.chunks(line, words))
+        let all = Footprint::full(self.geometry.words_per_line()).bits();
+        let mut used = words.map_or(all, |fp| fp.bits() & all);
+        let chunks_per_word = u64::from(self.geometry.word_bytes() / 4);
+        let mut bits = 0;
+        while used != 0 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "trailing_zeros of a non-zero u16 is below 16"
+            )]
+            let word = ldis_mem::WordIndex::new(used.trailing_zeros() as u8);
+            let addr4 = self.geometry.word_base(line, word).raw() / 4;
+            for c in 0..chunks_per_word {
+                bits += class_bits(self.profile.class_at(addr4 + c, self.salt));
+            }
+            used &= used - 1;
+        }
+        bytes_of(bits)
     }
 
     /// Original (uncompressed) size in bytes of the chosen words.

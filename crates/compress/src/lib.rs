@@ -6,14 +6,18 @@
 //!
 //! * the Table 4 significance encoder ([`class_of`], [`compressed_bytes`],
 //!   [`SizeCategory`]) and the [`ValueSizeModel`] glue that sizes lines
-//!   from a benchmark's deterministic value model;
+//!   from a benchmark's deterministic value model, summing each chunk's
+//!   class size without materialising the values;
 //! * [`CmprCache`] — the CMPR-4xTags comparator: a traditional cache
 //!   storing compressed lines in a segmented data array with 4× tags and
-//!   perfect LRU;
+//!   perfect LRU, each set a flat MRU-first stack;
 //! * [`CompressedWoc`] / [`FacCache`] — footprint-aware compression: a
 //!   [`DistillCache`](ldis_distill::DistillCache) whose WOC stores the
 //!   used words compressed, multiplying WOC capacity while keeping every
-//!   used word addressable.
+//!   used word addressable. The store is the distill cache's own
+//!   [`Woc`](ldis_distill::Woc), given shorter runs.
+//!
+//! Sizing and placing a line allocate nothing.
 //!
 //! # Example
 //!

@@ -13,6 +13,10 @@
 //! "where does a `slots`-wide aligned window fit?" with a handful of
 //! bitwise ops ([`ldis_mem::bitops`]) instead of scanning entries, and a
 //! line lookup walks only the valid slots via `trailing_zeros`.
+//!
+//! A slot holds a *mask* of the line's words, so the same engine stores
+//! plain lines (one word per slot, the paper's 3-bit word id) and the
+//! fewer-slot runs of footprint-aware compression ([`Woc::install_run`]).
 
 use crate::{LdisError, WocReplacement};
 use ldis_mem::bitops::{eligible_aligned_slots, free_aligned_windows, select_nth_one};
@@ -23,6 +27,11 @@ use std::fmt;
 /// 23-bit tag + 3-bit word id. This is the bit surface the fault model
 /// exposes per entry.
 pub const WOC_ENTRY_BITS: u64 = 29;
+
+/// Slot word masks are stored with this bit inverted, so an all-zero slot
+/// names word 0, as a cleared 3-bit word id does, and the mask array still
+/// comes from zeroed allocation.
+const WORD0: u16 = 1;
 
 /// Which field of a WOC tag entry a fault landed in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -106,7 +115,7 @@ pub struct WocLineHit {
 ///
 /// Indexed externally by set; each set holds `ways * words_per_line`
 /// word-granularity tag entries. The per-way valid/dirty/head bits are
-/// packed one `u64` per `(set, way)`; the tags and word ids are flat
+/// packed one `u64` per `(set, way)`; the tags and word masks are flat
 /// per-slot arrays indexed `(set * ways + way) * words_per_line + slot`.
 #[derive(Clone, Debug)]
 pub struct Woc {
@@ -121,8 +130,8 @@ pub struct Woc {
     head: Vec<u64>,
     /// Per-slot tags.
     tags: Vec<u64>,
-    /// Per-slot word ids.
-    word_ids: Vec<u8>,
+    /// Per-slot masks of the words each entry holds, stored `^ WORD0`.
+    word_masks: Vec<u16>,
     rng: SimRng,
     replacement: WocReplacement,
     round_robin: u64,
@@ -150,7 +159,7 @@ impl Woc {
             dirty: vec![0; num_ways],
             head: vec![0; num_ways],
             tags: vec![0; num_ways * wpl],
-            word_ids: vec![0; num_ways * wpl],
+            word_masks: vec![0; num_ways * wpl],
             rng: SimRng::new(seed),
             replacement: WocReplacement::Random,
             round_robin: 0,
@@ -184,8 +193,8 @@ impl Woc {
                 let slot = mask.trailing_zeros() as usize;
                 let idx = slot_base.wrapping_add(slot);
                 if self.tags.get(idx).copied() == Some(tag) {
-                    let id = self.word_ids.get(idx).copied().unwrap_or(0);
-                    words.touch(WordIndex::new(id));
+                    let m = self.word_masks.get(idx).copied().unwrap_or(0);
+                    words.merge(Footprint::from_bits(m ^ WORD0));
                 }
                 mask &= mask - 1;
             }
@@ -252,15 +261,14 @@ impl Woc {
                 let idx = slot_base.wrapping_add(slot);
                 if self.tags.get(idx).copied() == Some(tag) {
                     hits |= 1u64 << slot;
-                    let id = self.word_ids.get(idx).copied().unwrap_or(0);
-                    words.touch(WordIndex::new(id));
                     // Clear the slot completely so a later valid-bit flip
                     // resurrects a zeroed entry, not a stale tag.
+                    if let Some(m) = self.word_masks.get_mut(idx) {
+                        words.merge(Footprint::from_bits(*m ^ WORD0));
+                        *m = 0;
+                    }
                     if let Some(t) = self.tags.get_mut(idx) {
                         *t = 0;
-                    }
-                    if let Some(w) = self.word_ids.get_mut(idx) {
-                        *w = 0;
                     }
                 }
                 mask &= mask - 1;
@@ -321,9 +329,37 @@ impl Woc {
         dirty: bool,
         out: &mut Vec<WocEviction>,
     ) {
+        let entries = footprint.used_words() as usize;
+        self.install_run(set, tag, footprint, entries, dirty, out);
+    }
+
+    /// Installs `words` of line `tag` as `entries` valid entries at the
+    /// start of an aligned `entries.next_power_of_two()`-slot window,
+    /// placed and evicting like [`install`](Woc::install); `out` gets the
+    /// displaced lines. The words are dealt out in ascending order, one
+    /// per entry, and the last entry takes the rest: `used_words()`
+    /// entries store a plain line, fewer pack a compressed one, and more
+    /// leave tail entries empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words` is empty, `entries` is 0, or the window is wider
+    /// than a way.
+    pub fn install_run(
+        &mut self,
+        set: usize,
+        tag: u64,
+        words: Footprint,
+        entries: usize,
+        dirty: bool,
+        out: &mut Vec<WocEviction>,
+    ) {
         out.clear();
-        let slots = footprint.woc_slots() as usize;
-        assert!(slots >= 1, "cannot install an empty footprint");
+        assert!(
+            entries >= 1 && !words.is_empty(),
+            "cannot install an empty footprint"
+        );
+        let slots = entries.next_power_of_two();
         assert!(
             slots <= self.words_per_line,
             "line needs {slots} slots but a way holds {}",
@@ -343,34 +379,27 @@ impl Woc {
         let wi = self.way_index(set, way);
         let slot_base = wi.wrapping_mul(self.words_per_line);
         let mut set_bits = 0u64;
-        let mut head_bit = 0u64;
-        let mut bits = footprint.bits();
-        let mut i = 0usize;
-        // Walk the used words in ascending order (the stored order the
-        // invariant checker demands) straight off the bit vector.
-        while bits != 0 {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "trailing_zeros of a non-zero u16 footprint is below 16"
-            )]
-            let word = bits.trailing_zeros() as u8;
+        let mut rest = words.bits();
+        for i in 0..entries {
             let slot = offset.wrapping_add(i);
             let idx = slot_base.wrapping_add(slot);
+            let mask = if i + 1 == entries {
+                rest
+            } else {
+                rest & rest.wrapping_neg()
+            };
+            rest &= !mask;
             if let Some(t) = self.tags.get_mut(idx) {
                 *t = tag;
             }
-            if let Some(w) = self.word_ids.get_mut(idx) {
-                *w = word;
+            if let Some(m) = self.word_masks.get_mut(idx) {
+                *m = mask ^ WORD0;
             }
             if slot < 64 {
                 set_bits |= 1u64 << slot;
-                if i == 0 {
-                    head_bit = 1u64 << slot;
-                }
             }
-            bits &= bits - 1;
-            i = i.wrapping_add(1);
         }
+        let head_bit = if offset < 64 { 1u64 << offset } else { 0 };
         if let Some(v) = self.valid.get_mut(wi) {
             *v |= set_bits;
         }
@@ -510,9 +539,9 @@ impl Woc {
                     dirty: false,
                 });
             }
+            let stored = self.word_masks.get_mut(idx).map_or(0, std::mem::take);
             if let Some(ev) = evictions.last_mut() {
-                let id = self.word_ids.get(idx).copied().unwrap_or(0);
-                ev.words.touch(WordIndex::new(id));
+                ev.words.merge(Footprint::from_bits(stored ^ WORD0));
                 ev.dirty |= dmask & bit != 0;
             }
             vmask &= !bit;
@@ -520,9 +549,6 @@ impl Woc {
             hmask &= !bit;
             if let Some(t) = self.tags.get_mut(idx) {
                 *t = 0;
-            }
-            if let Some(w) = self.word_ids.get_mut(idx) {
-                *w = 0;
             }
             i += 1;
         }
@@ -597,14 +623,20 @@ impl Woc {
                         len,
                     });
                 }
-                // Word ids must be strictly increasing (stored in order).
+                // Words are stored in ascending order: every entry's words
+                // lie above all the words before it in the run (for one
+                // word per entry, strictly increasing word ids).
                 let run = self
-                    .word_ids
+                    .word_masks
                     .get(slot_base.wrapping_add(start)..slot_base.wrapping_add(i))
                     .unwrap_or_default();
-                let ids = run.iter();
-                if !ids.clone().zip(ids.skip(1)).all(|(a, b)| a < b) {
-                    return Err(LdisError::WocWordOrder { set, way, start });
+                let mut seen = 0u32;
+                for &stored in run {
+                    let mask = stored ^ WORD0;
+                    if seen >> mask.trailing_zeros() != 0 {
+                        return Err(LdisError::WocWordOrder { set, way, start });
+                    }
+                    seen |= u32::from(mask);
                 }
             }
         }
@@ -676,8 +708,11 @@ impl Woc {
                     reason = "the wildcard arm only sees k >= 26 (prior arms cover 0..=25) and k < WOC_ENTRY_BITS"
                 )]
                 let b = (k - 26) as u8;
-                if let Some(w) = self.word_ids.get_mut(idx) {
-                    *w ^= 1 << b;
+                if let Some(m) = self.word_masks.get_mut(idx) {
+                    // The entry's word id is its lowest word; flipping bit
+                    // `b` of it keeps a one-word mask one-hot.
+                    let id = (*m ^ WORD0).trailing_zeros() ^ (1 << b);
+                    *m = 1u16.wrapping_shl(id) ^ WORD0;
                 }
                 WocField::WordId(b)
             }
@@ -712,11 +747,11 @@ impl Woc {
         if let Some(tags) = self.tags.get_mut(slot_base..slot_base.wrapping_add(wpl)) {
             tags.fill(0);
         }
-        if let Some(ids) = self
-            .word_ids
+        if let Some(masks) = self
+            .word_masks
             .get_mut(slot_base..slot_base.wrapping_add(wpl))
         {
-            ids.fill(0);
+            masks.fill(0);
         }
         cleared
     }
@@ -937,7 +972,7 @@ mod tests {
         assert_eq!(w.dirty, before.dirty);
         assert_eq!(w.head, before.head);
         assert_eq!(w.tags, before.tags);
-        assert_eq!(w.word_ids, before.word_ids);
+        assert_eq!(w.word_masks, before.word_masks);
     }
 
     #[test]

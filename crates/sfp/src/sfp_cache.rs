@@ -108,7 +108,22 @@ pub struct SfpCache {
 
 impl SfpCache {
     /// Creates an empty SFP cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg` has at least one way, at least one tag per set,
+    /// and a size that is a whole power-of-two number of sets (the set
+    /// index is a mask).
     pub fn new(cfg: SfpConfig) -> Self {
+        assert!(cfg.ways >= 1, "SFP needs at least one way");
+        assert!(cfg.tags_per_set >= 1, "SFP needs at least one tag per set");
+        let set_bytes = u64::from(cfg.geometry.line_bytes()) * u64::from(cfg.ways);
+        assert!(
+            cfg.size_bytes.is_multiple_of(set_bytes) && cfg.num_sets().is_power_of_two(),
+            "SFP size {} must be a power-of-two number of {}-way sets",
+            cfg.size_bytes,
+            cfg.ways
+        );
         let stats = L2Stats::new(cfg.geometry.words_per_line(), cfg.ways);
         SfpCache {
             predictor: FootprintPredictor::new(
@@ -381,6 +396,32 @@ mod tests {
 
     fn req(line: u64, word: u8, pc: u64) -> L2Request {
         L2Request::data(LineAddr::new(line), WordIndex::new(word), false).with_pc(Addr::new(pc))
+    }
+
+    fn sfp(edit: impl FnOnce(&mut SfpConfig)) -> SfpCache {
+        let mut cfg = SfpConfig::sfp_16k();
+        edit(&mut cfg);
+        SfpCache::new(cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two number")]
+    fn rejects_a_set_count_that_is_not_a_power_of_two() {
+        // 1.5 MB of 8-way sets is 3072 sets: the set mask would never
+        // select sets 1024..2048.
+        sfp(|c| c.size_bytes = 3 << 19);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn rejects_zero_ways() {
+        sfp(|c| c.ways = 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one tag")]
+    fn rejects_zero_tags() {
+        sfp(|c| c.tags_per_set = 0);
     }
 
     #[test]

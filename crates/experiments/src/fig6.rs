@@ -1,6 +1,6 @@
 //! Figure 6: reduction in MPKI with the three LDIS configurations.
 
-use crate::report::{fmt_f, fmt_pct, Table};
+use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig};
 use ldis_mem::stats::percent_reduction;
@@ -48,6 +48,29 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig6Row> {
             ldis_mt_rc: ldis_mt_rc.mpki,
         }
     })
+}
+
+/// The golden snapshot (compared against `tests/golden/fig6.json`): the
+/// four MPKIs per benchmark at full precision.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("benchmark", Json::str(&r.benchmark)),
+                ("base_mpki", Json::num(r.base)),
+                ("ldis_base_mpki", Json::num(r.ldis_base)),
+                ("ldis_mt_mpki", Json::num(r.ldis_mt)),
+                ("ldis_mt_rc_mpki", Json::num(r.ldis_mt_rc)),
+            ])
+        })
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("experiment", Json::str("fig6")),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 /// The paper's summary metric: percentage reduction of the *arithmetic

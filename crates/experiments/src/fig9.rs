@@ -1,6 +1,6 @@
 //! Figure 9: system IPC improvement with the distill cache.
 
-use crate::report::{fmt_f, fmt_pct, Table};
+use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{baseline_config, for_each_benchmark, RunConfig};
 use ldis_cache::BaselineL2;
 use ldis_distill::{DistillCache, DistillConfig};
@@ -47,6 +47,27 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig9Row> {
             distill_ipc: dist.ipc(),
         }
     })
+}
+
+/// The golden snapshot (compared against `tests/golden/fig9.json`): the
+/// timed IPC of both systems at full precision.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("benchmark", Json::str(&r.benchmark)),
+                ("base_ipc", Json::num(r.base_ipc)),
+                ("distill_ipc", Json::num(r.distill_ipc)),
+            ])
+        })
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("experiment", Json::str("fig9")),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 /// Geometric mean of the per-benchmark IPC improvements (the paper's

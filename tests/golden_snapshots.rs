@@ -8,8 +8,8 @@
 //! commit the diff alongside the change.
 
 use line_distillation::experiments::{
-    advisor, appendix, exec, fig10, fig11, fig13, fig8, golden, linesize, motivation, mrc,
-    parallel, resilience, sweep, table3,
+    advisor, appendix, exec, fig10, fig11, fig13, fig6, fig7, fig8, fig9, golden, linesize,
+    motivation, mrc, parallel, resilience, sweep, table3,
 };
 
 #[test]
@@ -33,6 +33,24 @@ fn linesize_matches_golden() {
 fn resilience_matches_golden() {
     let cfg = golden::golden_config();
     golden::assert_matches("resilience", &resilience::snapshot(&cfg));
+}
+
+#[test]
+fn fig6_matches_golden() {
+    let cfg = golden::golden_config();
+    golden::assert_matches("fig6", &fig6::snapshot(&cfg));
+}
+
+#[test]
+fn fig7_matches_golden() {
+    let cfg = golden::golden_config();
+    golden::assert_matches("fig7", &fig7::snapshot(&cfg));
+}
+
+#[test]
+fn fig9_matches_golden() {
+    let cfg = golden::golden_config();
+    golden::assert_matches("fig9", &fig9::snapshot(&cfg));
 }
 
 #[test]

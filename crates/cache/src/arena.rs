@@ -20,7 +20,7 @@
 //! moves the few bytes of a set's order through `memcpy` and `memmove`.
 
 use crate::TagEntry;
-use ldis_mem::{Footprint, WordIndex};
+use ldis_mem::{Footprint, SetIndex, WordIndex};
 
 /// Flattened per-way state for `num_sets * ways` cache entries.
 ///
@@ -114,17 +114,42 @@ impl SetArena {
     }
 
     #[inline]
-    fn idx(&self, set: usize, way: usize) -> usize {
+    fn idx(&self, set: SetIndex, way: usize) -> usize {
         // Explicit wrapping: an (impossible in practice) overflow produces
         // an out-of-range index, which every accessor treats as inert.
-        set.wrapping_mul(self.ways).wrapping_add(way)
+        set.get().wrapping_mul(self.ways).wrapping_add(way)
     }
 
     /// The way of `set` holding `tag`, if present and valid. Scans ways in
     /// ascending order, so the lowest matching way wins.
+    ///
+    /// Set and way numbers are different types, so swapping them does not
+    /// compile. This lookup compiles:
+    ///
+    /// ```
+    /// use ldis_cache::SetArena;
+    /// use ldis_mem::SetIndex;
+    ///
+    /// let mut arena = SetArena::new(4, 2);
+    /// let (set, way) = (SetIndex::new(3), 1);
+    /// arena.install(set, way, 0x2a, false, false);
+    /// assert_eq!(arena.find(set, 0x2a), Some(way));
+    /// ```
+    ///
+    /// and its twin, which passes the way number as the set, does not:
+    ///
+    /// ```compile_fail,E0308
+    /// use ldis_cache::SetArena;
+    /// use ldis_mem::SetIndex;
+    ///
+    /// let mut arena = SetArena::new(4, 2);
+    /// let (set, way) = (SetIndex::new(3), 1);
+    /// arena.install(set, way, 0x2a, false, false);
+    /// assert_eq!(arena.find(way, 0x2a), Some(way));
+    /// ```
     #[inline]
-    pub fn find(&self, set: usize, tag: u64) -> Option<usize> {
-        let base = set * self.ways;
+    pub fn find(&self, set: SetIndex, tag: u64) -> Option<usize> {
+        let base = set.get() * self.ways;
         let tags = self.tags.get(base..base + self.ways)?;
         let meta = self.meta.get(base..base + self.ways)?;
         tags.iter()
@@ -138,8 +163,8 @@ impl SetArena {
         clippy::cast_possible_truncation,
         reason = "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()"
     )]
-    pub fn position_of(&self, set: usize, way: usize) -> Option<u8> {
-        let base = set * self.ways;
+    pub fn position_of(&self, set: SetIndex, way: usize) -> Option<u8> {
+        let base = set.get() * self.ways;
         let order = self.order.get(base..base + self.ways)?;
         order
             .iter()
@@ -155,8 +180,8 @@ impl SetArena {
         clippy::cast_possible_truncation,
         reason = "position over the per-set order slice, whose length is ways, asserted 1..=255 in new()"
     )]
-    pub fn promote(&mut self, set: usize, way: usize) -> u8 {
-        let base = set * self.ways;
+    pub fn promote(&mut self, set: SetIndex, way: usize) -> u8 {
+        let base = set.get() * self.ways;
         let Some(order) = self.order.get_mut(base..base + self.ways) else {
             return 0;
         };
@@ -179,13 +204,13 @@ impl SetArena {
     #[inline]
     pub fn hit_update(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         span: u16,
         write: bool,
         latch: bool,
     ) -> Option<usize> {
-        let base = set.wrapping_mul(self.ways);
+        let base = set.get().wrapping_mul(self.ways);
         let end = base.checked_add(self.ways)?;
         let tags = self.tags.get(base..end)?;
         let meta = self.meta.get(base..end)?;
@@ -235,8 +260,8 @@ impl SetArena {
     /// `merge_footprint`) and sets the dirty bit when `dirty`. Recency is
     /// **not** updated. Returns whether the line was resident.
     #[inline]
-    pub fn merge_update(&mut self, set: usize, tag: u64, bits: u16, dirty: bool) -> bool {
-        let base = set.wrapping_mul(self.ways);
+    pub fn merge_update(&mut self, set: SetIndex, tag: u64, bits: u16, dirty: bool) -> bool {
+        let base = set.get().wrapping_mul(self.ways);
         let Some(end) = base.checked_add(self.ways) else {
             return false;
         };
@@ -271,8 +296,8 @@ impl SetArena {
     /// The way a new line in `set` should replace: the first invalid way if
     /// any, otherwise the LRU way.
     #[inline]
-    pub fn victim_way(&self, set: usize) -> usize {
-        let base = set * self.ways;
+    pub fn victim_way(&self, set: SetIndex) -> usize {
+        let base = set.get() * self.ways;
         let Some(meta) = self.meta.get(base..base + self.ways) else {
             return 0;
         };
@@ -297,13 +322,13 @@ impl SetArena {
     #[inline]
     pub fn install_evict(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         span: u16,
         write: bool,
         is_instr: bool,
     ) -> (usize, TagEntry) {
-        let base = set.wrapping_mul(self.ways);
+        let base = set.get().wrapping_mul(self.ways);
         let Some(end) = base.checked_add(self.ways) else {
             return (0, TagEntry::invalid());
         };
@@ -346,7 +371,7 @@ impl SetArena {
     /// Re-initializes `(set, way)` for a newly installed line, resetting
     /// footprint and recency bookkeeping exactly like `TagEntry::install`.
     #[inline]
-    pub fn install(&mut self, set: usize, way: usize, tag: u64, write: bool, is_instr: bool) {
+    pub fn install(&mut self, set: SetIndex, way: usize, tag: u64, write: bool, is_instr: bool) {
         let i = self.idx(set, way);
         if let Some(t) = self.tags.get_mut(i) {
             *t = tag;
@@ -368,7 +393,7 @@ impl SetArena {
     /// Records that `(set, way)` was observed at recency position `pos`
     /// just before promotion (Figure 2 bookkeeping).
     #[inline]
-    pub fn observe_position(&mut self, set: usize, way: usize, pos: u8) {
+    pub fn observe_position(&mut self, set: SetIndex, way: usize, pos: u8) {
         let i = self.idx(set, way);
         if let Some(p) = self.pos_seen.get_mut(i) {
             *p = (*p).max(pos);
@@ -377,8 +402,36 @@ impl SetArena {
 
     /// Marks `word` used in `(set, way)`. A newly set bit is a
     /// footprint-change: the current max position is latched (Section 3).
+    ///
+    /// A byte address is not a word index. This touch compiles:
+    ///
+    /// ```
+    /// use ldis_cache::SetArena;
+    /// use ldis_mem::{Addr, LineGeometry, SetIndex};
+    ///
+    /// let mut arena = SetArena::new(4, 2);
+    /// let (set, way) = (SetIndex::new(3), 1);
+    /// let addr = Addr::new(0x1238);
+    /// arena.install(set, way, 0x2a, false, false);
+    /// arena.touch_word(set, way, LineGeometry::default().word_index(addr));
+    /// assert_eq!(arena.footprint(set, way).bits(), 1 << 7);
+    /// ```
+    ///
+    /// and its twin, which passes the address itself, does not:
+    ///
+    /// ```compile_fail,E0308
+    /// use ldis_cache::SetArena;
+    /// use ldis_mem::{Addr, LineGeometry, SetIndex};
+    ///
+    /// let mut arena = SetArena::new(4, 2);
+    /// let (set, way) = (SetIndex::new(3), 1);
+    /// let addr = Addr::new(0x1238);
+    /// arena.install(set, way, 0x2a, false, false);
+    /// arena.touch_word(set, way, addr);
+    /// assert_eq!(arena.footprint(set, way).bits(), 1 << 7);
+    /// ```
     #[inline]
-    pub fn touch_word(&mut self, set: usize, way: usize, word: WordIndex) {
+    pub fn touch_word(&mut self, set: SetIndex, way: usize, word: WordIndex) {
         let i = self.idx(set, way);
         let Some(fp) = self.footprints.get_mut(i) else {
             return;
@@ -396,7 +449,7 @@ impl SetArena {
     /// OR-merges an external footprint into `(set, way)`; newly set bits
     /// latch the max position, exactly like `TagEntry::merge_footprint`.
     #[inline]
-    pub fn merge_footprint(&mut self, set: usize, way: usize, fp: Footprint) {
+    pub fn merge_footprint(&mut self, set: SetIndex, way: usize, fp: Footprint) {
         let i = self.idx(set, way);
         let Some(cur) = self.footprints.get_mut(i) else {
             return;
@@ -412,7 +465,7 @@ impl SetArena {
 
     /// Sets the dirty bit of `(set, way)` when `write` is true.
     #[inline]
-    pub fn or_dirty(&mut self, set: usize, way: usize, write: bool) {
+    pub fn or_dirty(&mut self, set: SetIndex, way: usize, write: bool) {
         let i = self.idx(set, way);
         if write {
             if let Some(m) = self.meta.get_mut(i) {
@@ -423,7 +476,7 @@ impl SetArena {
 
     /// Whether `(set, way)` holds a valid line.
     #[inline]
-    pub fn is_valid(&self, set: usize, way: usize) -> bool {
+    pub fn is_valid(&self, set: SetIndex, way: usize) -> bool {
         self.meta
             .get(self.idx(set, way))
             .is_some_and(|&m| m & VALID != 0)
@@ -432,7 +485,7 @@ impl SetArena {
     /// Marks `(set, way)` invalid, leaving the other fields in place (the
     /// same effect as clearing `TagEntry::valid`).
     #[inline]
-    pub fn invalidate(&mut self, set: usize, way: usize) {
+    pub fn invalidate(&mut self, set: SetIndex, way: usize) {
         let i = self.idx(set, way);
         if let Some(m) = self.meta.get_mut(i) {
             *m &= !VALID;
@@ -441,7 +494,7 @@ impl SetArena {
 
     /// The footprint of `(set, way)` (empty if out of range).
     #[inline]
-    pub fn footprint(&self, set: usize, way: usize) -> Footprint {
+    pub fn footprint(&self, set: SetIndex, way: usize) -> Footprint {
         Footprint::from_bits(
             self.footprints
                 .get(self.idx(set, way))
@@ -453,7 +506,7 @@ impl SetArena {
     /// Overwrites the footprint of `(set, way)` without touching the
     /// recency bookkeeping — the fault-injection/repair entry point.
     #[inline]
-    pub fn set_footprint(&mut self, set: usize, way: usize, fp: Footprint) {
+    pub fn set_footprint(&mut self, set: SetIndex, way: usize, fp: Footprint) {
         let i = self.idx(set, way);
         if let Some(cur) = self.footprints.get_mut(i) {
             *cur = fp.bits();
@@ -463,7 +516,7 @@ impl SetArena {
     /// An owned copy of the entry at `(set, way)`, in the classic
     /// [`TagEntry`] shape (an invalid entry if out of range).
     #[inline]
-    pub fn entry(&self, set: usize, way: usize) -> TagEntry {
+    pub fn entry(&self, set: SetIndex, way: usize) -> TagEntry {
         let i = self.idx(set, way);
         let meta = self.meta.get(i).copied().unwrap_or(0);
         TagEntry {
@@ -484,14 +537,14 @@ mod tests {
 
     /// Installs `tag` in `(set, way)` and promotes it to MRU.
     fn installed(arena: &mut SetArena, set: usize, way: usize, tag: u64) {
-        arena.install(set, way, tag, false, false);
-        arena.promote(set, way);
+        arena.install(SetIndex::new(set), way, tag, false, false);
+        arena.promote(SetIndex::new(set), way);
     }
 
     /// The recency order of `set` as way indices, MRU first.
     fn order(arena: &SetArena, set: usize) -> Vec<usize> {
         let mut ways: Vec<usize> = (0..arena.ways()).collect();
-        ways.sort_by_key(|&w| arena.position_of(set, w));
+        ways.sort_by_key(|&w| arena.position_of(SetIndex::new(set), w));
         ways
     }
 
@@ -544,25 +597,35 @@ mod tests {
             let set = (step % 2) as usize;
             let tag = step % 6;
             let reference = &mut sets[set];
-            assert_eq!(arena.find(set, tag), reference.find(tag), "step {step}");
+            assert_eq!(
+                arena.find(SetIndex::new(set), tag),
+                reference.find(tag),
+                "step {step}"
+            );
             match reference.find(tag) {
                 Some(way) => {
-                    assert_eq!(arena.promote(set, way), reference.promote(way));
+                    assert_eq!(
+                        arena.promote(SetIndex::new(set), way),
+                        reference.promote(way)
+                    );
                 }
                 None => {
                     let way = reference.victim_way();
-                    assert_eq!(arena.victim_way(set), way);
+                    assert_eq!(arena.victim_way(SetIndex::new(set)), way);
                     reference.entries[way].install(tag, false, false);
-                    arena.install(set, way, tag, false, false);
-                    assert_eq!(arena.promote(set, way), reference.promote(way));
+                    arena.install(SetIndex::new(set), way, tag, false, false);
+                    assert_eq!(
+                        arena.promote(SetIndex::new(set), way),
+                        reference.promote(way)
+                    );
                 }
             }
         }
         for (set, reference) in sets.iter().enumerate() {
             for way in 0..4 {
-                assert_eq!(arena.entry(set, way), reference.entries[way]);
+                assert_eq!(arena.entry(SetIndex::new(set), way), reference.entries[way]);
                 assert_eq!(
-                    arena.position_of(set, way),
+                    arena.position_of(SetIndex::new(set), way),
                     Some(reference.position_of(way))
                 );
             }
@@ -572,8 +635,8 @@ mod tests {
     #[test]
     fn empty_set_has_no_matches() {
         let arena = SetArena::new(2, 4);
-        assert_eq!(arena.find(0, 0), None);
-        assert_eq!(arena.find(1, 0), None);
+        assert_eq!(arena.find(SetIndex::new(0), 0), None);
+        assert_eq!(arena.find(SetIndex::new(1), 0), None);
         assert_eq!(arena.ways(), 4);
     }
 
@@ -581,11 +644,15 @@ mod tests {
     fn find_locates_valid_tags_only() {
         let mut arena = SetArena::new(2, 4);
         installed(&mut arena, 1, 0, 10);
-        assert_eq!(arena.find(1, 10), Some(0));
-        assert_eq!(arena.find(1, 11), None);
-        assert_eq!(arena.find(0, 10), None, "sets are independent");
-        arena.invalidate(1, 0);
-        assert_eq!(arena.find(1, 10), None);
+        assert_eq!(arena.find(SetIndex::new(1), 10), Some(0));
+        assert_eq!(arena.find(SetIndex::new(1), 11), None);
+        assert_eq!(
+            arena.find(SetIndex::new(0), 10),
+            None,
+            "sets are independent"
+        );
+        arena.invalidate(SetIndex::new(1), 0);
+        assert_eq!(arena.find(SetIndex::new(1), 10), None);
     }
 
     #[test]
@@ -596,10 +663,10 @@ mod tests {
         }
         // Install order 0,1,2,3 → recency order (MRU..LRU) = 3,2,1,0.
         assert_eq!(order(&arena, 1), [3, 2, 1, 0]);
-        assert_eq!(arena.promote(1, 1), 2);
+        assert_eq!(arena.promote(SetIndex::new(1), 1), 2);
         assert_eq!(order(&arena, 1), [1, 3, 2, 0]);
-        assert_eq!(arena.position_of(1, 1), Some(0));
-        assert_eq!(arena.position_of(1, 0), Some(3));
+        assert_eq!(arena.position_of(SetIndex::new(1), 1), Some(0));
+        assert_eq!(arena.position_of(SetIndex::new(1), 0), Some(3));
         assert_eq!(order(&arena, 0), [0, 1, 2, 3], "other sets untouched");
     }
 
@@ -608,12 +675,12 @@ mod tests {
         let mut arena = SetArena::new(1, 3);
         installed(&mut arena, 0, 0, 10);
         installed(&mut arena, 0, 2, 12);
-        assert_eq!(arena.victim_way(0), 1);
+        assert_eq!(arena.victim_way(SetIndex::new(0)), 1);
         installed(&mut arena, 0, 1, 11);
         // All valid now: LRU is way 0 (installed first).
-        assert_eq!(arena.victim_way(0), 0);
+        assert_eq!(arena.victim_way(SetIndex::new(0)), 0);
         // The fused install path picks the same victim.
-        let (way, victim) = arena.install_evict(0, 13, 0, false, false);
+        let (way, victim) = arena.install_evict(SetIndex::new(0), 13, 0, false, false);
         assert_eq!((way, victim.tag), (0, 10));
     }
 
@@ -624,8 +691,9 @@ mod tests {
             let set = (i % 2) as usize;
             installed(&mut arena, set, (i % 8) as usize, i);
             // Every way holds exactly one recency position.
-            let mut positions: Vec<Option<u8>> =
-                (0..8).map(|way| arena.position_of(set, way)).collect();
+            let mut positions: Vec<Option<u8>> = (0..8)
+                .map(|way| arena.position_of(SetIndex::new(set), way))
+                .collect();
             positions.sort_unstable();
             assert_eq!(positions, (0..8).map(Some).collect::<Vec<_>>());
         }
@@ -637,11 +705,14 @@ mod tests {
         for (w, t) in [(0usize, 1u64), (1, 2), (2, 3), (3, 4)] {
             installed(&mut arena, 1, w, t);
         }
-        arena.promote(1, 2);
+        arena.promote(SetIndex::new(1), 2);
         for set in 0..2 {
             // `order` reads the way at each position off `position_of`.
             for (pos, way) in order(&arena, set).into_iter().enumerate() {
-                assert_eq!(arena.position_of(set, way), u8::try_from(pos).ok());
+                assert_eq!(
+                    arena.position_of(SetIndex::new(set), way),
+                    u8::try_from(pos).ok()
+                );
             }
         }
     }
@@ -656,36 +727,40 @@ mod tests {
     fn touch_and_merge_latch_positions_like_tag_entry() {
         let mut arena = SetArena::new(1, 2);
         let mut reference = TagEntry::invalid();
-        arena.install(0, 0, 9, false, false);
+        arena.install(SetIndex::new(0), 0, 9, false, false);
         reference.install(9, false, false);
-        arena.observe_position(0, 0, 3);
+        arena.observe_position(SetIndex::new(0), 0, 3);
         reference.observe_position(3);
-        arena.touch_word(0, 0, WordIndex::new(1));
+        arena.touch_word(SetIndex::new(0), 0, WordIndex::new(1));
         reference.touch_word(WordIndex::new(1));
-        arena.observe_position(0, 0, 5);
+        arena.observe_position(SetIndex::new(0), 0, 5);
         reference.observe_position(5);
-        arena.touch_word(0, 0, WordIndex::new(1)); // not a change
+        arena.touch_word(SetIndex::new(0), 0, WordIndex::new(1)); // not a change
         reference.touch_word(WordIndex::new(1));
-        assert_eq!(arena.entry(0, 0), reference);
-        arena.merge_footprint(0, 0, Footprint::from_bits(0b110));
+        assert_eq!(arena.entry(SetIndex::new(0), 0), reference);
+        arena.merge_footprint(SetIndex::new(0), 0, Footprint::from_bits(0b110));
         reference.merge_footprint(Footprint::from_bits(0b110));
-        assert_eq!(arena.entry(0, 0), reference);
-        assert_eq!(arena.entry(0, 0).max_pos_at_change, 5);
+        assert_eq!(arena.entry(SetIndex::new(0), 0), reference);
+        assert_eq!(arena.entry(SetIndex::new(0), 0).max_pos_at_change, 5);
     }
 
     #[test]
     fn dirty_and_invalidate_round_trip() {
         let mut arena = SetArena::new(1, 2);
-        arena.install(0, 1, 7, false, true);
-        assert!(arena.entry(0, 1).is_instr);
-        arena.or_dirty(0, 1, false);
-        assert!(!arena.entry(0, 1).dirty);
-        arena.or_dirty(0, 1, true);
-        assert!(arena.entry(0, 1).dirty);
-        assert!(arena.is_valid(0, 1));
-        arena.invalidate(0, 1);
-        assert!(!arena.is_valid(0, 1));
-        assert_eq!(arena.find(0, 7), None, "invalid entries never match");
+        arena.install(SetIndex::new(0), 1, 7, false, true);
+        assert!(arena.entry(SetIndex::new(0), 1).is_instr);
+        arena.or_dirty(SetIndex::new(0), 1, false);
+        assert!(!arena.entry(SetIndex::new(0), 1).dirty);
+        arena.or_dirty(SetIndex::new(0), 1, true);
+        assert!(arena.entry(SetIndex::new(0), 1).dirty);
+        assert!(arena.is_valid(SetIndex::new(0), 1));
+        arena.invalidate(SetIndex::new(0), 1);
+        assert!(!arena.is_valid(SetIndex::new(0), 1));
+        assert_eq!(
+            arena.find(SetIndex::new(0), 7),
+            None,
+            "invalid entries never match"
+        );
     }
 
     #[test]
@@ -700,30 +775,36 @@ mod tests {
             let tag = step * 7 % 9;
             let word = WordIndex::new((step % 8) as u8);
             let write = step % 3 == 0;
-            let got = fused.hit_update(set, tag, 1u16 << word.get(), write, true);
-            match unfused.find(set, tag) {
+            let got = fused.hit_update(SetIndex::new(set), tag, 1u16 << word.get(), write, true);
+            match unfused.find(SetIndex::new(set), tag) {
                 Some(way) => {
-                    let pos = unfused.promote(set, way);
-                    unfused.observe_position(set, way, pos);
-                    unfused.touch_word(set, way, word);
-                    unfused.or_dirty(set, way, write);
+                    let pos = unfused.promote(SetIndex::new(set), way);
+                    unfused.observe_position(SetIndex::new(set), way, pos);
+                    unfused.touch_word(SetIndex::new(set), way, word);
+                    unfused.or_dirty(SetIndex::new(set), way, write);
                     assert_eq!(got, Some(way), "step {step}");
                 }
                 None => {
                     assert_eq!(got, None, "step {step}");
-                    let way = unfused.victim_way(set);
-                    assert_eq!(fused.victim_way(set), way);
-                    unfused.install(set, way, tag, write, false);
-                    unfused.promote(set, way);
-                    fused.install(set, way, tag, write, false);
-                    fused.promote(set, way);
+                    let way = unfused.victim_way(SetIndex::new(set));
+                    assert_eq!(fused.victim_way(SetIndex::new(set)), way);
+                    unfused.install(SetIndex::new(set), way, tag, write, false);
+                    unfused.promote(SetIndex::new(set), way);
+                    fused.install(SetIndex::new(set), way, tag, write, false);
+                    fused.promote(SetIndex::new(set), way);
                 }
             }
         }
         for set in 0..2 {
             for way in 0..4 {
-                assert_eq!(fused.entry(set, way), unfused.entry(set, way));
-                assert_eq!(fused.position_of(set, way), unfused.position_of(set, way));
+                assert_eq!(
+                    fused.entry(SetIndex::new(set), way),
+                    unfused.entry(SetIndex::new(set), way)
+                );
+                assert_eq!(
+                    fused.position_of(SetIndex::new(set), way),
+                    unfused.position_of(SetIndex::new(set), way)
+                );
             }
         }
     }
@@ -731,40 +812,51 @@ mod tests {
     #[test]
     fn hit_update_without_latch_skips_recency_bookkeeping() {
         let mut arena = SetArena::new(1, 2);
-        arena.install(0, 0, 5, false, false);
-        arena.install(0, 1, 6, false, false);
-        arena.promote(0, 1); // way 0 now at position 1
-        let way = arena.hit_update(0, 5, 0b100, true, false);
+        arena.install(SetIndex::new(0), 0, 5, false, false);
+        arena.install(SetIndex::new(0), 1, 6, false, false);
+        arena.promote(SetIndex::new(0), 1); // way 0 now at position 1
+        let way = arena.hit_update(SetIndex::new(0), 5, 0b100, true, false);
         assert_eq!(way, Some(0));
-        let e = arena.entry(0, 0);
+        let e = arena.entry(SetIndex::new(0), 0);
         assert_eq!(e.footprint.bits(), 0b100);
         assert!(e.dirty);
         assert_eq!(e.max_pos_seen, 0, "no observe without latch");
         assert_eq!(e.max_pos_at_change, 0, "no latch without latch");
-        assert_eq!(arena.position_of(0, 0), Some(0), "promotion still happens");
-        assert_eq!(arena.hit_update(0, 99, 0, false, false), None);
-        assert_eq!(arena.hit_update(7, 5, 0, false, false), None, "oob set");
+        assert_eq!(
+            arena.position_of(SetIndex::new(0), 0),
+            Some(0),
+            "promotion still happens"
+        );
+        assert_eq!(
+            arena.hit_update(SetIndex::new(0), 99, 0, false, false),
+            None
+        );
+        assert_eq!(
+            arena.hit_update(SetIndex::new(7), 5, 0, false, false),
+            None,
+            "oob set"
+        );
     }
 
     #[test]
     fn out_of_range_coordinates_are_inert() {
         let mut arena = SetArena::new(2, 2);
-        assert_eq!(arena.find(5, 0), None);
-        assert_eq!(arena.position_of(5, 0), None);
-        assert_eq!(arena.promote(5, 0), 0);
-        assert_eq!(arena.victim_way(5), 0);
-        arena.install(5, 0, 1, true, true); // must not panic
-        arena.touch_word(5, 0, WordIndex::new(0));
-        assert!(!arena.entry(5, 0).valid);
+        assert_eq!(arena.find(SetIndex::new(5), 0), None);
+        assert_eq!(arena.position_of(SetIndex::new(5), 0), None);
+        assert_eq!(arena.promote(SetIndex::new(5), 0), 0);
+        assert_eq!(arena.victim_way(SetIndex::new(5)), 0);
+        arena.install(SetIndex::new(5), 0, 1, true, true); // must not panic
+        arena.touch_word(SetIndex::new(5), 0, WordIndex::new(0));
+        assert!(!arena.entry(SetIndex::new(5), 0).valid);
     }
 
     #[test]
     fn set_footprint_bypasses_recency_latch() {
         let mut arena = SetArena::new(1, 1);
-        arena.install(0, 0, 1, false, false);
-        arena.observe_position(0, 0, 7);
-        arena.set_footprint(0, 0, Footprint::full(8));
-        let e = arena.entry(0, 0);
+        arena.install(SetIndex::new(0), 0, 1, false, false);
+        arena.observe_position(SetIndex::new(0), 0, 7);
+        arena.set_footprint(SetIndex::new(0), 0, Footprint::full(8));
+        let e = arena.entry(SetIndex::new(0), 0);
         assert_eq!(e.footprint.used_words(), 8);
         assert_eq!(e.max_pos_at_change, 0, "repair does not latch positions");
     }

@@ -2,7 +2,7 @@
 //! tracking and recency instrumentation.
 
 use crate::{CacheConfig, SetArena, TagEntry};
-use ldis_mem::{Footprint, LineAddr, WordIndex};
+use ldis_mem::{Footprint, LineAddr, SetIndex, WordIndex};
 
 /// A line evicted from a [`SetAssocCache`], carrying everything the
 /// distillation machinery and the statistics need.
@@ -26,11 +26,11 @@ pub struct EvictedLine {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FootprintFault {
     /// The set containing the affected entry.
-    pub set: usize,
+    pub set: SetIndex,
     /// The way of the affected entry.
     pub way: usize,
     /// The word whose footprint bit was flipped.
-    pub word: u8,
+    pub word: WordIndex,
     /// Whether the entry was valid — a flip in an invalid entry's
     /// footprint is dead state and can never be observed.
     pub live: bool,
@@ -169,16 +169,18 @@ impl SetAssocCache {
     )]
     pub fn iter_lines(&self) -> impl Iterator<Item = (LineAddr, TagEntry)> + '_ {
         let ways = self.arena.ways();
-        (0..self.cfg.num_sets() as usize).flat_map(move |set| {
-            (0..ways).filter_map(move |way| {
-                let entry = self.arena.entry(set, way);
-                if entry.valid {
-                    Some((self.cfg.line_of(set, entry.tag), entry))
-                } else {
-                    None
-                }
+        (0..self.cfg.num_sets() as usize)
+            .map(SetIndex::new)
+            .flat_map(move |set| {
+                (0..ways).filter_map(move |way| {
+                    let entry = self.arena.entry(set, way);
+                    if entry.valid {
+                        Some((self.cfg.line_of(set, entry.tag), entry))
+                    } else {
+                        None
+                    }
+                })
             })
-        })
     }
 
     /// Number of valid lines currently resident.
@@ -189,6 +191,7 @@ impl SetAssocCache {
     pub fn occupancy(&self) -> u64 {
         let ways = self.arena.ways();
         (0..self.cfg.num_sets() as usize)
+            .map(SetIndex::new)
             .map(|set| {
                 (0..ways)
                     .filter(|&way| self.arena.is_valid(set, way))
@@ -219,10 +222,11 @@ impl SetAssocCache {
         let ways = self.cfg.ways() as u64;
         assert!(bit < self.footprint_bits(), "footprint bit out of range");
         let entry_idx = bit / wpl;
-        let word = (bit % wpl) as u8;
-        let set = (entry_idx / ways) as usize;
+        let word = WordIndex::new((bit % wpl) as u8);
+        let set = SetIndex::new((entry_idx / ways) as usize);
         let way = (entry_idx % ways) as usize;
-        let flipped = Footprint::from_bits(self.arena.footprint(set, way).bits() ^ (1 << word));
+        let flipped =
+            Footprint::from_bits(self.arena.footprint(set, way).bits() ^ (1 << word.get()));
         self.arena.set_footprint(set, way, flipped);
         FootprintFault {
             set,
@@ -236,7 +240,7 @@ impl SetAssocCache {
     /// the conservative recovery after a *detected* footprint corruption
     /// (every word treated as used, so distillation can never drop a word
     /// the processor still needs). No-op for invalid entries.
-    pub fn repair_footprint(&mut self, set: usize, way: usize) {
+    pub fn repair_footprint(&mut self, set: SetIndex, way: usize) {
         if self.arena.is_valid(set, way) {
             let wpl = self.cfg.geometry().words_per_line();
             self.arena.set_footprint(set, way, Footprint::full(wpl));
@@ -245,14 +249,14 @@ impl SetAssocCache {
 
     fn snapshot_eviction(
         cfg: &CacheConfig,
-        set_idx: usize,
+        set: SetIndex,
         entry: &TagEntry,
     ) -> Option<EvictedLine> {
         if !entry.valid {
             return None;
         }
         Some(EvictedLine {
-            line: cfg.line_of(set_idx, entry.tag),
+            line: cfg.line_of(set, entry.tag),
             dirty: entry.dirty,
             is_instr: entry.is_instr,
             footprint: entry.footprint,
@@ -372,7 +376,10 @@ mod tests {
         // Entry (set 0, way 0) holds line a with word 2 used. Flip word 5
         // of that entry: bit = (set * ways + way) * wpl + word.
         let fault = c.flip_footprint_bit(5);
-        assert_eq!((fault.set, fault.way, fault.word), (0, 0, 5));
+        assert_eq!(
+            (fault.set, fault.way, fault.word),
+            (SetIndex::new(0), 0, WordIndex::new(5))
+        );
         assert!(fault.live);
         let (_, entry) = c.iter_lines().next().expect("resident");
         assert!(
@@ -398,11 +405,11 @@ mod tests {
     fn repair_widens_to_full_line() {
         let mut c = small_cache(2);
         c.install(line_in_set0(0), Some(WordIndex::new(0)), false, false);
-        c.repair_footprint(0, 0);
+        c.repair_footprint(SetIndex::new(0), 0);
         let (_, entry) = c.iter_lines().next().expect("resident");
         assert_eq!(entry.footprint.used_words(), 8);
         // Repairing an invalid way is a no-op.
-        c.repair_footprint(0, 1);
+        c.repair_footprint(SetIndex::new(0), 1);
     }
 
     #[test]

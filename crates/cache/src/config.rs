@@ -1,6 +1,6 @@
 //! Cache configuration and set/tag indexing.
 
-use ldis_mem::{LineAddr, LineGeometry};
+use ldis_mem::{LineAddr, LineGeometry, SetIndex};
 
 /// Size, associativity and geometry of a set-associative cache.
 ///
@@ -84,12 +84,8 @@ impl CacheConfig {
     }
 
     /// The set index for a line address.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "masked below num_sets, which sizes in-memory arrays"
-    )]
-    pub const fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() & (self.num_sets - 1)) as usize
+    pub const fn set_index(&self, line: LineAddr) -> SetIndex {
+        SetIndex::of_line(line, self.num_sets)
     }
 
     /// The tag stored for a line address (the bits above the set index).
@@ -98,8 +94,8 @@ impl CacheConfig {
     }
 
     /// Reconstructs the line address from a set index and tag.
-    pub const fn line_of(&self, set: usize, tag: u64) -> LineAddr {
-        LineAddr::new((tag << self.num_sets.trailing_zeros()) | set as u64)
+    pub const fn line_of(&self, set: SetIndex, tag: u64) -> LineAddr {
+        LineAddr::new((tag << self.num_sets.trailing_zeros()) | set.get() as u64)
     }
 }
 
@@ -131,7 +127,7 @@ mod tests {
             let set = cfg.set_index(line);
             let tag = cfg.tag(line);
             assert_eq!(cfg.line_of(set, tag), line);
-            assert!(set < cfg.num_sets() as usize);
+            assert!(set.get() < cfg.num_sets() as usize);
         }
     }
 
@@ -171,5 +167,12 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn rejects_indivisible_size() {
         let _ = CacheConfig::new((1 << 20) + 64, 8, LineGeometry::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "not divisible")]
+    fn rejects_six_ways_of_a_megabyte() {
+        // 1 MB in 6-way sets of 64 B lines is 2730.67 sets.
+        let _ = CacheConfig::new(1 << 20, 6, LineGeometry::default());
     }
 }

@@ -7,7 +7,7 @@
 
 use crate::{CacheConfig, SetArena};
 use ldis_mem::bitops::span_mask16;
-use ldis_mem::{Footprint, LineAddr, WordIndex};
+use ldis_mem::{Footprint, LineAddr, SetIndex, WordIndex};
 
 /// The result of an L1D lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,8 +85,8 @@ impl SectoredCache {
     }
 
     #[inline]
-    fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.arena.ways() + way
+    fn slot(&self, set: SetIndex, way: usize) -> usize {
+        set.get() * self.arena.ways() + way
     }
 
     /// Classifies an access to words `first..=last` of `line` without
@@ -263,6 +263,7 @@ impl SectoredCache {
     pub fn occupancy(&self) -> u64 {
         let ways = self.arena.ways();
         (0..self.cfg.num_sets() as usize)
+            .map(SetIndex::new)
             .map(|set| {
                 (0..ways)
                     .filter(|&way| self.arena.is_valid(set, way))

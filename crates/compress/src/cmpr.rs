@@ -20,7 +20,7 @@ use ldis_cache::{
     shift_in_mru, CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel,
 };
 use ldis_mem::stats::Counter;
-use ldis_mem::{Footprint, LineAddr, LineGeometry};
+use ldis_mem::{Footprint, LineAddr, LineGeometry, SetIndex};
 
 /// Configuration of the compressed cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -155,23 +155,19 @@ impl CmprCache {
     }
 
     /// Number of lines currently stored in `set` (0 if out of range).
-    pub fn lines_in_set(&self, set: usize) -> usize {
-        self.fill.get(set).map_or(0, |f| f.lines as usize)
+    pub fn lines_in_set(&self, set: SetIndex) -> usize {
+        self.fill.get(set.get()).map_or(0, |f| f.lines as usize)
     }
 
     /// Segments currently occupied in `set` (0 if out of range).
-    pub fn segments_in_set(&self, set: usize) -> u32 {
-        self.fill.get(set).map_or(0, |f| f.segments)
+    pub fn segments_in_set(&self, set: SetIndex) -> u32 {
+        self.fill.get(set.get()).map_or(0, |f| f.segments)
     }
 
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the set index is masked below num_sets, which sizes in-memory arrays"
-    )]
-    fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
+    fn set_and_tag(&self, line: LineAddr) -> (SetIndex, u64) {
         let sets = self.cfg.num_sets();
         (
-            (line.raw() & (sets - 1)) as usize,
+            SetIndex::of_line(line, sets),
             line.raw() >> sets.trailing_zeros(),
         )
     }
@@ -185,8 +181,8 @@ impl CmprCache {
     }
 
     /// The index of `set`'s MRU slot in the slot arrays.
-    fn stack_start(&self, set: usize) -> usize {
-        set.wrapping_mul(self.stack_len)
+    fn stack_start(&self, set: SetIndex) -> usize {
+        set.get().wrapping_mul(self.stack_len)
     }
 
     /// Shifts a line in at the MRU slot of the stack prefix
@@ -207,7 +203,7 @@ impl SecondLevel for CmprCache {
         let (set, tag) = self.set_and_tag(req.line);
         let full = Footprint::full(self.cfg.geometry.words_per_line());
         let first = self.stack_start(set);
-        let mut fill = self.fill.get(set).copied().unwrap_or_default();
+        let mut fill = self.fill.get(set.get()).copied().unwrap_or_default();
         let live = self
             .tags
             .get(first..first.wrapping_add(fill.lines as usize))
@@ -251,7 +247,7 @@ impl SecondLevel for CmprCache {
         self.shift_in(first, last, tag, segments << 1 | u32::from(req.write));
         fill.lines += 1;
         fill.segments += segments;
-        if let Some(f) = self.fill.get_mut(set) {
+        if let Some(f) = self.fill.get_mut(set.get()) {
             *f = fill;
         }
         L2Response {
@@ -329,11 +325,11 @@ mod tests {
         for i in 0..32u64 {
             c.access(req(i * 2048));
         }
-        assert_eq!(c.lines_in_set(0), 32);
+        assert_eq!(c.lines_in_set(SetIndex::new(0)), 32);
         assert_eq!(c.stats().evictions, 0);
         // The 33rd line hits the tag limit and evicts the LRU.
         c.access(req(32 * 2048));
-        assert_eq!(c.lines_in_set(0), 32);
+        assert_eq!(c.lines_in_set(SetIndex::new(0)), 32);
         assert_eq!(c.stats().evictions, 1);
     }
 
@@ -344,7 +340,11 @@ mod tests {
         for i in 0..9u64 {
             c.access(req(i * 2048));
         }
-        assert_eq!(c.lines_in_set(0), 8, "only 8 full-size lines fit");
+        assert_eq!(
+            c.lines_in_set(SetIndex::new(0)),
+            8,
+            "only 8 full-size lines fit"
+        );
         assert_eq!(c.stats().evictions, 1);
     }
 

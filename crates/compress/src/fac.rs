@@ -17,7 +17,7 @@ use crate::ValueSizeModel;
 use ldis_distill::{
     DistillCache, DistillConfig, LdisError, Woc, WocEviction, WocLineHit, WordStore,
 };
-use ldis_mem::{Footprint, LineAddr};
+use ldis_mem::{rng, Footprint, LineAddr, SetIndex};
 
 /// A FAC distill cache: a [`DistillCache`] whose WOC stores compressed
 /// used words.
@@ -40,7 +40,7 @@ pub fn fac_cache(cfg: DistillConfig, model: ValueSizeModel) -> FacCache {
         cfg.num_sets(),
         cfg.woc_ways(),
         cfg.geometry().words_per_line(),
-        cfg.seed() ^ 0xfac,
+        cfg.seed() ^ rng::FAC,
         model,
     );
     let mut cache = DistillCache::with_word_store(cfg, woc);
@@ -86,19 +86,19 @@ impl CompressedWoc {
     }
 
     /// Checks structural invariants of one set (tests and property checks).
-    pub fn check_invariants(&self, set: usize) -> Result<(), LdisError> {
+    pub fn check_invariants(&self, set: SetIndex) -> Result<(), LdisError> {
         self.woc.check_invariants(set)
     }
 }
 
 impl WordStore for CompressedWoc {
-    fn lookup(&self, set: usize, tag: u64) -> Option<WocLineHit> {
+    fn lookup(&self, set: SetIndex, tag: u64) -> Option<WocLineHit> {
         self.woc.lookup(set, tag)
     }
 
     fn install(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         line: LineAddr,
         words: Footprint,
@@ -110,11 +110,11 @@ impl WordStore for CompressedWoc {
             .install_run(set, tag, words, entries, dirty, evicted);
     }
 
-    fn invalidate_line(&mut self, set: usize, tag: u64) -> Option<WocEviction> {
+    fn invalidate_line(&mut self, set: SetIndex, tag: u64) -> Option<WocEviction> {
         self.woc.invalidate_line(set, tag)
     }
 
-    fn mark_dirty(&mut self, set: usize, tag: u64) -> bool {
+    fn mark_dirty(&mut self, set: SetIndex, tag: u64) -> bool {
         self.woc.mark_dirty(set, tag)
     }
 
@@ -151,7 +151,7 @@ mod tests {
         dirty: bool,
     ) -> Vec<WocEviction> {
         let mut evicted = Vec::new();
-        w.install(set, tag, line, words, dirty, &mut evicted);
+        w.install(SetIndex::new(set), tag, line, words, dirty, &mut evicted);
         evicted
     }
 
@@ -175,8 +175,8 @@ mod tests {
         let mut w = woc(zero_model());
         let fp = Footprint::full(8);
         install(&mut w, 0, 7, LineAddr::new(7), fp, false);
-        w.check_invariants(0).unwrap();
-        let hit = w.lookup(0, 7).expect("line hit");
+        w.check_invariants(SetIndex::new(0)).unwrap();
+        let hit = w.lookup(SetIndex::new(0), 7).expect("line hit");
         assert_eq!(hit.valid_words, fp, "all words visible though 1 slot used");
         assert_eq!(w.occupancy(), 1);
     }
@@ -194,7 +194,7 @@ mod tests {
                 false,
             );
             assert!(ev.is_empty(), "line {t} should fit without eviction");
-            w.check_invariants(0).unwrap();
+            w.check_invariants(SetIndex::new(0)).unwrap();
         }
         assert_eq!(w.occupancy(), 8);
         let ev = install(
@@ -213,10 +213,10 @@ mod tests {
         let mut w = woc(incompressible_model());
         let fp = Footprint::from_bits(0b101);
         install(&mut w, 0, 3, LineAddr::new(3), fp, true);
-        let ev = w.invalidate_line(0, 3).expect("present");
+        let ev = w.invalidate_line(SetIndex::new(0), 3).expect("present");
         assert_eq!(ev.words, fp);
         assert!(ev.dirty);
-        assert!(w.lookup(0, 3).is_none());
+        assert!(w.lookup(SetIndex::new(0), 3).is_none());
     }
 
     #[test]
@@ -255,7 +255,7 @@ mod tests {
                 Footprint::from_bits(bits),
                 rng.chance(0.3),
             );
-            w.check_invariants(set)
+            w.check_invariants(SetIndex::new(set))
                 .unwrap_or_else(|e| panic!("iteration {i}: {e}"));
         }
     }

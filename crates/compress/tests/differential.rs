@@ -21,7 +21,7 @@ use ldis_distill::{
     WordStore,
 };
 use ldis_mem::stats::Counter;
-use ldis_mem::{Footprint, LineAddr, LineGeometry, SimRng, WordIndex};
+use ldis_mem::{rng, Footprint, LineAddr, LineGeometry, SetIndex, SimRng, WordIndex};
 use ldis_workloads::ValueProfile;
 use std::collections::VecDeque;
 
@@ -255,8 +255,8 @@ impl RefFacWoc {
 }
 
 impl WordStore for RefFacWoc {
-    fn lookup(&self, set: usize, tag: u64) -> Option<WocLineHit> {
-        self.entries[self.set_range(set)]
+    fn lookup(&self, set: SetIndex, tag: u64) -> Option<WocLineHit> {
+        self.entries[self.set_range(set.get())]
             .iter()
             .find(|e| e.valid && e.head && e.tag == tag)
             .map(|e| WocLineHit {
@@ -266,7 +266,7 @@ impl WordStore for RefFacWoc {
 
     fn install(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         line: LineAddr,
         words: Footprint,
@@ -277,9 +277,9 @@ impl WordStore for RefFacWoc {
         assert!(self.lookup(set, tag).is_none(), "already present");
         evicted.clear();
         let slots = self.slots_for(line, words).min(self.words_per_line);
-        let (way, offset) = self.choose_position(set, slots);
-        evicted.extend(self.evict_range(set, way, offset, slots));
-        let base = self.way_range(set, way).start + offset;
+        let (way, offset) = self.choose_position(set.get(), slots);
+        evicted.extend(self.evict_range(set.get(), way, offset, slots));
+        let base = self.way_range(set.get(), way).start + offset;
         for (i, slot) in self.entries[base..base + slots].iter_mut().enumerate() {
             *slot = FacEntry {
                 valid: true,
@@ -291,8 +291,8 @@ impl WordStore for RefFacWoc {
         }
     }
 
-    fn invalidate_line(&mut self, set: usize, tag: u64) -> Option<WocEviction> {
-        let range = self.set_range(set);
+    fn invalidate_line(&mut self, set: SetIndex, tag: u64) -> Option<WocEviction> {
+        let range = self.set_range(set.get());
         let mut record: Option<WocEviction> = None;
         for e in &mut self.entries[range] {
             if e.valid && e.tag == tag {
@@ -311,8 +311,8 @@ impl WordStore for RefFacWoc {
         record
     }
 
-    fn mark_dirty(&mut self, set: usize, tag: u64) -> bool {
-        let range = self.set_range(set);
+    fn mark_dirty(&mut self, set: SetIndex, tag: u64) -> bool {
+        let range = self.set_range(set.get());
         let mut found = false;
         for e in &mut self.entries[range] {
             if e.valid && e.tag == tag {
@@ -359,12 +359,12 @@ fn compressed_bytes_match_the_chunk_reference() {
 fn assert_same_cmpr_sets(new: &CmprCache, old: &RefCmpr, what: &str) {
     for set in 0..old.sets.len() {
         assert_eq!(
-            new.lines_in_set(set),
+            new.lines_in_set(SetIndex::new(set)),
             old.lines_in_set(set),
             "{what}: lines in set {set}"
         );
         assert_eq!(
-            new.segments_in_set(set),
+            new.segments_in_set(SetIndex::new(set)),
             old.segments_in_set(set),
             "{what}: segments in set {set}"
         );
@@ -432,7 +432,7 @@ fn compressed_woc_matches_the_entry_reference() {
         let (mut new_ev, mut old_ev) = (Vec::new(), Vec::new());
         for step in 0..1500 {
             let what = format!("case {case} step {step}");
-            let set = rng.index(num_sets as usize);
+            let set = SetIndex::new(rng.index(num_sets as usize));
             let tag = rng.range(pool);
             let hit = old.lookup(set, tag);
             assert_eq!(new.lookup(set, tag), hit, "{what}: lookup");
@@ -443,7 +443,7 @@ fn compressed_woc_matches_the_entry_reference() {
                     assert_eq!(old.invalidate_line(set, tag), None, "{what}");
                 }
                 (None, _) => {
-                    let line = LineAddr::new(tag * num_sets + set as u64);
+                    let line = LineAddr::new(tag * num_sets + set.get() as u64);
                     let words = random_footprint(&mut rng);
                     let dirty = rng.chance(0.3);
                     new.install(set, tag, line, words, dirty, &mut new_ev);
@@ -495,7 +495,7 @@ fn fac_cache_matches_the_entry_reference() {
             cfg.num_sets(),
             cfg.woc_ways(),
             geometry.words_per_line(),
-            cfg.seed() ^ 0xfac,
+            cfg.seed() ^ rng::FAC,
             model,
         );
         let mut old = DistillCache::with_word_store(cfg, reference);

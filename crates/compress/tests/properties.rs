@@ -7,7 +7,7 @@ use ldis_compress::{
     ValueSizeModel,
 };
 use ldis_distill::WordStore;
-use ldis_mem::{Footprint, LineAddr, LineGeometry, SimRng};
+use ldis_mem::{Footprint, LineAddr, LineGeometry, SetIndex, SimRng};
 use ldis_workloads::{ValueProfile, WordClass};
 
 /// Every chunk's encoded size is the Table 4 size for its class, and a
@@ -97,20 +97,21 @@ fn compressed_woc_invariants() {
             let bits = 1 + cases.range(255) as u16;
             let set = rng.index(2);
             let fp = Footprint::from_bits(bits);
-            if WordStore::lookup(&woc, set, tag as u64).is_none() {
+            if WordStore::lookup(&woc, SetIndex::new(set), tag as u64).is_none() {
                 WordStore::install(
                     &mut woc,
-                    set,
+                    SetIndex::new(set),
                     tag as u64,
                     LineAddr::new(tag as u64),
                     fp,
                     false,
                     &mut Vec::new(),
                 );
-                let hit = WordStore::lookup(&woc, set, tag as u64).expect("just installed");
+                let hit = WordStore::lookup(&woc, SetIndex::new(set), tag as u64)
+                    .expect("just installed");
                 assert_eq!(hit.valid_words, fp, "case {case}: coverage preserved");
             }
-            woc.check_invariants(set)
+            woc.check_invariants(SetIndex::new(set))
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));
         }
     }

@@ -1,7 +1,7 @@
 //! Configuration of the distill cache.
 
 use ldis_cache::CacheConfig;
-use ldis_mem::LineGeometry;
+use ldis_mem::{rng, LineGeometry};
 
 /// Which lines evicted from the LOC are installed into the WOC
 /// (Section 5.4).
@@ -121,7 +121,7 @@ impl DistillConfig {
             geometry,
             policy: ThresholdPolicy::All,
             reverter: None,
-            seed: 0x1d15,
+            seed: rng::WOC_REPLACEMENT,
             woc_replacement: WocReplacement::Random,
         }
     }

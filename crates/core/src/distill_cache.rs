@@ -11,7 +11,7 @@ use ldis_cache::{
     RecoveryAction, SecondLevel, SetAssocCache,
 };
 use ldis_mem::stats::Counter;
-use ldis_mem::{Footprint, LineAddr, LineGeometry};
+use ldis_mem::{Footprint, LineAddr, LineGeometry, SetIndex};
 
 /// The paper's distill cache.
 ///
@@ -168,7 +168,7 @@ impl<W: WordStore> DistillCache<W> {
     /// cache has degraded after detected corruption, distillation is off
     /// everywhere — including leader sets — so every set behaves like the
     /// traditional baseline.
-    pub fn ldis_active_for(&self, set: usize) -> bool {
+    pub fn ldis_active_for(&self, set: SetIndex) -> bool {
         if self.resilience.as_ref().is_some_and(|r| r.health.degraded) {
             return false;
         }
@@ -178,7 +178,7 @@ impl<W: WordStore> DistillCache<W> {
         }
     }
 
-    fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
+    fn set_and_tag(&self, line: LineAddr) -> (SetIndex, u64) {
         let cfg = self.loc.config();
         (cfg.set_index(line), cfg.tag(line))
     }
@@ -209,7 +209,7 @@ impl<W: WordStore> DistillCache<W> {
     /// Line distillation (Section 5): transfer the used words of a line
     /// evicted from the LOC into the WOC, or the full line when LDIS is
     /// disabled for the set.
-    fn distill(&mut self, set: usize, ev: EvictedLine) {
+    fn distill(&mut self, set: SetIndex, ev: EvictedLine) {
         if ev.is_instr {
             // Instruction lines are never distilled (Section 4).
             if ev.dirty {
@@ -249,7 +249,7 @@ impl<W: WordStore> DistillCache<W> {
 
     fn install_in_woc(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         line: LineAddr,
         words: Footprint,
@@ -267,7 +267,7 @@ impl<W: WordStore> DistillCache<W> {
         self.woc_evicted = evicted;
     }
 
-    fn observe_reverter(&mut self, set: usize, line: LineAddr, distill_missed: bool) {
+    fn observe_reverter(&mut self, set: SetIndex, line: LineAddr, distill_missed: bool) {
         if let Some(r) = self.reverter.as_mut() {
             if r.is_leader(set) {
                 r.observe_leader_access(set, line, distill_missed);
@@ -408,7 +408,8 @@ impl<W: WordStore> DistillCache<W> {
             clippy::cast_possible_truncation,
             reason = "reduced modulo num_sets, which sizes in-memory arrays"
         )]
-        let set = ((self.stats.accesses / res.cfg.check_interval) % num_sets) as usize;
+        let set =
+            SetIndex::new(((self.stats.accesses / res.cfg.check_interval) % num_sets) as usize);
         let mut violations: Vec<LdisError> = Vec::new();
         if let Err(e) = self.woc.check_invariants(set) {
             self.woc.clear_set(set);
@@ -797,7 +798,10 @@ mod tests {
         // Line 0 was distilled with 3 used words.
         let hit = dc
             .woc()
-            .lookup(0, dc.loc().config().tag(LineAddr::new(set0(0))))
+            .lookup(
+                SetIndex::new(0),
+                dc.loc().config().tag(LineAddr::new(set0(0))),
+            )
             .expect("line was distilled into the WOC");
         assert_eq!(hit.valid_words.used_words(), 3);
         // Dirty eviction landing on the WOC copy marks it dirty.
@@ -868,7 +872,10 @@ mod tests {
             RecoveryAction::Degraded,
             "the third detection triggers force-reversion"
         );
-        assert!(!dc.ldis_active_for(0), "degraded: LDIS off even for set 0");
+        assert!(
+            !dc.ldis_active_for(SetIndex::new(0)),
+            "degraded: LDIS off even for set 0"
+        );
         assert_eq!(dc.stats().accesses, 5000, "the cache kept serving");
     }
 
@@ -918,7 +925,7 @@ mod tests {
         let health = dc.health().expect("subsystem enabled");
         assert!(health.degraded);
         assert!(
-            !dc.ldis_active_for(0),
+            !dc.ldis_active_for(SetIndex::new(0)),
             "set 0 is a leader, yet degradation overrides leadership"
         );
         assert!(

@@ -8,6 +8,7 @@
 //! degradation policy turns into scrub-and-revert actions instead of
 //! panics.
 
+use ldis_mem::SetIndex;
 use std::fmt;
 
 /// A violated invariant of the distill cache's modeled state.
@@ -21,7 +22,7 @@ pub enum LdisError {
     /// line must start with a head-bit entry).
     WocOrphanEntry {
         /// Set containing the offending entry.
-        set: usize,
+        set: SetIndex,
         /// Way containing the offending entry.
         way: usize,
         /// Slot of the offending entry within the way.
@@ -30,7 +31,7 @@ pub enum LdisError {
     /// Words of one stored WOC line disagree on their tag.
     WocTagMismatch {
         /// Set containing the offending line.
-        set: usize,
+        set: SetIndex,
         /// Way containing the offending line.
         way: usize,
         /// Slot where the mismatching word sits.
@@ -39,7 +40,7 @@ pub enum LdisError {
     /// A stored WOC line violates the aligned power-of-two placement rule.
     WocMisaligned {
         /// Set containing the offending line.
-        set: usize,
+        set: SetIndex,
         /// Way containing the offending line.
         way: usize,
         /// Slot where the line starts.
@@ -50,7 +51,7 @@ pub enum LdisError {
     /// A stored WOC line's word ids are not strictly increasing.
     WocWordOrder {
         /// Set containing the offending line.
-        set: usize,
+        set: SetIndex,
         /// Way containing the offending line.
         way: usize,
         /// Slot where the line starts.
@@ -217,7 +218,7 @@ mod tests {
     #[test]
     fn display_pinpoints_location() {
         let e = LdisError::WocTagMismatch {
-            set: 3,
+            set: SetIndex::new(3),
             way: 1,
             slot: 6,
         };

@@ -11,7 +11,7 @@
 //! instead of ever panicking.
 
 use ldis_cache::{CacheHealth, ProtectionScheme};
-use ldis_mem::SimRng;
+use ldis_mem::{rng, SimRng};
 
 /// Configuration of the fault-injection + self-check subsystem.
 ///
@@ -43,7 +43,7 @@ impl Default for ResilienceConfig {
     fn default() -> Self {
         ResilienceConfig {
             fault_rate: 0.0,
-            seed: 0x5eed,
+            seed: rng::FAULT_INJECTOR,
             protection: ProtectionScheme::Unprotected,
             check_interval: 1024,
             degrade_after: 1,

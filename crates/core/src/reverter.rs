@@ -3,7 +3,7 @@
 
 use crate::{LdisError, ReverterConfig};
 use ldis_cache::SetArena;
-use ldis_mem::LineAddr;
+use ldis_mem::{LineAddr, SetIndex};
 
 /// The reverter circuit: decides whether LDIS is enabled for follower sets.
 ///
@@ -18,11 +18,12 @@ use ldis_mem::LineAddr;
 ///
 /// ```
 /// use ldis_distill::{Reverter, ReverterConfig};
+/// use ldis_mem::SetIndex;
 ///
 /// let r = Reverter::new(ReverterConfig::default(), 2048, 8);
 /// assert!(r.ldis_enabled(), "LDIS starts enabled");
-/// assert!(r.is_leader(0));
-/// assert!(!r.is_leader(1));
+/// assert!(r.is_leader(SetIndex::new(0)));
+/// assert!(!r.is_leader(SetIndex::new(1)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Reverter {
@@ -71,8 +72,8 @@ impl Reverter {
     }
 
     /// Whether `set` is a leader set (LDIS always on there).
-    pub fn is_leader(&self, set: usize) -> bool {
-        set.is_multiple_of(self.stride)
+    pub fn is_leader(&self, set: SetIndex) -> bool {
+        set.get().is_multiple_of(self.stride)
     }
 
     /// Whether LDIS is currently enabled for follower sets.
@@ -91,13 +92,13 @@ impl Reverter {
     /// the distill cache's (`distill_missed`) into PSEL.
     ///
     /// Must only be called for leader sets.
-    pub fn observe_leader_access(&mut self, set: usize, line: LineAddr, distill_missed: bool) {
+    pub fn observe_leader_access(&mut self, set: SetIndex, line: LineAddr, distill_missed: bool) {
         debug_assert!(self.is_leader(set));
-        let leader = set / self.stride;
+        let leader = SetIndex::new(set.get() / self.stride);
         // Leader sets are `0, stride, 2*stride, ...`; a non-leader access,
         // or one past the last leader set, is ignored rather than moving
         // PSEL.
-        if !self.is_leader(set) || leader >= self.cfg.leader_sets as usize {
+        if !self.is_leader(set) || leader.get() >= self.cfg.leader_sets as usize {
             return;
         }
         let tag = line.raw();
@@ -182,7 +183,9 @@ mod tests {
     #[test]
     fn leader_selection_is_evenly_strided() {
         let r = reverter();
-        let leaders: Vec<usize> = (0..2048).filter(|&s| r.is_leader(s)).collect();
+        let leaders: Vec<usize> = (0..2048)
+            .filter(|&s| r.is_leader(SetIndex::new(s)))
+            .collect();
         assert_eq!(leaders.len(), 32);
         assert_eq!(leaders[0], 0);
         assert_eq!(leaders[1], 64);
@@ -194,7 +197,7 @@ mod tests {
         // Distill misses while the ATD hits (same line every time, so the
         // ATD hits from the second access on): PSEL sinks below 64.
         for _ in 0..200u64 {
-            r.observe_leader_access(0, LineAddr::new(7), true);
+            r.observe_leader_access(SetIndex::new(0), LineAddr::new(7), true);
         }
         assert!(!r.ldis_enabled(), "psel = {}", r.psel());
         assert!(r.flips >= 1);
@@ -206,7 +209,7 @@ mod tests {
         // Unique lines: both miss → PSEL unchanged net; then distill hits
         // (missed = false) while ATD still misses → PSEL rises.
         for i in 0..500u64 {
-            r.observe_leader_access(0, LineAddr::new(1000 + i), false);
+            r.observe_leader_access(SetIndex::new(0), LineAddr::new(1000 + i), false);
         }
         assert!(r.ldis_enabled());
         assert_eq!(r.atd_misses, 500);
@@ -223,7 +226,7 @@ mod tests {
         assert_eq!(r.psel(), 128);
         for i in 0..30u64 {
             // distill misses, ATD misses too (unique lines) → net zero …
-            r.observe_leader_access(0, LineAddr::new(i * 64), true);
+            r.observe_leader_access(SetIndex::new(0), LineAddr::new(i * 64), true);
         }
         // Both counters moved the same amount: PSEL ≈ 128, still enabled.
         assert!(r.ldis_enabled());

@@ -20,7 +20,7 @@
 
 use crate::{LdisError, WocReplacement};
 use ldis_mem::bitops::{eligible_aligned_slots, free_aligned_windows, select_nth_one};
-use ldis_mem::{Footprint, SimRng, WordIndex};
+use ldis_mem::{Footprint, SetIndex, SimRng, WordIndex};
 use std::fmt;
 
 /// Hardware bits per WOC tag entry (Table 3): valid + dirty + head +
@@ -64,7 +64,7 @@ impl fmt::Display for WocField {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WocFault {
     /// Set of the affected entry.
-    pub set: usize,
+    pub set: SetIndex,
     /// Way of the affected entry.
     pub way: usize,
     /// Slot of the affected entry within the way.
@@ -175,14 +175,14 @@ impl Woc {
 
     /// The mask index of `(set, way)` into the per-way bit vectors.
     #[inline]
-    fn way_index(&self, set: usize, way: usize) -> usize {
-        debug_assert!(set < self.num_sets && way < self.ways);
-        set.wrapping_mul(self.ways).wrapping_add(way)
+    fn way_index(&self, set: SetIndex, way: usize) -> usize {
+        debug_assert!(set.get() < self.num_sets && way < self.ways);
+        set.get().wrapping_mul(self.ways).wrapping_add(way)
     }
 
     /// Looks up `tag` in `set`. Returns the words present if any word of
     /// the line is stored (a *line hit*, Section 5.2).
-    pub fn lookup(&self, set: usize, tag: u64) -> Option<WocLineHit> {
+    pub fn lookup(&self, set: SetIndex, tag: u64) -> Option<WocLineHit> {
         let wpl = self.words_per_line;
         let mut words = Footprint::empty();
         for way in 0..self.ways {
@@ -207,14 +207,14 @@ impl Woc {
     }
 
     /// Whether the specific `word` of line `tag` is present in `set`.
-    pub fn contains_word(&self, set: usize, tag: u64, word: WordIndex) -> bool {
+    pub fn contains_word(&self, set: SetIndex, tag: u64, word: WordIndex) -> bool {
         self.lookup(set, tag)
             .is_some_and(|hit| hit.valid_words.is_used(word))
     }
 
     /// Marks every stored word of line `tag` dirty (a dirty L1D writeback
     /// landed on a WOC-resident line). Returns whether the line was present.
-    pub fn mark_dirty(&mut self, set: usize, tag: u64) -> bool {
+    pub fn mark_dirty(&mut self, set: SetIndex, tag: u64) -> bool {
         let wpl = self.words_per_line;
         let mut found = false;
         for way in 0..self.ways {
@@ -247,7 +247,7 @@ impl Woc {
     /// Invalidates every word of line `tag` in `set` (the hole-miss path,
     /// Section 5.2: "all words for the requested line in WOC are
     /// invalidated"). Returns the eviction record if the line was present.
-    pub fn invalidate_line(&mut self, set: usize, tag: u64) -> Option<WocEviction> {
+    pub fn invalidate_line(&mut self, set: SetIndex, tag: u64) -> Option<WocEviction> {
         let wpl = self.words_per_line;
         let mut words = Footprint::empty();
         let mut dirty = false;
@@ -308,7 +308,7 @@ impl Woc {
     /// Panics if `footprint` is empty or needs more slots than a way holds.
     pub fn install(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         footprint: Footprint,
         dirty: bool,
@@ -323,7 +323,7 @@ impl Woc {
     /// path reuses one allocation across installs.
     pub fn install_into(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         footprint: Footprint,
         dirty: bool,
@@ -347,7 +347,7 @@ impl Woc {
     /// than a way.
     pub fn install_run(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         words: Footprint,
         entries: usize,
@@ -428,7 +428,7 @@ impl Woc {
         clippy::cast_possible_truncation,
         reason = "the field copies LineGeometry::words_per_line(), asserted 2..=16 at construction; slots never exceeds it, and pick(n) returns a value below its u32 count n"
     )]
-    fn choose_position(&mut self, set: usize, slots: usize) -> (usize, usize) {
+    fn choose_position(&mut self, set: SetIndex, slots: usize) -> (usize, usize) {
         let wpl = self.words_per_line as u32;
         let slots32 = slots as u32;
         let mut free_total = 0u32;
@@ -497,7 +497,7 @@ impl Woc {
     /// clears the buffer; appending keeps `last_mut` coalescing local).
     fn evict_range(
         &mut self,
-        set: usize,
+        set: SetIndex,
         way: usize,
         offset: usize,
         slots: usize,
@@ -569,7 +569,7 @@ impl Woc {
     }
 
     /// Number of distinct lines stored in `set`.
-    pub fn lines_in_set(&self, set: usize) -> usize {
+    pub fn lines_in_set(&self, set: SetIndex) -> usize {
         (0..self.ways)
             .map(|way| {
                 let wi = self.way_index(set, way);
@@ -583,7 +583,7 @@ impl Woc {
     /// Checks the structural invariants of one set. Used by tests,
     /// property checks and the online self-checker; the typed error
     /// pinpoints the violation for degradation logging.
-    pub fn check_invariants(&self, set: usize) -> Result<(), LdisError> {
+    pub fn check_invariants(&self, set: SetIndex) -> Result<(), LdisError> {
         let wpl = self.words_per_line;
         for way in 0..self.ways {
             let wi = self.way_index(set, way);
@@ -662,7 +662,7 @@ impl Woc {
         let idx = (bit / WOC_ENTRY_BITS) as usize;
         let k = (bit % WOC_ENTRY_BITS) as u32;
         let per_set = self.ways.saturating_mul(self.words_per_line);
-        let set = idx / per_set;
+        let set = SetIndex::new(idx / per_set);
         let way = (idx % per_set) / self.words_per_line;
         let slot = idx % self.words_per_line;
         let wi = self.way_index(set, way);
@@ -730,7 +730,7 @@ impl Woc {
     /// after a detected-but-uncorrectable fault somewhere in that way's
     /// tag entries (parity localizes no finer than the protected word).
     /// Returns the number of valid entries discarded.
-    pub fn clear_way(&mut self, set: usize, way: usize) -> u64 {
+    pub fn clear_way(&mut self, set: SetIndex, way: usize) -> u64 {
         let wpl = self.words_per_line;
         let wi = self.way_index(set, way);
         let cleared = u64::from(self.valid.get(wi).copied().unwrap_or(0).count_ones());
@@ -759,19 +759,19 @@ impl Woc {
     /// Discards every entry of `set` — the recovery when the self-checker
     /// finds a structural violation it cannot localize to one way.
     /// Returns the number of valid entries discarded.
-    pub fn clear_set(&mut self, set: usize) -> u64 {
+    pub fn clear_set(&mut self, set: SetIndex) -> u64 {
         (0..self.ways).map(|way| self.clear_way(set, way)).sum()
     }
 }
 
 impl crate::WordStore for Woc {
-    fn lookup(&self, set: usize, tag: u64) -> Option<WocLineHit> {
+    fn lookup(&self, set: SetIndex, tag: u64) -> Option<WocLineHit> {
         Woc::lookup(self, set, tag)
     }
 
     fn install(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         _line: ldis_mem::LineAddr,
         words: Footprint,
@@ -781,11 +781,11 @@ impl crate::WordStore for Woc {
         Woc::install_into(self, set, tag, words, dirty, evicted)
     }
 
-    fn invalidate_line(&mut self, set: usize, tag: u64) -> Option<WocEviction> {
+    fn invalidate_line(&mut self, set: SetIndex, tag: u64) -> Option<WocEviction> {
         Woc::invalidate_line(self, set, tag)
     }
 
-    fn mark_dirty(&mut self, set: usize, tag: u64) -> bool {
+    fn mark_dirty(&mut self, set: SetIndex, tag: u64) -> bool {
         Woc::mark_dirty(self, set, tag)
     }
 
@@ -801,15 +801,15 @@ impl crate::WordStore for Woc {
         Some(Woc::flip_tag_bit(self, bit))
     }
 
-    fn clear_way(&mut self, set: usize, way: usize) -> u64 {
+    fn clear_way(&mut self, set: SetIndex, way: usize) -> u64 {
         Woc::clear_way(self, set, way)
     }
 
-    fn clear_set(&mut self, set: usize) -> u64 {
+    fn clear_set(&mut self, set: SetIndex) -> u64 {
         Woc::clear_set(self, set)
     }
 
-    fn check_invariants(&self, set: usize) -> Result<(), LdisError> {
+    fn check_invariants(&self, set: SetIndex) -> Result<(), LdisError> {
         Woc::check_invariants(self, set)
     }
 }
@@ -829,38 +829,45 @@ mod tests {
     #[test]
     fn install_then_lookup() {
         let mut w = woc();
-        let evicted = w.install(0, 100, fp(0b1000_0001), false);
+        let evicted = w.install(SetIndex::new(0), 100, fp(0b1000_0001), false);
         assert!(evicted.is_empty());
-        let hit = w.lookup(0, 100).expect("line hit");
+        let hit = w.lookup(SetIndex::new(0), 100).expect("line hit");
         assert_eq!(hit.valid_words, fp(0b1000_0001));
-        assert!(w.contains_word(0, 100, WordIndex::new(0)));
-        assert!(w.contains_word(0, 100, WordIndex::new(7)));
-        assert!(!w.contains_word(0, 100, WordIndex::new(3)));
-        assert!(w.lookup(1, 100).is_none(), "other sets unaffected");
-        w.check_invariants(0).expect("invariants hold");
+        assert!(w.contains_word(SetIndex::new(0), 100, WordIndex::new(0)));
+        assert!(w.contains_word(SetIndex::new(0), 100, WordIndex::new(7)));
+        assert!(!w.contains_word(SetIndex::new(0), 100, WordIndex::new(3)));
+        assert!(
+            w.lookup(SetIndex::new(1), 100).is_none(),
+            "other sets unaffected"
+        );
+        w.check_invariants(SetIndex::new(0))
+            .expect("invariants hold");
     }
 
     #[test]
     fn three_words_occupy_four_aligned_slots() {
         let mut w = woc();
-        w.install(0, 1, fp(0b0011_1000), false); // 3 words → 4 slots
-        w.check_invariants(0).expect("invariants hold");
+        w.install(SetIndex::new(0), 1, fp(0b0011_1000), false); // 3 words → 4 slots
+        w.check_invariants(SetIndex::new(0))
+            .expect("invariants hold");
         assert_eq!(w.occupancy(), 3);
         // Fill the rest: capacity is 2 ways * 8 slots = 16; the 3-word line
         // reserves an aligned 4-slot region, so 4 more 4-slot lines displace
         // something.
         for t in 2..=4u64 {
-            w.install(0, t, fp(0b0000_1111), false);
-            w.check_invariants(0).expect("invariants hold");
+            w.install(SetIndex::new(0), t, fp(0b0000_1111), false);
+            w.check_invariants(SetIndex::new(0))
+                .expect("invariants hold");
         }
-        assert_eq!(w.lines_in_set(0), 4);
-        let evicted = w.install(0, 5, fp(0b0000_1111), false);
+        assert_eq!(w.lines_in_set(SetIndex::new(0)), 4);
+        let evicted = w.install(SetIndex::new(0), 5, fp(0b0000_1111), false);
         assert_eq!(
             evicted.len(),
             1,
             "a full WOC must evict exactly one 4-slot line"
         );
-        w.check_invariants(0).expect("invariants hold");
+        w.check_invariants(SetIndex::new(0))
+            .expect("invariants hold");
     }
 
     #[test]
@@ -868,62 +875,68 @@ mod tests {
         let mut w = Woc::new(1, 1, 8, 7);
         // Fill the single way with four 2-word lines.
         for t in 0..4u64 {
-            w.install(0, 10 + t, fp(0b11), true);
+            w.install(SetIndex::new(0), 10 + t, fp(0b11), true);
         }
-        assert_eq!(w.lines_in_set(0), 4);
+        assert_eq!(w.lines_in_set(SetIndex::new(0)), 4);
         // An 8-word install must evict all four lines.
-        let evicted = w.install(0, 99, fp(0xff), false);
+        let evicted = w.install(SetIndex::new(0), 99, fp(0xff), false);
         assert_eq!(evicted.len(), 4);
         for ev in &evicted {
             assert_eq!(ev.words.used_words(), 2);
             assert!(ev.dirty);
         }
-        assert_eq!(w.lines_in_set(0), 1);
-        w.check_invariants(0).expect("invariants hold");
+        assert_eq!(w.lines_in_set(SetIndex::new(0)), 1);
+        w.check_invariants(SetIndex::new(0))
+            .expect("invariants hold");
     }
 
     #[test]
     fn single_word_install_into_full_way_evicts_one_line() {
         let mut w = Woc::new(1, 1, 8, 3);
-        w.install(0, 1, fp(0xff), false); // 8-word line fills the way
-        let evicted = w.install(0, 2, fp(0b1), false);
+        w.install(SetIndex::new(0), 1, fp(0xff), false); // 8-word line fills the way
+        let evicted = w.install(SetIndex::new(0), 2, fp(0b1), false);
         // The only eligible offset for 1 slot is the head at 0; the whole
         // 8-word line goes.
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].tag, 1);
         assert_eq!(evicted[0].words.used_words(), 8);
         assert_eq!(w.occupancy(), 1);
-        w.check_invariants(0).expect("invariants hold");
+        w.check_invariants(SetIndex::new(0))
+            .expect("invariants hold");
     }
 
     #[test]
     fn invalidate_line_removes_all_words() {
         let mut w = woc();
-        w.install(2, 50, fp(0b0101), true);
-        let ev = w.invalidate_line(2, 50).expect("present");
+        w.install(SetIndex::new(2), 50, fp(0b0101), true);
+        let ev = w.invalidate_line(SetIndex::new(2), 50).expect("present");
         assert_eq!(ev.words, fp(0b0101));
         assert!(ev.dirty);
-        assert!(w.lookup(2, 50).is_none());
-        assert!(w.invalidate_line(2, 50).is_none());
-        w.check_invariants(2).expect("invariants hold");
+        assert!(w.lookup(SetIndex::new(2), 50).is_none());
+        assert!(w.invalidate_line(SetIndex::new(2), 50).is_none());
+        w.check_invariants(SetIndex::new(2))
+            .expect("invariants hold");
     }
 
     #[test]
     fn mark_dirty_hits_all_words() {
         let mut w = woc();
-        w.install(1, 8, fp(0b11), false);
-        assert!(w.mark_dirty(1, 8));
-        let ev = w.invalidate_line(1, 8).expect("line was installed");
+        w.install(SetIndex::new(1), 8, fp(0b11), false);
+        assert!(w.mark_dirty(SetIndex::new(1), 8));
+        let ev = w
+            .invalidate_line(SetIndex::new(1), 8)
+            .expect("line was installed");
         assert!(ev.dirty);
-        assert!(!w.mark_dirty(1, 8));
+        assert!(!w.mark_dirty(SetIndex::new(1), 8));
     }
 
     #[test]
     fn words_rearranged_in_increasing_order() {
         let mut w = woc();
-        w.install(0, 5, fp(0b1001_0010), false); // words 1, 4, 7
-        w.check_invariants(0).expect("invariants hold");
-        let hit = w.lookup(0, 5).expect("line was installed");
+        w.install(SetIndex::new(0), 5, fp(0b1001_0010), false); // words 1, 4, 7
+        w.check_invariants(SetIndex::new(0))
+            .expect("invariants hold");
+        let hit = w.lookup(SetIndex::new(0), 5).expect("line was installed");
         assert_eq!(hit.valid_words, fp(0b1001_0010));
     }
 
@@ -938,8 +951,8 @@ mod tests {
                 continue;
             }
             let tag = 1000 + i;
-            w.install(set, tag, fp(bits), rng.chance(0.3));
-            w.check_invariants(set)
+            w.install(SetIndex::new(set), tag, fp(bits), rng.chance(0.3));
+            w.check_invariants(SetIndex::new(set))
                 .unwrap_or_else(|e| panic!("iteration {i}: {e}"));
         }
     }
@@ -948,7 +961,7 @@ mod tests {
     #[should_panic(expected = "empty footprint")]
     fn rejects_empty_install() {
         let mut w = woc();
-        w.install(0, 1, Footprint::empty(), false);
+        w.install(SetIndex::new(0), 1, Footprint::empty(), false);
     }
 
     #[test]
@@ -960,12 +973,12 @@ mod tests {
     #[test]
     fn flip_is_involutory_and_locates_the_site() {
         let mut w = woc();
-        w.install(1, 77, fp(0b11), true);
+        w.install(SetIndex::new(1), 77, fp(0b11), true);
         let before = w.clone();
         // Entry index for set 1, way 0, slot 0: (1*2*8 + 0) * 29 = bit 464;
         // +2 selects the head bit.
         let fault = w.flip_tag_bit(464 + 2);
-        assert_eq!((fault.set, fault.way, fault.slot), (1, 0, 0));
+        assert_eq!((fault.set, fault.way, fault.slot), (SetIndex::new(1), 0, 0));
         assert_eq!(fault.field, WocField::Head);
         w.flip_tag_bit(464 + 2);
         assert_eq!(w.valid, before.valid, "double flip restores state");
@@ -987,71 +1000,75 @@ mod tests {
     #[test]
     fn corrupted_head_bit_is_caught_and_cleared() {
         let mut w = woc();
-        w.install(0, 9, fp(0b11), false);
+        w.install(SetIndex::new(0), 9, fp(0b11), false);
         let fault = w.flip_tag_bit(2); // head bit of set 0, way 0, slot 0
         assert!(fault.live);
-        let err = w.check_invariants(0).expect_err("orphan must be flagged");
+        let err = w
+            .check_invariants(SetIndex::new(0))
+            .expect_err("orphan must be flagged");
         assert!(matches!(
             err,
-            LdisError::WocOrphanEntry { set: 0, way: 0, .. }
+            LdisError::WocOrphanEntry { set, way: 0, .. } if set == SetIndex::new(0)
         ));
-        assert_eq!(w.clear_set(0), 2);
-        w.check_invariants(0).expect("cleared set is consistent");
+        assert_eq!(w.clear_set(SetIndex::new(0)), 2);
+        w.check_invariants(SetIndex::new(0))
+            .expect("cleared set is consistent");
         assert_eq!(w.occupancy(), 0);
     }
 
     #[test]
     fn corrupted_tag_splits_line_without_panicking() {
         let mut w = Woc::new(1, 1, 8, 5);
-        w.install(0, 3, fp(0b1111), true);
+        w.install(SetIndex::new(0), 3, fp(0b1111), true);
         // Flip tag bit 0 of slot 1: mid-line tag mismatch.
         w.flip_tag_bit(WOC_ENTRY_BITS + 3);
         assert!(matches!(
-            w.check_invariants(0),
+            w.check_invariants(SetIndex::new(0)),
             Err(LdisError::WocTagMismatch { .. })
         ));
         // Installing over the corrupted range must not panic and must
         // leave a consistent set behind.
-        let evicted = w.install(0, 8, fp(0xff), false);
+        let evicted = w.install(SetIndex::new(0), 8, fp(0xff), false);
         assert!(!evicted.is_empty());
         assert!(evicted.iter().any(|ev| ev.dirty), "dirty debris accounted");
-        w.check_invariants(0)
+        w.check_invariants(SetIndex::new(0))
             .expect("full reinstall scrubs the way");
     }
 
     #[test]
     fn headless_way_still_accepts_installs() {
         let mut w = Woc::new(1, 1, 8, 11);
-        w.install(0, 4, fp(0xff), false);
+        w.install(SetIndex::new(0), 4, fp(0xff), false);
         // Kill the head bit: no eligible candidate remains in the way.
         w.flip_tag_bit(2);
-        let evicted = w.install(0, 6, fp(0xff), false);
+        let evicted = w.install(SetIndex::new(0), 6, fp(0xff), false);
         assert_eq!(evicted.len(), 1, "debris evicted via the fallback path");
-        w.check_invariants(0)
+        w.check_invariants(SetIndex::new(0))
             .expect("reinstall leaves a consistent way");
-        assert!(w.lookup(0, 6).is_some());
+        assert!(w.lookup(SetIndex::new(0), 6).is_some());
     }
 
     #[test]
     fn reinstalling_a_resurrected_tag_keeps_one_copy() {
         let mut w = woc();
-        w.install(0, 5, fp(0b1), false);
+        w.install(SetIndex::new(0), 5, fp(0b1), false);
         // Duplicate installs (possible when a valid-bit flip resurrects a
         // stale copy) must collapse to a single stored line.
-        w.install(0, 5, fp(0b11), false);
-        let hit = w.lookup(0, 5).expect("line present");
+        w.install(SetIndex::new(0), 5, fp(0b11), false);
+        let hit = w.lookup(SetIndex::new(0), 5).expect("line present");
         assert_eq!(hit.valid_words, fp(0b11));
-        w.check_invariants(0).expect("no duplicate tags");
+        w.check_invariants(SetIndex::new(0))
+            .expect("no duplicate tags");
     }
 
     #[test]
     fn clear_way_reports_discarded_entries() {
         let mut w = woc();
-        w.install(3, 2, fp(0b111), false);
+        w.install(SetIndex::new(3), 2, fp(0b111), false);
         let way = (0..2)
             .find(|&wy| w.valid.get(3 * 2 + wy).copied().unwrap_or(0) != 0)
             .expect("line landed in some way");
-        assert_eq!(w.clear_way(3, way), 3);
-        assert!(w.lookup(3, 2).is_none());
+        assert_eq!(w.clear_way(SetIndex::new(3), way), 3);
+        assert!(w.lookup(SetIndex::new(3), 2).is_none());
     }
 }

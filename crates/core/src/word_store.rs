@@ -8,7 +8,7 @@
 //! threshold and reverter machinery unchanged.
 
 use crate::{LdisError, WocEviction, WocFault, WocLineHit};
-use ldis_mem::{Footprint, LineAddr};
+use ldis_mem::{Footprint, LineAddr, SetIndex};
 
 /// Storage for distilled lines, indexed by `(set, tag)`.
 ///
@@ -19,7 +19,7 @@ use ldis_mem::{Footprint, LineAddr};
 pub trait WordStore {
     /// Looks up a line; `Some` if *any* of its words are stored (a line
     /// hit), with the valid words.
-    fn lookup(&self, set: usize, tag: u64) -> Option<WocLineHit>;
+    fn lookup(&self, set: SetIndex, tag: u64) -> Option<WocLineHit>;
 
     /// Installs a line's used words, evicting whole overlapping lines as
     /// needed. `line` is the full line address (size models may need it);
@@ -29,7 +29,7 @@ pub trait WordStore {
     /// installs on the hot path.
     fn install(
         &mut self,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         line: LineAddr,
         words: Footprint,
@@ -39,10 +39,10 @@ pub trait WordStore {
 
     /// Removes all words of a line (the hole-miss path), returning the
     /// eviction record if it was present.
-    fn invalidate_line(&mut self, set: usize, tag: u64) -> Option<WocEviction>;
+    fn invalidate_line(&mut self, set: SetIndex, tag: u64) -> Option<WocEviction>;
 
     /// Marks a stored line dirty; returns whether it was present.
-    fn mark_dirty(&mut self, set: usize, tag: u64) -> bool;
+    fn mark_dirty(&mut self, set: SetIndex, tag: u64) -> bool;
 
     /// Number of occupied word slots across the store.
     fn occupancy(&self) -> u64;
@@ -61,18 +61,18 @@ pub trait WordStore {
 
     /// Discards all entries of one way (parity recovery). Returns the
     /// number of valid entries discarded.
-    fn clear_way(&mut self, _set: usize, _way: usize) -> u64 {
+    fn clear_way(&mut self, _set: SetIndex, _way: usize) -> u64 {
         0
     }
 
     /// Discards all entries of one set (self-check recovery). Returns the
     /// number of valid entries discarded.
-    fn clear_set(&mut self, _set: usize) -> u64 {
+    fn clear_set(&mut self, _set: SetIndex) -> u64 {
         0
     }
 
     /// Structural self-check of one set; `Ok` by default.
-    fn check_invariants(&self, _set: usize) -> Result<(), LdisError> {
+    fn check_invariants(&self, _set: SetIndex) -> Result<(), LdisError> {
         Ok(())
     }
 }

@@ -3,7 +3,7 @@
 //! same cases and failures reproduce exactly.
 
 use ldis_distill::{MedianTracker, Woc, WocReplacement, WordStore};
-use ldis_mem::{Footprint, LineAddr, SimRng, WordIndex};
+use ldis_mem::{Footprint, LineAddr, SetIndex, SimRng, WordIndex};
 
 /// WOC structural invariants hold under arbitrary install / invalidate
 /// interleavings, for both replacement policies.
@@ -26,12 +26,17 @@ fn woc_invariants_under_arbitrary_traffic() {
             // Alternate: install a fresh line, or invalidate a previous one.
             if bits.is_multiple_of(3) && next_tag > 0 {
                 let victim = (bits as u64) % next_tag;
-                let _ = woc.invalidate_line(set, victim);
-            } else if woc.lookup(set, next_tag).is_none() {
-                woc.install(set, next_tag, Footprint::from_bits(bits), dirty);
+                let _ = woc.invalidate_line(SetIndex::new(set), victim);
+            } else if woc.lookup(SetIndex::new(set), next_tag).is_none() {
+                woc.install(
+                    SetIndex::new(set),
+                    next_tag,
+                    Footprint::from_bits(bits),
+                    dirty,
+                );
                 next_tag += 1;
             }
-            woc.check_invariants(set)
+            woc.check_invariants(SetIndex::new(set))
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));
         }
     }
@@ -47,8 +52,8 @@ fn woc_lookup_returns_installed_words() {
         let set = rng.index(4);
         let mut woc = Woc::new(4, 2, 8, 5);
         let fp = Footprint::from_bits(bits);
-        woc.install(set, 42, fp, false);
-        let hit = woc.lookup(set, 42).expect("just installed");
+        woc.install(SetIndex::new(set), 42, fp, false);
+        let hit = woc.lookup(SetIndex::new(set), 42).expect("just installed");
         assert_eq!(hit.valid_words, fp, "case {case}");
     }
 }
@@ -65,10 +70,15 @@ fn woc_line_conservation() {
         for tag in 0..installs {
             let bits = 1 + rng.range(255) as u16;
             evicted += woc
-                .install(0, tag as u64, Footprint::from_bits(bits), false)
+                .install(
+                    SetIndex::new(0),
+                    tag as u64,
+                    Footprint::from_bits(bits),
+                    false,
+                )
                 .len();
         }
-        let resident = woc.lines_in_set(0);
+        let resident = woc.lines_in_set(SetIndex::new(0));
         assert_eq!(resident + evicted, installs, "case {case}");
     }
 }
@@ -97,7 +107,12 @@ fn woc_replacement_deterministic() {
         let mut evictions = Vec::new();
         for tag in 0..60u64 {
             let bits = ((rng.next_u64() & 0xff) as u16).max(1);
-            for ev in woc.install((tag % 2) as usize, tag, Footprint::from_bits(bits), false) {
+            for ev in woc.install(
+                SetIndex::new((tag % 2) as usize),
+                tag,
+                Footprint::from_bits(bits),
+                false,
+            ) {
                 evictions.push(ev.tag);
             }
         }
@@ -115,12 +130,20 @@ fn woc_replacement_deterministic() {
 fn word_store_trait_matches_inherent() {
     let mut woc = Woc::new(2, 1, 8, 3);
     let fp = Footprint::from_bits(0b101);
-    WordStore::install(&mut woc, 0, 7, LineAddr::new(7), fp, true, &mut Vec::new());
-    assert!(woc.contains_word(0, 7, WordIndex::new(0)));
-    let via_trait = WordStore::lookup(&woc, 0, 7).expect("line was installed");
+    WordStore::install(
+        &mut woc,
+        SetIndex::new(0),
+        7,
+        LineAddr::new(7),
+        fp,
+        true,
+        &mut Vec::new(),
+    );
+    assert!(woc.contains_word(SetIndex::new(0), 7, WordIndex::new(0)));
+    let via_trait = WordStore::lookup(&woc, SetIndex::new(0), 7).expect("line was installed");
     assert_eq!(via_trait.valid_words, fp);
-    assert!(WordStore::mark_dirty(&mut woc, 0, 7));
-    let ev = WordStore::invalidate_line(&mut woc, 0, 7).expect("line was installed");
+    assert!(WordStore::mark_dirty(&mut woc, SetIndex::new(0), 7));
+    let ev = WordStore::invalidate_line(&mut woc, SetIndex::new(0), 7).expect("line was installed");
     assert!(ev.dirty);
     assert_eq!(WordStore::occupancy(&woc), 0);
 }

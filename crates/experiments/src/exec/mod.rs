@@ -338,7 +338,9 @@ fn resolve<T: PartialEq>(
 /// `on_complete(cell, result)` fires on the calling thread for each
 /// *newly executed* successful cell, in completion order — the journal
 /// appends there. Completion order varies with thread count; the final
-/// outcome vector does not.
+/// outcome vector does not. So the hook must not fold floats (a sum
+/// there would round differently at each thread count); reduce the
+/// returned outcomes instead.
 pub fn run_cells<I, T, F>(
     items: Vec<I>,
     job: F,

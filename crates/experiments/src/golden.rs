@@ -1,11 +1,14 @@
 //! Golden-snapshot regression harness.
 //!
 //! Committed JSON snapshots under `tests/golden/` (repository root) pin
-//! the quick-config results of the wired experiments — `motivation`,
-//! `table3`, `linesize` and `resilience` — so any change to the simulator,
-//! the workload models or the sweep engine that moves a number fails the
-//! test suite with a line-level diff instead of silently shifting the
-//! paper reproduction.
+//! the quick-config results of Figures 6–11 and 13, Tables 3, 5 and 6,
+//! and the `motivation`, `linesize`, `resilience`, `mrc`, `advisor` and
+//! `sweep` experiments, so any change to the simulator, the workload
+//! models or the sweep engine that moves a number fails the test suite
+//! with a line-level diff instead of silently shifting the paper
+//! reproduction. `tests/golden_snapshots.rs` drives the figure goldens
+//! from one table and checks that every committed file is well formed
+//! and compared by some test.
 //!
 //! Workflow:
 //!
@@ -239,6 +242,10 @@ mod tests {
 
     /// Serializes the tests that point `LDIS_GOLDEN_DIR` at a temp dir;
     /// the var is process-global and the harness runs tests in parallel.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "test-only: serializes the harness's writes to a process-global env var; no simulator state is behind it"
+    )]
     static ENV_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     #[test]

@@ -133,7 +133,9 @@ pub(crate) fn run_isolated<T>(cell: impl FnOnce() -> T) -> Result<T, CellPanic> 
 /// workers and returns the results in index order. Workers take indices
 /// from an atomic counter and send each result to the calling thread,
 /// which calls `on_done(i, &result)` in completion order. With one worker
-/// (or at most one item) the pool runs inline on the caller.
+/// (or at most one item) the pool runs inline on the caller. Completion
+/// order varies with the thread count, so `on_done` must not fold floats;
+/// reduce the returned results, which are in index order.
 ///
 /// `job` must not unwind — callers isolate panics per cell — so every
 /// slot is filled; `None` marks a result that never arrived.
@@ -190,6 +192,57 @@ where
 /// `items.iter().map(job).collect()` up to wall-clock time: the output is
 /// bit-identical for every thread count as long as each job is a pure
 /// function of its item.
+///
+/// The `Fn + Sync` bound is what keeps jobs pure: a job cannot mutate
+/// what it captures. Summing the results after the sweep compiles, and
+/// adds them in item order:
+///
+/// ```
+/// use ldis_experiments::parallel::sweep;
+///
+/// let items = [1u32, 2, 3];
+/// let mut total = 0.0;
+/// for x in sweep(&items, |&x| x as f64) {
+///     total += x;
+/// }
+/// assert_eq!(total, 6.0);
+/// ```
+///
+/// while folding into a captured float inside the job, which would add
+/// in completion order, does not:
+///
+/// ```compile_fail,E0594
+/// use ldis_experiments::parallel::sweep;
+///
+/// let items = [1u32, 2, 3];
+/// let mut total = 0.0;
+/// for _ in sweep(&items, |&x| total += x as f64) {}
+/// assert_eq!(total, 6.0);
+/// ```
+///
+/// Likewise each cell derives its own random stream:
+///
+/// ```
+/// use ldis_experiments::parallel::sweep;
+/// use ldis_mem::SimRng;
+///
+/// let items = [1u64, 2, 3];
+/// let draws = sweep(&items, |&x| SimRng::derive(42, x, 0).next_u64());
+/// assert_eq!(draws.len(), 3);
+/// ```
+///
+/// and cannot draw from a captured one, whose draws would depend on the
+/// order the cells ran in:
+///
+/// ```compile_fail,E0596
+/// use ldis_experiments::parallel::sweep;
+/// use ldis_mem::SimRng;
+///
+/// let items = [1u64, 2, 3];
+/// let mut rng = SimRng::new(42);
+/// let draws = sweep(&items, |&x| rng.next_u64());
+/// assert_eq!(draws.len(), 3);
+/// ```
 pub fn sweep<I, T, F>(items: &[I], job: F) -> Vec<T>
 where
     I: Sync,

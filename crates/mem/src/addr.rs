@@ -1,4 +1,5 @@
-//! Address newtypes: byte addresses, line addresses and word indices.
+//! Address newtypes: byte addresses, line addresses, word indices and
+//! set indices.
 
 use std::fmt;
 
@@ -170,6 +171,64 @@ impl fmt::Display for WordIndex {
     }
 }
 
+/// The index of a cache set (0-based, below the cache's set count).
+///
+/// Section 5's distill cache indexes its LOC, its WOC and the reverter's
+/// leader sets by the same set number; keeping it apart from way numbers,
+/// word indices and addresses makes a swapped argument a type error
+/// rather than a shifted miss rate.
+///
+/// # Example
+///
+/// ```
+/// use ldis_mem::{LineAddr, SetIndex};
+/// let set = SetIndex::of_line(LineAddr::new(0x1234), 2048);
+/// assert_eq!(set, SetIndex::new(0x234));
+/// assert_eq!(set.get(), 0x234);
+/// assert_eq!(format!("{set} {set:?}"), "564 564");
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(transparent)]
+pub struct SetIndex(usize);
+
+impl SetIndex {
+    /// Creates a set index from a raw set number.
+    #[inline]
+    pub const fn new(index: usize) -> Self {
+        SetIndex(index)
+    }
+
+    /// The set `line` maps to in a cache of `num_sets` sets: the low
+    /// bits of the line number. `num_sets` must be a power of two, which
+    /// every cache constructor asserts.
+    #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "masked below num_sets, which sizes in-memory arrays"
+    )]
+    pub const fn of_line(line: LineAddr, num_sets: u64) -> Self {
+        SetIndex((line.raw() & (num_sets - 1)) as usize)
+    }
+
+    /// Returns the raw set number, for indexing per-set storage.
+    #[inline]
+    pub const fn get(self) -> usize {
+        self.0
+    }
+}
+
+impl fmt::Debug for SetIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0, f)
+    }
+}
+
+impl fmt::Display for SetIndex {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.0, f)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,6 +266,15 @@ mod tests {
         assert_eq!(w.as_usize(), 5);
         assert_eq!(usize::from(w), 5);
         assert_eq!(format!("{w}"), "5");
+    }
+
+    #[test]
+    fn set_index_masks_the_line_number() {
+        let line = LineAddr::new(0xdead_beef);
+        assert_eq!(SetIndex::of_line(line, 2048).get(), 0xdead_beef & 2047);
+        assert_eq!(SetIndex::of_line(line, 1), SetIndex::new(0));
+        assert_eq!(format!("{}", SetIndex::new(17)), "17");
+        assert_eq!(format!("{:?}", SetIndex::new(17)), "17");
     }
 
     #[test]

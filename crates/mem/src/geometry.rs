@@ -93,7 +93,8 @@ impl LineGeometry {
 
     /// The first byte address of line `line`.
     pub const fn line_base(&self, line: LineAddr) -> Addr {
-        // ldis: allow(O1, "line addresses are produced by addr >> line_shift, so shifting back cannot overflow; line_shift <= 7 by the power-of-two assert in new()")
+        // Cannot overflow: line addresses come from `addr >> line_shift`,
+        // and `line_shift <= 7` by the power-of-two assert in `new()`.
         Addr::new(line.raw() << self.line_shift)
     }
 
@@ -109,7 +110,9 @@ impl LineGeometry {
 
     /// The byte address of word `word` of line `line`.
     pub const fn word_base(&self, line: LineAddr, word: WordIndex) -> Addr {
-        // ldis: allow(O1, "shift counts are trailing_zeros of the validated power-of-two sizes (<= 7) and the word offset is below line_bytes, so the sum stays within the line")
+        // Cannot overflow: the shift counts are the trailing zeros of the
+        // validated power-of-two sizes (<= 7), and the word offset is below
+        // `line_bytes`, so the sum stays within the line.
         Addr::new((line.raw() << self.line_shift) + ((word.get() as u64) << self.word_shift))
     }
 

@@ -3,8 +3,9 @@
 //! This crate provides the vocabulary types shared by every other crate in
 //! the workspace:
 //!
-//! * [`Addr`], [`LineAddr`] and [`LineGeometry`] — byte addresses, line
-//!   addresses and the line/word geometry arithmetic that connects them;
+//! * [`Addr`], [`LineAddr`], [`WordIndex`], [`SetIndex`] and
+//!   [`LineGeometry`] — byte addresses, line addresses, word and set
+//!   indices, and the line/word geometry arithmetic that connects them;
 //! * [`Access`] and [`AccessKind`] — one memory reference of a trace;
 //! * [`Footprint`] — the per-line used-word bit vector at the heart of the
 //!   paper (one bit per word of a cache line);
@@ -55,7 +56,7 @@ mod trace;
 mod trace_io;
 
 pub use access::{Access, AccessKind};
-pub use addr::{Addr, LineAddr, WordIndex};
+pub use addr::{Addr, LineAddr, SetIndex, WordIndex};
 pub use footprint::Footprint;
 pub use geometric::GeometricTable;
 pub use geometry::LineGeometry;

@@ -6,6 +6,38 @@
 //! and test is deterministic. A local implementation avoids depending on a
 //! particular version of an external RNG crate for reproducibility.
 
+/// Declares each fixed stream seed and [`STREAM_SEEDS`], the list the
+/// distinctness test checks, from one table, so no seed can be declared
+/// outside the check.
+macro_rules! stream_seeds {
+    ($($(#[doc = $doc:literal])* $name:ident = $value:literal;)*) => {
+        $($(#[doc = $doc])* pub const $name: u64 = $value;)*
+
+        /// Every fixed stream seed, by name. Two streams with one seed
+        /// would draw the same numbers.
+        pub const STREAM_SEEDS: &[(&str, u64)] = &[$((stringify!($name), $name)),*];
+    };
+}
+
+// The fixed seeds of the simulator's internal random streams. Each one
+// seeds, or is mixed into the seed of, one stream; the goldens pin their
+// values.
+stream_seeds! {
+    /// The WOC's random replacement (Section 5.3): the default
+    /// `DistillConfig` seed.
+    WOC_REPLACEMENT = 0x1d15;
+    /// The fault injector's default seed.
+    FAULT_INJECTOR = 0x5eed;
+    /// FAC's compressed WOC, mixed into the distill configuration's seed.
+    FAC = 0xfac;
+    /// The tenant mix's benchmark draws, a component of the mix's seed.
+    TENANT_MIX = 0x7e4a;
+    /// The pointer-chase permutation, mixed into the workload's seed.
+    POINTER_CHASE = 0xc4a5e;
+    /// The timing model's jitter: fixed, one stream per timed run.
+    TIMING_JITTER = 0x7131;
+}
+
 /// A stable 64-bit FNV-1a hash of a name, for deriving sweep-cell seeds
 /// from configuration labels. The constant offset basis and prime are the
 /// published FNV-1a parameters, so the id of a given string never changes
@@ -591,6 +623,15 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 10_000);
+    }
+
+    #[test]
+    fn stream_seeds_are_pairwise_distinct() {
+        for (i, (a, x)) in STREAM_SEEDS.iter().enumerate() {
+            for (b, y) in STREAM_SEEDS.iter().skip(i + 1) {
+                assert_ne!(x, y, "streams {a} and {b} share a seed");
+            }
+        }
     }
 
     #[test]

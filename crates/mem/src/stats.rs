@@ -6,9 +6,11 @@ use std::fmt;
 ///
 /// Every simulator counter bumps through this trait so that the failure
 /// mode at the type's ceiling is a visibly pinned value rather than a
-/// silent wrap-around (`ldis-lint` rule O1 rejects bare `+=` on counter
-/// fields). Saturation is unreachable in practice — traces are billions
-/// of accesses, `u64::MAX` is quintillions — so goldens are unaffected.
+/// silent wrap-around. This is a convention, not a check: nothing stops
+/// a bare `+=` on a counter field, and test builds keep overflow checks.
+/// Saturation is unreachable in practice — a run bumps each counter a
+/// few times per access over millions of accesses, `u64::MAX` is
+/// quintillions — so goldens are unaffected.
 pub trait Counter: Copy {
     /// Adds 1, saturating at the type's maximum.
     fn bump(&mut self);

@@ -2,7 +2,7 @@
 
 use ldis_cache::{shift_in_mru, CacheConfig};
 use ldis_mem::stats::{Counter, Histogram};
-use ldis_mem::{Footprint, LineAddr, WordIndex};
+use ldis_mem::{Footprint, LineAddr, SetIndex, WordIndex};
 
 // Per-tier slot state, packed into one `u32`: the footprint's word bits
 // in the low 16 bits, then the dirty and instruction flags. Install times
@@ -179,14 +179,6 @@ impl MattsonProfiler {
         self.beyond
     }
 
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the set index is masked below num_sets, which sizes in-memory arrays"
-    )]
-    fn set_index(&self, line: LineAddr) -> usize {
-        (line.raw() & (self.num_sets - 1)) as usize
-    }
-
     /// Allocates the zeroed stack arrays: every set empty.
     #[expect(
         clippy::cast_possible_truncation,
@@ -202,10 +194,10 @@ impl MattsonProfiler {
     /// `line`'s set, the set's fill count and `line`'s stack position in
     /// it, if present. Every set reads as empty until the first
     /// [`record`](MattsonProfiler::record) allocates the arrays.
-    fn locate(&self, line: LineAddr) -> (usize, usize, Option<usize>) {
-        let set = self.set_index(line);
-        let live = self.fill.get(set).map_or(0, |&n| n as usize);
-        let base = set * self.depth;
+    fn locate(&self, line: LineAddr) -> (SetIndex, usize, Option<usize>) {
+        let set = SetIndex::of_line(line, self.num_sets);
+        let live = self.fill.get(set.get()).map_or(0, |&n| n as usize);
+        let base = set.get() * self.depth;
         let pos = self
             .lines
             .get(base..base + live)
@@ -254,14 +246,14 @@ impl MattsonProfiler {
         }
         let (set, live, pos) = self.locate(line);
         let tiers = self.tiers.len();
-        let base = set * self.depth;
+        let base = set.get() * self.depth;
         let (Some(fill), Some(lines), Some(slots)) = (
-            self.fill.get_mut(set),
+            self.fill.get_mut(set.get()),
             self.lines.get_mut(base..base + self.depth),
             self.slots
                 .get_mut(base * tiers..(base + self.depth) * tiers),
         ) else {
-            // Unreachable: set_index masks into 0..num_sets. Degrade to
+            // Unreachable: `SetIndex::of_line` masks into 0..num_sets. Degrade to
             // "not profiled" rather than panicking mid-simulation.
             return None;
         };
@@ -340,7 +332,7 @@ impl MattsonProfiler {
     pub fn merge_l1d_evict(&mut self, line: LineAddr, fp: Footprint, dirty: bool) {
         let (set, _, pos) = self.locate(line);
         let tiers = self.tiers.len();
-        let base = set * self.depth;
+        let base = set.get() * self.depth;
         let bits = u32::from(fp.bits()) | if dirty { DIRTY } else { 0 };
         for (ti, tier) in self.tiers.iter_mut().enumerate() {
             match pos {

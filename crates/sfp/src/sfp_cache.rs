@@ -5,7 +5,7 @@ use crate::FootprintPredictor;
 use ldis_cache::{CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel};
 use ldis_distill::{Reverter, ReverterConfig};
 use ldis_mem::stats::Counter;
-use ldis_mem::{Addr, Footprint, LineAddr, LineGeometry, WordIndex};
+use ldis_mem::{Addr, Footprint, LineAddr, LineGeometry, SetIndex, WordIndex};
 use std::collections::VecDeque;
 
 /// Configuration of the SFP cache.
@@ -156,26 +156,22 @@ impl SfpCache {
         &self.predictor
     }
 
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "the set index is masked below num_sets, which sizes in-memory arrays"
-    )]
-    fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
+    fn set_and_tag(&self, line: LineAddr) -> (SetIndex, u64) {
         let sets = self.cfg.num_sets();
         (
-            (line.raw() & (sets - 1)) as usize,
+            SetIndex::of_line(line, sets),
             line.raw() >> sets.trailing_zeros(),
         )
     }
 
-    fn sfp_active_for(&self, set: usize) -> bool {
+    fn sfp_active_for(&self, set: SetIndex) -> bool {
         match &self.reverter {
             None => true,
             Some(r) => r.is_leader(set) || r.ldis_enabled(),
         }
     }
 
-    fn observe_reverter(&mut self, set: usize, line: LineAddr, missed: bool) {
+    fn observe_reverter(&mut self, set: SetIndex, line: LineAddr, missed: bool) {
         if let Some(r) = self.reverter.as_mut() {
             if r.is_leader(set) {
                 r.observe_leader_access(set, line, missed);
@@ -188,12 +184,12 @@ impl SfpCache {
     /// disjoint from the line's; LRU lines are evicted until a way fits
     /// and the tag budget holds, training the predictor with each
     /// victim's observed footprint.
-    fn install(&mut self, set_idx: usize, tag: u64, req: &L2Request, stored: Footprint) {
+    fn install(&mut self, set_idx: SetIndex, tag: u64, req: &L2Request, stored: Footprint) {
         let max_tags = self.cfg.tags_per_set as usize;
         // `set_idx` is masked to `0..num_sets` by `set_and_tag`, so the
         // `get` lookups cannot miss.
         let way = loop {
-            let Some(set) = self.sets.get(set_idx) else {
+            let Some(set) = self.sets.get(set_idx.get()) else {
                 return;
             };
             if set.lines.len() < max_tags {
@@ -203,7 +199,7 @@ impl SfpCache {
             }
             self.evict_lru(set_idx);
         };
-        let Some(set) = self.sets.get_mut(set_idx) else {
+        let Some(set) = self.sets.get_mut(set_idx.get()) else {
             return;
         };
         if let Some(mask) = set.masks.get_mut(way) {
@@ -224,10 +220,10 @@ impl SfpCache {
         });
     }
 
-    fn evict_lru(&mut self, set_idx: usize) {
+    fn evict_lru(&mut self, set_idx: SetIndex) {
         // Callers only evict from sets they just found full; an empty set
         // simply has nothing to evict.
-        let Some(set) = self.sets.get_mut(set_idx) else {
+        let Some(set) = self.sets.get_mut(set_idx.get()) else {
             return;
         };
         let Some(victim) = set.lines.pop_back() else {
@@ -261,7 +257,7 @@ impl SecondLevel for SfpCache {
         let (set_idx, tag) = self.set_and_tag(req.line);
         let full = Footprint::full(self.cfg.geometry.words_per_line());
 
-        let resident = self.sets.get_mut(set_idx).and_then(|set| {
+        let resident = self.sets.get_mut(set_idx.get()).and_then(|set| {
             set.lines
                 .iter()
                 .position(|l| l.tag == tag)
@@ -274,7 +270,7 @@ impl SecondLevel for SfpCache {
                 line.observed.touch(req.word);
                 line.dirty |= req.write;
                 let stored = line.stored;
-                if let Some(set) = self.sets.get_mut(set_idx) {
+                if let Some(set) = self.sets.get_mut(set_idx.get()) {
                     set.lines.push_front(line);
                 }
                 if req.is_instr {
@@ -301,7 +297,7 @@ impl SecondLevel for SfpCache {
             self.observe_reverter(set_idx, req.line, true);
             if let Some(mask) = self
                 .sets
-                .get_mut(set_idx)
+                .get_mut(set_idx.get())
                 .and_then(|s| s.masks.get_mut(line.way))
             {
                 *mask &= !line.stored.bits();
@@ -312,7 +308,7 @@ impl SecondLevel for SfpCache {
             if line.dirty {
                 if let Some(l) = self
                     .sets
-                    .get_mut(set_idx)
+                    .get_mut(set_idx.get())
                     .and_then(|s| s.lines.iter_mut().find(|l| l.tag == tag))
                 {
                     l.dirty = true;
@@ -346,7 +342,7 @@ impl SecondLevel for SfpCache {
         let (set_idx, tag) = self.set_and_tag(line);
         match self
             .sets
-            .get_mut(set_idx)
+            .get_mut(set_idx.get())
             .and_then(|s| s.lines.iter_mut().find(|l| l.tag == tag))
         {
             Some(l) => {
@@ -492,7 +488,7 @@ mod tests {
         let resident = (100..112u64)
             .filter(|&i| {
                 let (set, tag) = c.set_and_tag(LineAddr::new(i * 4));
-                c.sets[set].lines.iter().any(|l| l.tag == tag)
+                c.sets[set.get()].lines.iter().any(|l| l.tag == tag)
             })
             .count();
         assert!(

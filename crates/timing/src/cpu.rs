@@ -3,7 +3,7 @@
 
 use crate::{L2Timing, MemorySystem, SystemConfig};
 use ldis_cache::{Hierarchy, SecondLevel};
-use ldis_mem::{Access, AccessKind, SimRng};
+use ldis_mem::{rng, Access, AccessKind, SimRng};
 use ldis_workloads::Workload;
 
 /// The outcome of a timing simulation.
@@ -63,8 +63,10 @@ impl<L2: SecondLevel> TimingSim<L2> {
         TimingSim {
             hier: Hierarchy::hpca2007(l2),
             mem: MemorySystem::new(cfg.dram_banks, cfg.mem_latency, transfer, cfg.mshr_entries),
-            // ldis: allow(S1, "the timing model's internal jitter stream is deliberately fixed (one TimingSim per run, not forked into workers); re-deriving it would shift cycle counts and break the frozen goldens")
-            rng: SimRng::new(0x7131),
+            // The jitter stream is deliberately fixed: one TimingSim per
+            // run, never forked into workers. Re-deriving it would shift
+            // cycle counts and break the goldens.
+            rng: SimRng::new(rng::TIMING_JITTER),
             cycle: 0,
             mispredict_debt: 0.0,
             cfg,

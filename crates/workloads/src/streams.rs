@@ -6,7 +6,7 @@
 //! published working-set size, words-used distribution and miss behaviour.
 
 use crate::WordsProfile;
-use ldis_mem::{Footprint, LineAddr, SimRng, WordIndex};
+use ldis_mem::{rng, Footprint, LineAddr, SimRng, WordIndex};
 
 /// What a visit touches.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,8 +192,11 @@ impl PointerChase {
             reason = "the assert above bounds nodes to u32::MAX"
         )]
         let mut perm: Vec<u32> = (0..nodes as u32).collect();
-        // ldis: allow(S1, "seed is the caller's derived per-workload seed and 0xc4a5e is the unique PointerChase stream tag; rewriting as derive_seed_chain would shift the permutation and break the frozen goldens")
-        let mut rng = SimRng::new(seed ^ 0xc4a5e);
+        // `seed` is the caller's derived per-workload seed, and the xor
+        // keeps this permutation apart from the workload's own stream.
+        // Rewriting it as `derive_seed_chain` would shift the permutation
+        // and break the goldens.
+        let mut rng = SimRng::new(seed ^ rng::POINTER_CHASE);
         // Fisher–Yates, then rotate so the cycle structure is a single loop
         // (perm[i] = successor of node i in a random cyclic order).
         for i in (1..perm.len()).rev() {

@@ -12,7 +12,7 @@
 //! tagged traces (the advisor golden depends on this).
 
 use crate::{Benchmark, Workload};
-use ldis_mem::{Access, Addr, SimRng, TraceSource};
+use ldis_mem::{rng, Access, Addr, SimRng, TraceSource};
 
 /// Address-space stride separating tenants: 16 TiB per tenant keeps every
 /// workload's regions disjoint across tenants without nearing u64 wrap.
@@ -79,7 +79,7 @@ impl TenantMixBuilder {
         TenantMix {
             tenants: self.tenants,
             weights,
-            rng: SimRng::new(SimRng::derive_seed_chain(self.seed, &[0x7e4a])),
+            rng: SimRng::new(SimRng::derive_seed_chain(self.seed, &[rng::TENANT_MIX])),
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use line_distillation::cache::{BaselineL2, CacheConfig, Hierarchy, SecondLevel};
 use line_distillation::distill::{DistillCache, DistillConfig};
-use line_distillation::mem::LineGeometry;
+use line_distillation::mem::{LineGeometry, SetIndex};
 use line_distillation::workloads::{spec2000, TraceLength};
 
 const ACCESSES: u64 = 2_000_000;
@@ -63,7 +63,7 @@ fn main() {
     for set in [0usize, 512, 1024] {
         println!(
             "  set {set:>4}: {} distilled lines resident",
-            woc.lines_in_set(set)
+            woc.lines_in_set(SetIndex::new(set))
         );
     }
     println!(

@@ -4,6 +4,7 @@
 
 use line_distillation::cache::{Hierarchy, ProtectionScheme, RecoveryAction, SecondLevel};
 use line_distillation::distill::{DistillCache, DistillConfig, ResilienceConfig};
+use line_distillation::mem::SetIndex;
 use line_distillation::workloads::{spec2000, TraceLength};
 
 fn resilient(rcfg: ResilienceConfig) -> DistillCache {
@@ -118,7 +119,7 @@ fn degradation_is_graceful_not_fatal() {
     let health = hier.l2().health().expect("enabled");
     assert!(health.degraded, "1% per access must exhaust a budget of 2");
     assert!(
-        !hier.l2().ldis_active_for(0),
+        !hier.l2().ldis_active_for(SetIndex::new(0)),
         "distillation is off everywhere"
     );
     let s = hier.l2().stats();

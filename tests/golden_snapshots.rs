@@ -1,104 +1,65 @@
 //! Golden-snapshot regression tests.
 //!
-//! Each test recomputes one experiment at the canonical quick
+//! Each golden recomputes one experiment at the canonical quick
 //! configuration and compares the canonical JSON rendering byte for byte
 //! against the committed file under `tests/golden/`. A mismatch means a
 //! simulator, workload or sweep change moved a published number: if that
 //! was intentional, regenerate with `UPDATE_GOLDEN=1 cargo test` and
 //! commit the diff alongside the change.
 
+use line_distillation::experiments::report::Json;
 use line_distillation::experiments::{
     advisor, appendix, exec, fig10, fig11, fig13, fig6, fig7, fig8, fig9, golden, linesize,
-    motivation, mrc, parallel, resilience, sweep, table3,
+    motivation, mrc, parallel, resilience, sweep, table3, RunConfig,
 };
+use std::fs;
+
+/// Computes one experiment's golden snapshot at a run configuration.
+type Snapshot = fn(&RunConfig) -> Json;
+
+/// The figure goldens, each the snapshot of one experiment at
+/// [`golden::golden_config`].
+const FIGURES: &[(&str, Snapshot)] = &[
+    ("motivation", motivation::snapshot),
+    ("linesize", linesize::snapshot),
+    ("resilience", resilience::snapshot),
+    ("fig6", fig6::snapshot),
+    ("fig7", fig7::snapshot),
+    ("fig8", fig8::snapshot),
+    ("fig9", fig9::snapshot),
+    ("fig10", fig10::snapshot),
+    ("fig11", fig11::snapshot),
+    ("fig13", fig13::snapshot),
+    ("table5", appendix::table5_snapshot),
+    ("table6", appendix::table6_snapshot),
+    ("mrc", mrc::snapshot),
+    ("advisor", advisor::snapshot),
+];
+
+/// The goldens compared by tests of their own below.
+const OWN_TESTS: &[&str] = &["table3", "sweep"];
 
 #[test]
-fn motivation_matches_golden() {
+fn figures_match_goldens() {
     let cfg = golden::golden_config();
-    golden::assert_matches("motivation", &motivation::snapshot(&cfg));
+    let failures: Vec<String> = parallel::sweep(FIGURES, |(name, snapshot)| {
+        golden::verify(name, &snapshot(&cfg)).err()
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {} figure goldens differ:\n\n{}",
+        failures.len(),
+        FIGURES.len(),
+        failures.join("\n\n")
+    );
 }
 
 #[test]
 fn table3_matches_golden() {
     golden::assert_matches("table3", &table3::snapshot());
-}
-
-#[test]
-fn linesize_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("linesize", &linesize::snapshot(&cfg));
-}
-
-#[test]
-fn resilience_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("resilience", &resilience::snapshot(&cfg));
-}
-
-#[test]
-fn fig6_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("fig6", &fig6::snapshot(&cfg));
-}
-
-#[test]
-fn fig7_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("fig7", &fig7::snapshot(&cfg));
-}
-
-#[test]
-fn fig9_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("fig9", &fig9::snapshot(&cfg));
-}
-
-#[test]
-fn fig8_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("fig8", &fig8::snapshot(&cfg));
-}
-
-#[test]
-fn fig10_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("fig10", &fig10::snapshot(&cfg));
-}
-
-#[test]
-fn fig11_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("fig11", &fig11::snapshot(&cfg));
-}
-
-#[test]
-fn fig13_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("fig13", &fig13::snapshot(&cfg));
-}
-
-#[test]
-fn table5_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("table5", &appendix::table5_snapshot(&cfg));
-}
-
-#[test]
-fn table6_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("table6", &appendix::table6_snapshot(&cfg));
-}
-
-#[test]
-fn mrc_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("mrc", &mrc::snapshot(&cfg));
-}
-
-#[test]
-fn advisor_matches_golden() {
-    let cfg = golden::golden_config();
-    golden::assert_matches("advisor", &advisor::snapshot(&cfg));
 }
 
 #[test]
@@ -118,4 +79,88 @@ fn sweep_matches_golden() {
     );
     assert!(report.all_ok(), "clean matrix must not quarantine");
     golden::assert_matches("sweep", &sweep::snapshot(&report.outcomes));
+}
+
+/// The problems with one committed golden's structure: its `experiment`
+/// must name the file, and the `rows`, `seed` and `accesses` a snapshot
+/// carries must pin something and describe a run that could happen.
+fn structure_problems(stem: &str, text: &str) -> Vec<String> {
+    let fields = match Json::parse(text) {
+        Ok(Json::Obj(fields)) => fields,
+        Ok(_) => return vec!["not a JSON object".to_owned()],
+        Err(e) => return vec![format!("not valid JSON: {e}")],
+    };
+    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let mut problems = Vec::new();
+    match field("experiment") {
+        Some(Json::Str(name)) if name == stem => {}
+        other => problems.push(format!("`experiment` is {other:?}, not \"{stem}\"")),
+    }
+    match field("rows") {
+        None => {}
+        Some(Json::Arr(rows)) if !rows.is_empty() => {}
+        Some(other) => problems.push(format!("`rows` must be a non-empty array, not {other:?}")),
+    }
+    match field("seed") {
+        None | Some(Json::Uint(_)) => {}
+        Some(other) => problems.push(format!(
+            "`seed` must be a non-negative integer, not {other:?}"
+        )),
+    }
+    match field("accesses") {
+        None => {}
+        Some(Json::Uint(n)) if *n > 0 => {}
+        Some(other) => problems.push(format!(
+            "`accesses` must be a positive integer, not {other:?}"
+        )),
+    }
+    if !FIGURES.iter().any(|(name, _)| *name == stem) && !OWN_TESTS.contains(&stem) {
+        problems.push("no test compares it".to_owned());
+    }
+    problems
+}
+
+#[test]
+fn committed_goldens_are_well_formed_and_compared() {
+    let mut problems = Vec::new();
+    let mut count = 0;
+    for entry in fs::read_dir(golden::dir()).expect("golden directory is readable") {
+        let path = entry.expect("golden directory entry").path();
+        let (Some(stem), Some("json")) = (
+            path.file_stem().and_then(|s| s.to_str()),
+            path.extension().and_then(|s| s.to_str()),
+        ) else {
+            continue;
+        };
+        count += 1;
+        let text = fs::read_to_string(&path).expect("golden is readable");
+        for problem in structure_problems(stem, &text) {
+            problems.push(format!("{stem}.json: {problem}"));
+        }
+    }
+    assert_eq!(
+        count,
+        FIGURES.len() + OWN_TESTS.len(),
+        "one committed golden per compared snapshot"
+    );
+    assert!(problems.is_empty(), "{}", problems.join("\n"));
+}
+
+#[test]
+fn structure_check_rejects_malformed_goldens() {
+    let ok = r#"{"experiment": "fig6", "accesses": 150000, "seed": 42, "rows": [{}]}"#;
+    assert_eq!(structure_problems("fig6", ok), Vec::<String>::new());
+    let bad = r#"{"experiment": "some_other_name", "accesses": 0, "seed": -3, "rows": []}"#;
+    let found = structure_problems("fig6", bad);
+    for field in ["`experiment`", "`rows`", "`seed`", "`accesses`"] {
+        assert!(
+            found.iter().any(|p| p.starts_with(field)),
+            "{field} not flagged: {found:?}"
+        );
+    }
+    let orphan = r#"{"experiment": "orphan"}"#;
+    assert_eq!(
+        structure_problems("orphan", orphan),
+        ["no test compares it"]
+    );
 }

@@ -24,7 +24,7 @@ use ldis_mem::bitops::{
 };
 use ldis_mem::rng::{stable_id, SimRng};
 use ldis_mem::stats::Histogram;
-use ldis_mem::{Footprint, LineAddr, LineGeometry, WordIndex};
+use ldis_mem::{Footprint, LineAddr, LineGeometry, SetIndex, WordIndex};
 
 /// One reference set: `ways` tag entries plus a true-LRU stack of way
 /// indices, MRU first — the per-set layout the arena replaced.
@@ -95,7 +95,7 @@ impl RefCache {
     fn set_mut(&mut self, line: LineAddr) -> (&mut RefSet, u64) {
         let idx = self.cfg.set_index(line);
         let tag = self.cfg.tag(line);
-        (&mut self.sets[idx], tag)
+        (&mut self.sets[idx.get()], tag)
     }
 
     fn access(&mut self, line: LineAddr, word: Option<WordIndex>, write: bool) -> bool {
@@ -254,7 +254,7 @@ fn run_trace(seed: u64) -> (Histogram, Histogram) {
         for way in 0..ways as usize {
             let e = *set.entry(way);
             if e.valid {
-                let line = cfg.line_of(set_idx, e.tag);
+                let line = cfg.line_of(SetIndex::new(set_idx), e.tag);
                 slow_state.push((line.raw(), e, Some(set.position_of(way))));
             }
         }

@@ -6,7 +6,7 @@ use line_distillation::cache::{
     BaselineL2, CacheConfig, Hierarchy, L2Outcome, L2Request, SecondLevel,
 };
 use line_distillation::distill::{DistillCache, DistillConfig, ThresholdPolicy};
-use line_distillation::mem::{Access, Addr, LineAddr, LineGeometry, SimRng, WordIndex};
+use line_distillation::mem::{Access, Addr, LineAddr, LineGeometry, SetIndex, SimRng, WordIndex};
 
 /// A small universe keeps sets hot so evictions and WOC traffic happen.
 fn random_access(rng: &mut SimRng) -> Access {
@@ -56,7 +56,7 @@ fn distill_cache_invariants_hold() {
         }
         for set in 0..16 {
             dc.woc()
-                .check_invariants(set)
+                .check_invariants(SetIndex::new(set))
                 .unwrap_or_else(|e| panic!("case {case}: set {set}: {e}"));
         }
         let s = dc.stats();

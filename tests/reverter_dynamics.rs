@@ -4,7 +4,7 @@
 
 use line_distillation::cache::Hierarchy;
 use line_distillation::distill::{DistillCache, DistillConfig, Reverter, ReverterConfig};
-use line_distillation::mem::{LineAddr, TraceSource};
+use line_distillation::mem::{LineAddr, SetIndex, TraceSource};
 use line_distillation::workloads::{spec2000, TraceLength};
 
 /// A reverter over a small 64-set cache with the paper's default policy
@@ -16,14 +16,14 @@ fn small_reverter() -> Reverter {
 /// Revisiting one line makes the ATD hit from the second access on, so
 /// `distill_missed = true` decrements PSEL by one per access.
 fn sink_one(r: &mut Reverter) {
-    r.observe_leader_access(0, LineAddr::new(7), true);
+    r.observe_leader_access(SetIndex::new(0), LineAddr::new(7), true);
 }
 
 /// Unique lines with `distill_missed = false` make only the ATD miss, so
 /// PSEL rises by one per access.
 fn rise_one(r: &mut Reverter, unique: &mut u64) {
     *unique += 1;
-    r.observe_leader_access(0, LineAddr::new(1 << 20 | *unique), false);
+    r.observe_leader_access(SetIndex::new(0), LineAddr::new(1 << 20 | *unique), false);
 }
 
 /// On swim, PSEL must sink and LDIS must flip to disabled — and stay
@@ -78,8 +78,8 @@ fn ldis_stays_enabled_on_friendly_workloads() {
 fn leader_sets_keep_distilling_while_disabled() {
     let mut hier = Hierarchy::hpca2007(DistillCache::new(DistillConfig::ldis_mt_rc()));
     hier.l2_mut().force_ldis(false);
-    let leader = 0usize; // stride = 2048/32 = 64; set 0 leads
-    let follower = 1usize;
+    let leader = SetIndex::new(0); // stride = 2048/32 = 64; set 0 leads
+    let follower = SetIndex::new(1);
     assert!(hier.l2().ldis_active_for(leader));
     assert!(!hier.l2().ldis_active_for(follower));
 }

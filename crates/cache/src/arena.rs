@@ -535,16 +535,19 @@ impl SetArena {
 mod tests {
     use super::*;
 
+    const SET0: SetIndex = SetIndex::new(0);
+    const SET1: SetIndex = SetIndex::new(1);
+
     /// Installs `tag` in `(set, way)` and promotes it to MRU.
-    fn installed(arena: &mut SetArena, set: usize, way: usize, tag: u64) {
-        arena.install(SetIndex::new(set), way, tag, false, false);
-        arena.promote(SetIndex::new(set), way);
+    fn installed(arena: &mut SetArena, set: SetIndex, way: usize, tag: u64) {
+        arena.install(set, way, tag, false, false);
+        arena.promote(set, way);
     }
 
     /// The recency order of `set` as way indices, MRU first.
-    fn order(arena: &SetArena, set: usize) -> Vec<usize> {
+    fn order(arena: &SetArena, set: SetIndex) -> Vec<usize> {
         let mut ways: Vec<usize> = (0..arena.ways()).collect();
-        ways.sort_by_key(|&w| arena.position_of(SetIndex::new(set), w));
+        ways.sort_by_key(|&w| arena.position_of(set, w));
         ways
     }
 
@@ -594,38 +597,28 @@ mod tests {
         let mut arena = SetArena::new(2, 4);
         let mut sets = [CacheSet::new(4), CacheSet::new(4)];
         for step in 0u64..64 {
-            let set = (step % 2) as usize;
+            let set = SetIndex::new((step % 2) as usize);
             let tag = step % 6;
-            let reference = &mut sets[set];
-            assert_eq!(
-                arena.find(SetIndex::new(set), tag),
-                reference.find(tag),
-                "step {step}"
-            );
+            let reference = &mut sets[set.get()];
+            assert_eq!(arena.find(set, tag), reference.find(tag), "step {step}");
             match reference.find(tag) {
                 Some(way) => {
-                    assert_eq!(
-                        arena.promote(SetIndex::new(set), way),
-                        reference.promote(way)
-                    );
+                    assert_eq!(arena.promote(set, way), reference.promote(way));
                 }
                 None => {
                     let way = reference.victim_way();
-                    assert_eq!(arena.victim_way(SetIndex::new(set)), way);
+                    assert_eq!(arena.victim_way(set), way);
                     reference.entries[way].install(tag, false, false);
-                    arena.install(SetIndex::new(set), way, tag, false, false);
-                    assert_eq!(
-                        arena.promote(SetIndex::new(set), way),
-                        reference.promote(way)
-                    );
+                    arena.install(set, way, tag, false, false);
+                    assert_eq!(arena.promote(set, way), reference.promote(way));
                 }
             }
         }
-        for (set, reference) in sets.iter().enumerate() {
+        for (set, reference) in [SET0, SET1].into_iter().zip(&sets) {
             for way in 0..4 {
-                assert_eq!(arena.entry(SetIndex::new(set), way), reference.entries[way]);
+                assert_eq!(arena.entry(set, way), reference.entries[way]);
                 assert_eq!(
-                    arena.position_of(SetIndex::new(set), way),
+                    arena.position_of(set, way),
                     Some(reference.position_of(way))
                 );
             }
@@ -635,52 +628,48 @@ mod tests {
     #[test]
     fn empty_set_has_no_matches() {
         let arena = SetArena::new(2, 4);
-        assert_eq!(arena.find(SetIndex::new(0), 0), None);
-        assert_eq!(arena.find(SetIndex::new(1), 0), None);
+        assert_eq!(arena.find(SET0, 0), None);
+        assert_eq!(arena.find(SET1, 0), None);
         assert_eq!(arena.ways(), 4);
     }
 
     #[test]
     fn find_locates_valid_tags_only() {
         let mut arena = SetArena::new(2, 4);
-        installed(&mut arena, 1, 0, 10);
-        assert_eq!(arena.find(SetIndex::new(1), 10), Some(0));
-        assert_eq!(arena.find(SetIndex::new(1), 11), None);
-        assert_eq!(
-            arena.find(SetIndex::new(0), 10),
-            None,
-            "sets are independent"
-        );
-        arena.invalidate(SetIndex::new(1), 0);
-        assert_eq!(arena.find(SetIndex::new(1), 10), None);
+        installed(&mut arena, SET1, 0, 10);
+        assert_eq!(arena.find(SET1, 10), Some(0));
+        assert_eq!(arena.find(SET1, 11), None);
+        assert_eq!(arena.find(SET0, 10), None, "sets are independent");
+        arena.invalidate(SET1, 0);
+        assert_eq!(arena.find(SET1, 10), None);
     }
 
     #[test]
     fn promote_returns_prior_position_and_moves_to_mru() {
         let mut arena = SetArena::new(2, 4);
         for (w, t) in [(0usize, 10u64), (1, 11), (2, 12), (3, 13)] {
-            installed(&mut arena, 1, w, t);
+            installed(&mut arena, SET1, w, t);
         }
         // Install order 0,1,2,3 → recency order (MRU..LRU) = 3,2,1,0.
-        assert_eq!(order(&arena, 1), [3, 2, 1, 0]);
-        assert_eq!(arena.promote(SetIndex::new(1), 1), 2);
-        assert_eq!(order(&arena, 1), [1, 3, 2, 0]);
-        assert_eq!(arena.position_of(SetIndex::new(1), 1), Some(0));
-        assert_eq!(arena.position_of(SetIndex::new(1), 0), Some(3));
-        assert_eq!(order(&arena, 0), [0, 1, 2, 3], "other sets untouched");
+        assert_eq!(order(&arena, SET1), [3, 2, 1, 0]);
+        assert_eq!(arena.promote(SET1, 1), 2);
+        assert_eq!(order(&arena, SET1), [1, 3, 2, 0]);
+        assert_eq!(arena.position_of(SET1, 1), Some(0));
+        assert_eq!(arena.position_of(SET1, 0), Some(3));
+        assert_eq!(order(&arena, SET0), [0, 1, 2, 3], "other sets untouched");
     }
 
     #[test]
     fn victim_prefers_invalid_ways() {
         let mut arena = SetArena::new(1, 3);
-        installed(&mut arena, 0, 0, 10);
-        installed(&mut arena, 0, 2, 12);
-        assert_eq!(arena.victim_way(SetIndex::new(0)), 1);
-        installed(&mut arena, 0, 1, 11);
+        installed(&mut arena, SET0, 0, 10);
+        installed(&mut arena, SET0, 2, 12);
+        assert_eq!(arena.victim_way(SET0), 1);
+        installed(&mut arena, SET0, 1, 11);
         // All valid now: LRU is way 0 (installed first).
-        assert_eq!(arena.victim_way(SetIndex::new(0)), 0);
+        assert_eq!(arena.victim_way(SET0), 0);
         // The fused install path picks the same victim.
-        let (way, victim) = arena.install_evict(SetIndex::new(0), 13, 0, false, false);
+        let (way, victim) = arena.install_evict(SET0, 13, 0, false, false);
         assert_eq!((way, victim.tag), (0, 10));
     }
 
@@ -688,12 +677,11 @@ mod tests {
     fn recency_order_is_always_a_permutation() {
         let mut arena = SetArena::new(2, 8);
         for i in 0..100u64 {
-            let set = (i % 2) as usize;
+            let set = SetIndex::new((i % 2) as usize);
             installed(&mut arena, set, (i % 8) as usize, i);
             // Every way holds exactly one recency position.
-            let mut positions: Vec<Option<u8>> = (0..8)
-                .map(|way| arena.position_of(SetIndex::new(set), way))
-                .collect();
+            let mut positions: Vec<Option<u8>> =
+                (0..8).map(|way| arena.position_of(set, way)).collect();
             positions.sort_unstable();
             assert_eq!(positions, (0..8).map(Some).collect::<Vec<_>>());
         }
@@ -703,16 +691,13 @@ mod tests {
     fn way_at_position_inverts_position_of() {
         let mut arena = SetArena::new(2, 4);
         for (w, t) in [(0usize, 1u64), (1, 2), (2, 3), (3, 4)] {
-            installed(&mut arena, 1, w, t);
+            installed(&mut arena, SET1, w, t);
         }
-        arena.promote(SetIndex::new(1), 2);
-        for set in 0..2 {
+        arena.promote(SET1, 2);
+        for set in [SET0, SET1] {
             // `order` reads the way at each position off `position_of`.
             for (pos, way) in order(&arena, set).into_iter().enumerate() {
-                assert_eq!(
-                    arena.position_of(SetIndex::new(set), way),
-                    u8::try_from(pos).ok()
-                );
+                assert_eq!(arena.position_of(set, way), u8::try_from(pos).ok());
             }
         }
     }
@@ -727,40 +712,36 @@ mod tests {
     fn touch_and_merge_latch_positions_like_tag_entry() {
         let mut arena = SetArena::new(1, 2);
         let mut reference = TagEntry::invalid();
-        arena.install(SetIndex::new(0), 0, 9, false, false);
+        arena.install(SET0, 0, 9, false, false);
         reference.install(9, false, false);
-        arena.observe_position(SetIndex::new(0), 0, 3);
+        arena.observe_position(SET0, 0, 3);
         reference.observe_position(3);
-        arena.touch_word(SetIndex::new(0), 0, WordIndex::new(1));
+        arena.touch_word(SET0, 0, WordIndex::new(1));
         reference.touch_word(WordIndex::new(1));
-        arena.observe_position(SetIndex::new(0), 0, 5);
+        arena.observe_position(SET0, 0, 5);
         reference.observe_position(5);
-        arena.touch_word(SetIndex::new(0), 0, WordIndex::new(1)); // not a change
+        arena.touch_word(SET0, 0, WordIndex::new(1)); // not a change
         reference.touch_word(WordIndex::new(1));
-        assert_eq!(arena.entry(SetIndex::new(0), 0), reference);
-        arena.merge_footprint(SetIndex::new(0), 0, Footprint::from_bits(0b110));
+        assert_eq!(arena.entry(SET0, 0), reference);
+        arena.merge_footprint(SET0, 0, Footprint::from_bits(0b110));
         reference.merge_footprint(Footprint::from_bits(0b110));
-        assert_eq!(arena.entry(SetIndex::new(0), 0), reference);
-        assert_eq!(arena.entry(SetIndex::new(0), 0).max_pos_at_change, 5);
+        assert_eq!(arena.entry(SET0, 0), reference);
+        assert_eq!(arena.entry(SET0, 0).max_pos_at_change, 5);
     }
 
     #[test]
     fn dirty_and_invalidate_round_trip() {
         let mut arena = SetArena::new(1, 2);
-        arena.install(SetIndex::new(0), 1, 7, false, true);
-        assert!(arena.entry(SetIndex::new(0), 1).is_instr);
-        arena.or_dirty(SetIndex::new(0), 1, false);
-        assert!(!arena.entry(SetIndex::new(0), 1).dirty);
-        arena.or_dirty(SetIndex::new(0), 1, true);
-        assert!(arena.entry(SetIndex::new(0), 1).dirty);
-        assert!(arena.is_valid(SetIndex::new(0), 1));
-        arena.invalidate(SetIndex::new(0), 1);
-        assert!(!arena.is_valid(SetIndex::new(0), 1));
-        assert_eq!(
-            arena.find(SetIndex::new(0), 7),
-            None,
-            "invalid entries never match"
-        );
+        arena.install(SET0, 1, 7, false, true);
+        assert!(arena.entry(SET0, 1).is_instr);
+        arena.or_dirty(SET0, 1, false);
+        assert!(!arena.entry(SET0, 1).dirty);
+        arena.or_dirty(SET0, 1, true);
+        assert!(arena.entry(SET0, 1).dirty);
+        assert!(arena.is_valid(SET0, 1));
+        arena.invalidate(SET0, 1);
+        assert!(!arena.is_valid(SET0, 1));
+        assert_eq!(arena.find(SET0, 7), None, "invalid entries never match");
     }
 
     #[test]
@@ -771,40 +752,34 @@ mod tests {
         let mut fused = SetArena::new(2, 4);
         let mut unfused = SetArena::new(2, 4);
         for step in 0u64..200 {
-            let set = (step % 2) as usize;
+            let set = SetIndex::new((step % 2) as usize);
             let tag = step * 7 % 9;
             let word = WordIndex::new((step % 8) as u8);
             let write = step % 3 == 0;
-            let got = fused.hit_update(SetIndex::new(set), tag, 1u16 << word.get(), write, true);
-            match unfused.find(SetIndex::new(set), tag) {
+            let got = fused.hit_update(set, tag, 1u16 << word.get(), write, true);
+            match unfused.find(set, tag) {
                 Some(way) => {
-                    let pos = unfused.promote(SetIndex::new(set), way);
-                    unfused.observe_position(SetIndex::new(set), way, pos);
-                    unfused.touch_word(SetIndex::new(set), way, word);
-                    unfused.or_dirty(SetIndex::new(set), way, write);
+                    let pos = unfused.promote(set, way);
+                    unfused.observe_position(set, way, pos);
+                    unfused.touch_word(set, way, word);
+                    unfused.or_dirty(set, way, write);
                     assert_eq!(got, Some(way), "step {step}");
                 }
                 None => {
                     assert_eq!(got, None, "step {step}");
-                    let way = unfused.victim_way(SetIndex::new(set));
-                    assert_eq!(fused.victim_way(SetIndex::new(set)), way);
-                    unfused.install(SetIndex::new(set), way, tag, write, false);
-                    unfused.promote(SetIndex::new(set), way);
-                    fused.install(SetIndex::new(set), way, tag, write, false);
-                    fused.promote(SetIndex::new(set), way);
+                    let way = unfused.victim_way(set);
+                    assert_eq!(fused.victim_way(set), way);
+                    unfused.install(set, way, tag, write, false);
+                    unfused.promote(set, way);
+                    fused.install(set, way, tag, write, false);
+                    fused.promote(set, way);
                 }
             }
         }
-        for set in 0..2 {
+        for set in [SET0, SET1] {
             for way in 0..4 {
-                assert_eq!(
-                    fused.entry(SetIndex::new(set), way),
-                    unfused.entry(SetIndex::new(set), way)
-                );
-                assert_eq!(
-                    fused.position_of(SetIndex::new(set), way),
-                    unfused.position_of(SetIndex::new(set), way)
-                );
+                assert_eq!(fused.entry(set, way), unfused.entry(set, way));
+                assert_eq!(fused.position_of(set, way), unfused.position_of(set, way));
             }
         }
     }
@@ -812,25 +787,22 @@ mod tests {
     #[test]
     fn hit_update_without_latch_skips_recency_bookkeeping() {
         let mut arena = SetArena::new(1, 2);
-        arena.install(SetIndex::new(0), 0, 5, false, false);
-        arena.install(SetIndex::new(0), 1, 6, false, false);
-        arena.promote(SetIndex::new(0), 1); // way 0 now at position 1
-        let way = arena.hit_update(SetIndex::new(0), 5, 0b100, true, false);
+        arena.install(SET0, 0, 5, false, false);
+        arena.install(SET0, 1, 6, false, false);
+        arena.promote(SET0, 1); // way 0 now at position 1
+        let way = arena.hit_update(SET0, 5, 0b100, true, false);
         assert_eq!(way, Some(0));
-        let e = arena.entry(SetIndex::new(0), 0);
+        let e = arena.entry(SET0, 0);
         assert_eq!(e.footprint.bits(), 0b100);
         assert!(e.dirty);
         assert_eq!(e.max_pos_seen, 0, "no observe without latch");
         assert_eq!(e.max_pos_at_change, 0, "no latch without latch");
         assert_eq!(
-            arena.position_of(SetIndex::new(0), 0),
+            arena.position_of(SET0, 0),
             Some(0),
             "promotion still happens"
         );
-        assert_eq!(
-            arena.hit_update(SetIndex::new(0), 99, 0, false, false),
-            None
-        );
+        assert_eq!(arena.hit_update(SET0, 99, 0, false, false), None);
         assert_eq!(
             arena.hit_update(SetIndex::new(7), 5, 0, false, false),
             None,
@@ -853,10 +825,10 @@ mod tests {
     #[test]
     fn set_footprint_bypasses_recency_latch() {
         let mut arena = SetArena::new(1, 1);
-        arena.install(SetIndex::new(0), 0, 1, false, false);
-        arena.observe_position(SetIndex::new(0), 0, 7);
-        arena.set_footprint(SetIndex::new(0), 0, Footprint::full(8));
-        let e = arena.entry(SetIndex::new(0), 0);
+        arena.install(SET0, 0, 1, false, false);
+        arena.observe_position(SET0, 0, 7);
+        arena.set_footprint(SET0, 0, Footprint::full(8));
+        let e = arena.entry(SET0, 0);
         assert_eq!(e.footprint.used_words(), 8);
         assert_eq!(e.max_pos_at_change, 0, "repair does not latch positions");
     }

@@ -168,11 +168,4 @@ mod tests {
     fn rejects_indivisible_size() {
         let _ = CacheConfig::new((1 << 20) + 64, 8, LineGeometry::default());
     }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn rejects_six_ways_of_a_megabyte() {
-        // 1 MB in 6-way sets of 64 B lines is 2730.67 sets.
-        let _ = CacheConfig::new(1 << 20, 6, LineGeometry::default());
-    }
 }

@@ -129,6 +129,8 @@ mod tests {
     use ldis_mem::{LineGeometry, SimRng};
     use ldis_workloads::ValueProfile;
 
+    const SET0: SetIndex = SetIndex::new(0);
+
     fn zero_model() -> ValueSizeModel {
         ValueSizeModel::new(ValueProfile::new(1.0, 0.0, 0.0), LineGeometry::default(), 1)
     }
@@ -144,14 +146,14 @@ mod tests {
     /// Test shim over the out-parameter [`WordStore::install`].
     fn install(
         w: &mut CompressedWoc,
-        set: usize,
+        set: SetIndex,
         tag: u64,
         line: LineAddr,
         words: Footprint,
         dirty: bool,
     ) -> Vec<WocEviction> {
         let mut evicted = Vec::new();
-        w.install(SetIndex::new(set), tag, line, words, dirty, &mut evicted);
+        w.install(set, tag, line, words, dirty, &mut evicted);
         evicted
     }
 
@@ -174,9 +176,9 @@ mod tests {
     fn full_coverage_despite_compression() {
         let mut w = woc(zero_model());
         let fp = Footprint::full(8);
-        install(&mut w, 0, 7, LineAddr::new(7), fp, false);
-        w.check_invariants(SetIndex::new(0)).unwrap();
-        let hit = w.lookup(SetIndex::new(0), 7).expect("line hit");
+        install(&mut w, SET0, 7, LineAddr::new(7), fp, false);
+        w.check_invariants(SET0).unwrap();
+        let hit = w.lookup(SET0, 7).expect("line hit");
         assert_eq!(hit.valid_words, fp, "all words visible though 1 slot used");
         assert_eq!(w.occupancy(), 1);
     }
@@ -187,19 +189,19 @@ mod tests {
         for t in 0..8u64 {
             let ev = install(
                 &mut w,
-                0,
+                SET0,
                 t,
                 LineAddr::new(t * 4),
                 Footprint::full(8),
                 false,
             );
             assert!(ev.is_empty(), "line {t} should fit without eviction");
-            w.check_invariants(SetIndex::new(0)).unwrap();
+            w.check_invariants(SET0).unwrap();
         }
         assert_eq!(w.occupancy(), 8);
         let ev = install(
             &mut w,
-            0,
+            SET0,
             99,
             LineAddr::new(99 * 4),
             Footprint::full(8),
@@ -212,11 +214,11 @@ mod tests {
     fn invalidate_returns_words_and_dirty() {
         let mut w = woc(incompressible_model());
         let fp = Footprint::from_bits(0b101);
-        install(&mut w, 0, 3, LineAddr::new(3), fp, true);
-        let ev = w.invalidate_line(SetIndex::new(0), 3).expect("present");
+        install(&mut w, SET0, 3, LineAddr::new(3), fp, true);
+        let ev = w.invalidate_line(SET0, 3).expect("present");
         assert_eq!(ev.words, fp);
         assert!(ev.dirty);
-        assert!(w.lookup(SetIndex::new(0), 3).is_none());
+        assert!(w.lookup(SET0, 3).is_none());
     }
 
     #[test]
@@ -242,7 +244,7 @@ mod tests {
         );
         let mut rng = SimRng::new(5);
         for i in 0..2000u64 {
-            let set = rng.index(8);
+            let set = SetIndex::new(rng.index(8));
             let bits = (rng.next_u64() & 0xff) as u16;
             if bits == 0 {
                 continue;
@@ -255,7 +257,7 @@ mod tests {
                 Footprint::from_bits(bits),
                 rng.chance(0.3),
             );
-            w.check_invariants(SetIndex::new(set))
+            w.check_invariants(set)
                 .unwrap_or_else(|e| panic!("iteration {i}: {e}"));
         }
     }

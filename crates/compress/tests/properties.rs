@@ -95,23 +95,22 @@ fn compressed_woc_invariants() {
         let installs = 1 + cases.index(149);
         for tag in 0..installs {
             let bits = 1 + cases.range(255) as u16;
-            let set = rng.index(2);
+            let set = SetIndex::new(rng.index(2));
             let fp = Footprint::from_bits(bits);
-            if WordStore::lookup(&woc, SetIndex::new(set), tag as u64).is_none() {
+            if WordStore::lookup(&woc, set, tag as u64).is_none() {
                 WordStore::install(
                     &mut woc,
-                    SetIndex::new(set),
+                    set,
                     tag as u64,
                     LineAddr::new(tag as u64),
                     fp,
                     false,
                     &mut Vec::new(),
                 );
-                let hit = WordStore::lookup(&woc, SetIndex::new(set), tag as u64)
-                    .expect("just installed");
+                let hit = WordStore::lookup(&woc, set, tag as u64).expect("just installed");
                 assert_eq!(hit.valid_words, fp, "case {case}: coverage preserved");
             }
-            woc.check_invariants(SetIndex::new(set))
+            woc.check_invariants(set)
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));
         }
     }

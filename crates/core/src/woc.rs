@@ -818,6 +818,9 @@ impl crate::WordStore for Woc {
 mod tests {
     use super::*;
 
+    const SET0: SetIndex = SetIndex::new(0);
+    const SET1: SetIndex = SetIndex::new(1);
+
     fn woc() -> Woc {
         Woc::new(4, 2, 8, 42)
     }
@@ -829,45 +832,38 @@ mod tests {
     #[test]
     fn install_then_lookup() {
         let mut w = woc();
-        let evicted = w.install(SetIndex::new(0), 100, fp(0b1000_0001), false);
+        let evicted = w.install(SET0, 100, fp(0b1000_0001), false);
         assert!(evicted.is_empty());
-        let hit = w.lookup(SetIndex::new(0), 100).expect("line hit");
+        let hit = w.lookup(SET0, 100).expect("line hit");
         assert_eq!(hit.valid_words, fp(0b1000_0001));
-        assert!(w.contains_word(SetIndex::new(0), 100, WordIndex::new(0)));
-        assert!(w.contains_word(SetIndex::new(0), 100, WordIndex::new(7)));
-        assert!(!w.contains_word(SetIndex::new(0), 100, WordIndex::new(3)));
-        assert!(
-            w.lookup(SetIndex::new(1), 100).is_none(),
-            "other sets unaffected"
-        );
-        w.check_invariants(SetIndex::new(0))
-            .expect("invariants hold");
+        assert!(w.contains_word(SET0, 100, WordIndex::new(0)));
+        assert!(w.contains_word(SET0, 100, WordIndex::new(7)));
+        assert!(!w.contains_word(SET0, 100, WordIndex::new(3)));
+        assert!(w.lookup(SET1, 100).is_none(), "other sets unaffected");
+        w.check_invariants(SET0).expect("invariants hold");
     }
 
     #[test]
     fn three_words_occupy_four_aligned_slots() {
         let mut w = woc();
-        w.install(SetIndex::new(0), 1, fp(0b0011_1000), false); // 3 words → 4 slots
-        w.check_invariants(SetIndex::new(0))
-            .expect("invariants hold");
+        w.install(SET0, 1, fp(0b0011_1000), false); // 3 words → 4 slots
+        w.check_invariants(SET0).expect("invariants hold");
         assert_eq!(w.occupancy(), 3);
         // Fill the rest: capacity is 2 ways * 8 slots = 16; the 3-word line
         // reserves an aligned 4-slot region, so 4 more 4-slot lines displace
         // something.
         for t in 2..=4u64 {
-            w.install(SetIndex::new(0), t, fp(0b0000_1111), false);
-            w.check_invariants(SetIndex::new(0))
-                .expect("invariants hold");
+            w.install(SET0, t, fp(0b0000_1111), false);
+            w.check_invariants(SET0).expect("invariants hold");
         }
-        assert_eq!(w.lines_in_set(SetIndex::new(0)), 4);
-        let evicted = w.install(SetIndex::new(0), 5, fp(0b0000_1111), false);
+        assert_eq!(w.lines_in_set(SET0), 4);
+        let evicted = w.install(SET0, 5, fp(0b0000_1111), false);
         assert_eq!(
             evicted.len(),
             1,
             "a full WOC must evict exactly one 4-slot line"
         );
-        w.check_invariants(SetIndex::new(0))
-            .expect("invariants hold");
+        w.check_invariants(SET0).expect("invariants hold");
     }
 
     #[test]
@@ -875,68 +871,63 @@ mod tests {
         let mut w = Woc::new(1, 1, 8, 7);
         // Fill the single way with four 2-word lines.
         for t in 0..4u64 {
-            w.install(SetIndex::new(0), 10 + t, fp(0b11), true);
+            w.install(SET0, 10 + t, fp(0b11), true);
         }
-        assert_eq!(w.lines_in_set(SetIndex::new(0)), 4);
+        assert_eq!(w.lines_in_set(SET0), 4);
         // An 8-word install must evict all four lines.
-        let evicted = w.install(SetIndex::new(0), 99, fp(0xff), false);
+        let evicted = w.install(SET0, 99, fp(0xff), false);
         assert_eq!(evicted.len(), 4);
         for ev in &evicted {
             assert_eq!(ev.words.used_words(), 2);
             assert!(ev.dirty);
         }
-        assert_eq!(w.lines_in_set(SetIndex::new(0)), 1);
-        w.check_invariants(SetIndex::new(0))
-            .expect("invariants hold");
+        assert_eq!(w.lines_in_set(SET0), 1);
+        w.check_invariants(SET0).expect("invariants hold");
     }
 
     #[test]
     fn single_word_install_into_full_way_evicts_one_line() {
         let mut w = Woc::new(1, 1, 8, 3);
-        w.install(SetIndex::new(0), 1, fp(0xff), false); // 8-word line fills the way
-        let evicted = w.install(SetIndex::new(0), 2, fp(0b1), false);
+        w.install(SET0, 1, fp(0xff), false); // 8-word line fills the way
+        let evicted = w.install(SET0, 2, fp(0b1), false);
         // The only eligible offset for 1 slot is the head at 0; the whole
         // 8-word line goes.
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].tag, 1);
         assert_eq!(evicted[0].words.used_words(), 8);
         assert_eq!(w.occupancy(), 1);
-        w.check_invariants(SetIndex::new(0))
-            .expect("invariants hold");
+        w.check_invariants(SET0).expect("invariants hold");
     }
 
     #[test]
     fn invalidate_line_removes_all_words() {
         let mut w = woc();
-        w.install(SetIndex::new(2), 50, fp(0b0101), true);
-        let ev = w.invalidate_line(SetIndex::new(2), 50).expect("present");
+        let set = SetIndex::new(2);
+        w.install(set, 50, fp(0b0101), true);
+        let ev = w.invalidate_line(set, 50).expect("present");
         assert_eq!(ev.words, fp(0b0101));
         assert!(ev.dirty);
-        assert!(w.lookup(SetIndex::new(2), 50).is_none());
-        assert!(w.invalidate_line(SetIndex::new(2), 50).is_none());
-        w.check_invariants(SetIndex::new(2))
-            .expect("invariants hold");
+        assert!(w.lookup(set, 50).is_none());
+        assert!(w.invalidate_line(set, 50).is_none());
+        w.check_invariants(set).expect("invariants hold");
     }
 
     #[test]
     fn mark_dirty_hits_all_words() {
         let mut w = woc();
-        w.install(SetIndex::new(1), 8, fp(0b11), false);
-        assert!(w.mark_dirty(SetIndex::new(1), 8));
-        let ev = w
-            .invalidate_line(SetIndex::new(1), 8)
-            .expect("line was installed");
+        w.install(SET1, 8, fp(0b11), false);
+        assert!(w.mark_dirty(SET1, 8));
+        let ev = w.invalidate_line(SET1, 8).expect("line was installed");
         assert!(ev.dirty);
-        assert!(!w.mark_dirty(SetIndex::new(1), 8));
+        assert!(!w.mark_dirty(SET1, 8));
     }
 
     #[test]
     fn words_rearranged_in_increasing_order() {
         let mut w = woc();
-        w.install(SetIndex::new(0), 5, fp(0b1001_0010), false); // words 1, 4, 7
-        w.check_invariants(SetIndex::new(0))
-            .expect("invariants hold");
-        let hit = w.lookup(SetIndex::new(0), 5).expect("line was installed");
+        w.install(SET0, 5, fp(0b1001_0010), false); // words 1, 4, 7
+        w.check_invariants(SET0).expect("invariants hold");
+        let hit = w.lookup(SET0, 5).expect("line was installed");
         assert_eq!(hit.valid_words, fp(0b1001_0010));
     }
 
@@ -945,14 +936,14 @@ mod tests {
         let mut w = Woc::new(8, 2, 8, 1234);
         let mut rng = SimRng::new(99);
         for i in 0..2000u64 {
-            let set = rng.index(8);
+            let set = SetIndex::new(rng.index(8));
             let bits = (rng.next_u64() & 0xff) as u16;
             if bits == 0 {
                 continue;
             }
             let tag = 1000 + i;
-            w.install(SetIndex::new(set), tag, fp(bits), rng.chance(0.3));
-            w.check_invariants(SetIndex::new(set))
+            w.install(set, tag, fp(bits), rng.chance(0.3));
+            w.check_invariants(set)
                 .unwrap_or_else(|e| panic!("iteration {i}: {e}"));
         }
     }
@@ -961,7 +952,7 @@ mod tests {
     #[should_panic(expected = "empty footprint")]
     fn rejects_empty_install() {
         let mut w = woc();
-        w.install(SetIndex::new(0), 1, Footprint::empty(), false);
+        w.install(SET0, 1, Footprint::empty(), false);
     }
 
     #[test]
@@ -973,12 +964,12 @@ mod tests {
     #[test]
     fn flip_is_involutory_and_locates_the_site() {
         let mut w = woc();
-        w.install(SetIndex::new(1), 77, fp(0b11), true);
+        w.install(SET1, 77, fp(0b11), true);
         let before = w.clone();
         // Entry index for set 1, way 0, slot 0: (1*2*8 + 0) * 29 = bit 464;
         // +2 selects the head bit.
         let fault = w.flip_tag_bit(464 + 2);
-        assert_eq!((fault.set, fault.way, fault.slot), (SetIndex::new(1), 0, 0));
+        assert_eq!((fault.set, fault.way, fault.slot), (SET1, 0, 0));
         assert_eq!(fault.field, WocField::Head);
         w.flip_tag_bit(464 + 2);
         assert_eq!(w.valid, before.valid, "double flip restores state");
@@ -1000,75 +991,78 @@ mod tests {
     #[test]
     fn corrupted_head_bit_is_caught_and_cleared() {
         let mut w = woc();
-        w.install(SetIndex::new(0), 9, fp(0b11), false);
+        w.install(SET0, 9, fp(0b11), false);
         let fault = w.flip_tag_bit(2); // head bit of set 0, way 0, slot 0
         assert!(fault.live);
         let err = w
-            .check_invariants(SetIndex::new(0))
+            .check_invariants(SET0)
             .expect_err("orphan must be flagged");
         assert!(matches!(
             err,
-            LdisError::WocOrphanEntry { set, way: 0, .. } if set == SetIndex::new(0)
+            LdisError::WocOrphanEntry {
+                set: SET0,
+                way: 0,
+                ..
+            }
         ));
-        assert_eq!(w.clear_set(SetIndex::new(0)), 2);
-        w.check_invariants(SetIndex::new(0))
-            .expect("cleared set is consistent");
+        assert_eq!(w.clear_set(SET0), 2);
+        w.check_invariants(SET0).expect("cleared set is consistent");
         assert_eq!(w.occupancy(), 0);
     }
 
     #[test]
     fn corrupted_tag_splits_line_without_panicking() {
         let mut w = Woc::new(1, 1, 8, 5);
-        w.install(SetIndex::new(0), 3, fp(0b1111), true);
+        w.install(SET0, 3, fp(0b1111), true);
         // Flip tag bit 0 of slot 1: mid-line tag mismatch.
         w.flip_tag_bit(WOC_ENTRY_BITS + 3);
         assert!(matches!(
-            w.check_invariants(SetIndex::new(0)),
+            w.check_invariants(SET0),
             Err(LdisError::WocTagMismatch { .. })
         ));
         // Installing over the corrupted range must not panic and must
         // leave a consistent set behind.
-        let evicted = w.install(SetIndex::new(0), 8, fp(0xff), false);
+        let evicted = w.install(SET0, 8, fp(0xff), false);
         assert!(!evicted.is_empty());
         assert!(evicted.iter().any(|ev| ev.dirty), "dirty debris accounted");
-        w.check_invariants(SetIndex::new(0))
+        w.check_invariants(SET0)
             .expect("full reinstall scrubs the way");
     }
 
     #[test]
     fn headless_way_still_accepts_installs() {
         let mut w = Woc::new(1, 1, 8, 11);
-        w.install(SetIndex::new(0), 4, fp(0xff), false);
+        w.install(SET0, 4, fp(0xff), false);
         // Kill the head bit: no eligible candidate remains in the way.
         w.flip_tag_bit(2);
-        let evicted = w.install(SetIndex::new(0), 6, fp(0xff), false);
+        let evicted = w.install(SET0, 6, fp(0xff), false);
         assert_eq!(evicted.len(), 1, "debris evicted via the fallback path");
-        w.check_invariants(SetIndex::new(0))
+        w.check_invariants(SET0)
             .expect("reinstall leaves a consistent way");
-        assert!(w.lookup(SetIndex::new(0), 6).is_some());
+        assert!(w.lookup(SET0, 6).is_some());
     }
 
     #[test]
     fn reinstalling_a_resurrected_tag_keeps_one_copy() {
         let mut w = woc();
-        w.install(SetIndex::new(0), 5, fp(0b1), false);
+        w.install(SET0, 5, fp(0b1), false);
         // Duplicate installs (possible when a valid-bit flip resurrects a
         // stale copy) must collapse to a single stored line.
-        w.install(SetIndex::new(0), 5, fp(0b11), false);
-        let hit = w.lookup(SetIndex::new(0), 5).expect("line present");
+        w.install(SET0, 5, fp(0b11), false);
+        let hit = w.lookup(SET0, 5).expect("line present");
         assert_eq!(hit.valid_words, fp(0b11));
-        w.check_invariants(SetIndex::new(0))
-            .expect("no duplicate tags");
+        w.check_invariants(SET0).expect("no duplicate tags");
     }
 
     #[test]
     fn clear_way_reports_discarded_entries() {
         let mut w = woc();
-        w.install(SetIndex::new(3), 2, fp(0b111), false);
+        let set = SetIndex::new(3);
+        w.install(set, 2, fp(0b111), false);
         let way = (0..2)
             .find(|&wy| w.valid.get(3 * 2 + wy).copied().unwrap_or(0) != 0)
             .expect("line landed in some way");
-        assert_eq!(w.clear_way(SetIndex::new(3), way), 3);
-        assert!(w.lookup(SetIndex::new(3), 2).is_none());
+        assert_eq!(w.clear_way(set, way), 3);
+        assert!(w.lookup(set, 2).is_none());
     }
 }

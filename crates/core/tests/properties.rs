@@ -20,23 +20,18 @@ fn woc_invariants_under_arbitrary_traffic() {
         let mut next_tag = 0u64;
         let ops = 1 + rng.index(299);
         for _ in 0..ops {
-            let set = rng.index(4);
+            let set = SetIndex::new(rng.index(4));
             let bits = 1 + rng.range(255) as u16;
             let dirty = rng.chance(0.5);
             // Alternate: install a fresh line, or invalidate a previous one.
             if bits.is_multiple_of(3) && next_tag > 0 {
                 let victim = (bits as u64) % next_tag;
-                let _ = woc.invalidate_line(SetIndex::new(set), victim);
-            } else if woc.lookup(SetIndex::new(set), next_tag).is_none() {
-                woc.install(
-                    SetIndex::new(set),
-                    next_tag,
-                    Footprint::from_bits(bits),
-                    dirty,
-                );
+                let _ = woc.invalidate_line(set, victim);
+            } else if woc.lookup(set, next_tag).is_none() {
+                woc.install(set, next_tag, Footprint::from_bits(bits), dirty);
                 next_tag += 1;
             }
-            woc.check_invariants(SetIndex::new(set))
+            woc.check_invariants(set)
                 .unwrap_or_else(|e| panic!("case {case}: {e}"));
         }
     }
@@ -49,11 +44,11 @@ fn woc_lookup_returns_installed_words() {
     let mut rng = SimRng::new(0xd0c2);
     for case in 0..500 {
         let bits = 1 + rng.range(255) as u16;
-        let set = rng.index(4);
+        let set = SetIndex::new(rng.index(4));
         let mut woc = Woc::new(4, 2, 8, 5);
         let fp = Footprint::from_bits(bits);
-        woc.install(SetIndex::new(set), 42, fp, false);
-        let hit = woc.lookup(SetIndex::new(set), 42).expect("just installed");
+        woc.install(set, 42, fp, false);
+        let hit = woc.lookup(set, 42).expect("just installed");
         assert_eq!(hit.valid_words, fp, "case {case}");
     }
 }

@@ -187,7 +187,7 @@ impl fmt::Display for WordIndex {
 /// assert_eq!(set.get(), 0x234);
 /// assert_eq!(format!("{set} {set:?}"), "564 564");
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Clone, Copy, PartialEq, Eq)]
 #[repr(transparent)]
 pub struct SetIndex(usize);
 
@@ -266,15 +266,6 @@ mod tests {
         assert_eq!(w.as_usize(), 5);
         assert_eq!(usize::from(w), 5);
         assert_eq!(format!("{w}"), "5");
-    }
-
-    #[test]
-    fn set_index_masks_the_line_number() {
-        let line = LineAddr::new(0xdead_beef);
-        assert_eq!(SetIndex::of_line(line, 2048).get(), 0xdead_beef & 2047);
-        assert_eq!(SetIndex::of_line(line, 1), SetIndex::new(0));
-        assert_eq!(format!("{}", SetIndex::new(17)), "17");
-        assert_eq!(format!("{:?}", SetIndex::new(17)), "17");
     }
 
     #[test]

@@ -5,6 +5,10 @@
 //! must be reproducible bit-for-bit from a seed so that every experiment
 //! and test is deterministic. A local implementation avoids depending on a
 //! particular version of an external RNG crate for reproducibility.
+//!
+//! Streams that are not derived from the run's seed start from the fixed
+//! seeds declared in one table below ([`STREAM_SEEDS`]), whose unit test
+//! requires them to be pairwise distinct.
 
 /// Declares each fixed stream seed and [`STREAM_SEEDS`], the list the
 /// distinctness test checks, from one table, so no seed can be declared

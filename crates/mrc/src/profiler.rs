@@ -253,8 +253,8 @@ impl MattsonProfiler {
             self.slots
                 .get_mut(base * tiers..(base + self.depth) * tiers),
         ) else {
-            // Unreachable: `SetIndex::of_line` masks into 0..num_sets. Degrade to
-            // "not profiled" rather than panicking mid-simulation.
+            // Unreachable: `SetIndex::of_line` masks into 0..num_sets.
+            // Degrade to "not profiled" rather than panicking mid-simulation.
             return None;
         };
         let touch = word.map_or(0, |w| 1 << w.get()) | if write { DIRTY } else { 0 };

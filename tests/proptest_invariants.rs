@@ -54,9 +54,9 @@ fn distill_cache_invariants_hold() {
                 assert!(resp.valid_words.used_words() >= 1, "case {case}");
             }
         }
-        for set in 0..16 {
+        for set in (0..16).map(SetIndex::new) {
             dc.woc()
-                .check_invariants(SetIndex::new(set))
+                .check_invariants(set)
                 .unwrap_or_else(|e| panic!("case {case}: set {set}: {e}"));
         }
         let s = dc.stats();

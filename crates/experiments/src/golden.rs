@@ -6,9 +6,9 @@
 //! `sweep` experiments, so any change to the simulator, the workload
 //! models or the sweep engine that moves a number fails the test suite
 //! with a line-level diff instead of silently shifting the paper
-//! reproduction. `tests/golden_snapshots.rs` drives the figure goldens
-//! from one table and checks that every committed file is well formed
-//! and compared by some test.
+//! reproduction. `tests/golden_snapshots.rs` declares the figure goldens
+//! in one table, with one test per entry, and checks that every committed
+//! file is well formed ([`structure_problems`]) and compared by some test.
 //!
 //! Workflow:
 //!
@@ -219,6 +219,43 @@ pub fn verify_surviving(
         }
     }
     Ok(GoldenStatus::Matched)
+}
+
+/// The problems with the structure of a committed golden, `text` read
+/// from `tests/golden/<stem>.json`: its `experiment` must name the file,
+/// and the `rows`, `seed` and `accesses` a snapshot carries must pin
+/// something and describe a run that could happen. Empty when well formed.
+pub fn structure_problems(stem: &str, text: &str) -> Vec<String> {
+    let fields = match Json::parse(text) {
+        Ok(Json::Obj(fields)) => fields,
+        Ok(_) => return vec!["not a JSON object".to_owned()],
+        Err(e) => return vec![format!("not valid JSON: {e}")],
+    };
+    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let mut problems = Vec::new();
+    match field("experiment") {
+        Some(Json::Str(name)) if name == stem => {}
+        other => problems.push(format!("`experiment` is {other:?}, not \"{stem}\"")),
+    }
+    match field("rows") {
+        None => {}
+        Some(Json::Arr(rows)) if !rows.is_empty() => {}
+        Some(other) => problems.push(format!("`rows` must be a non-empty array, not {other:?}")),
+    }
+    match field("seed") {
+        None | Some(Json::Uint(_)) => {}
+        Some(other) => problems.push(format!(
+            "`seed` must be a non-negative integer, not {other:?}"
+        )),
+    }
+    match field("accesses") {
+        None => {}
+        Some(Json::Uint(n)) if *n > 0 => {}
+        Some(other) => problems.push(format!(
+            "`accesses` must be a positive integer, not {other:?}"
+        )),
+    }
+    problems
 }
 
 /// [`verify`] that panics on error — the form used by golden tests.

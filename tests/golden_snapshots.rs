@@ -17,45 +17,42 @@ use std::fs;
 /// Computes one experiment's golden snapshot at a run configuration.
 type Snapshot = fn(&RunConfig) -> Json;
 
-/// The figure goldens, each the snapshot of one experiment at
-/// [`golden::golden_config`].
-const FIGURES: &[(&str, Snapshot)] = &[
-    ("motivation", motivation::snapshot),
-    ("linesize", linesize::snapshot),
-    ("resilience", resilience::snapshot),
-    ("fig6", fig6::snapshot),
-    ("fig7", fig7::snapshot),
-    ("fig8", fig8::snapshot),
-    ("fig9", fig9::snapshot),
-    ("fig10", fig10::snapshot),
-    ("fig11", fig11::snapshot),
-    ("fig13", fig13::snapshot),
-    ("table5", appendix::table5_snapshot),
-    ("table6", appendix::table6_snapshot),
-    ("mrc", mrc::snapshot),
-    ("advisor", advisor::snapshot),
-];
+/// Declares the figure goldens in one table, `FIGURES`, and one test per
+/// entry comparing the snapshot at [`golden::golden_config`] against the
+/// committed file, so one run names every golden that differs.
+macro_rules! figure_goldens {
+    ($($test:ident: $name:literal => $snapshot:path,)*) => {
+        /// The figure goldens, each the snapshot of one experiment.
+        const FIGURES: &[(&str, Snapshot)] = &[$(($name, $snapshot)),*];
+
+        $(
+            #[test]
+            fn $test() {
+                golden::assert_matches($name, &$snapshot(&golden::golden_config()));
+            }
+        )*
+    };
+}
+
+figure_goldens! {
+    motivation_matches_golden: "motivation" => motivation::snapshot,
+    linesize_matches_golden: "linesize" => linesize::snapshot,
+    resilience_matches_golden: "resilience" => resilience::snapshot,
+    fig6_matches_golden: "fig6" => fig6::snapshot,
+    fig7_matches_golden: "fig7" => fig7::snapshot,
+    fig8_matches_golden: "fig8" => fig8::snapshot,
+    fig9_matches_golden: "fig9" => fig9::snapshot,
+    fig10_matches_golden: "fig10" => fig10::snapshot,
+    fig11_matches_golden: "fig11" => fig11::snapshot,
+    fig13_matches_golden: "fig13" => fig13::snapshot,
+    table5_matches_golden: "table5" => appendix::table5_snapshot,
+    table6_matches_golden: "table6" => appendix::table6_snapshot,
+    mrc_matches_golden: "mrc" => mrc::snapshot,
+    advisor_matches_golden: "advisor" => advisor::snapshot,
+}
 
 /// The goldens compared by tests of their own below.
 const OWN_TESTS: &[&str] = &["table3", "sweep"];
-
-#[test]
-fn figures_match_goldens() {
-    let cfg = golden::golden_config();
-    let failures: Vec<String> = parallel::sweep(FIGURES, |(name, snapshot)| {
-        golden::verify(name, &snapshot(&cfg)).err()
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    assert!(
-        failures.is_empty(),
-        "{} of {} figure goldens differ:\n\n{}",
-        failures.len(),
-        FIGURES.len(),
-        failures.join("\n\n")
-    );
-}
 
 #[test]
 fn table3_matches_golden() {
@@ -81,39 +78,10 @@ fn sweep_matches_golden() {
     golden::assert_matches("sweep", &sweep::snapshot(&report.outcomes));
 }
 
-/// The problems with one committed golden's structure: its `experiment`
-/// must name the file, and the `rows`, `seed` and `accesses` a snapshot
-/// carries must pin something and describe a run that could happen.
-fn structure_problems(stem: &str, text: &str) -> Vec<String> {
-    let fields = match Json::parse(text) {
-        Ok(Json::Obj(fields)) => fields,
-        Ok(_) => return vec!["not a JSON object".to_owned()],
-        Err(e) => return vec![format!("not valid JSON: {e}")],
-    };
-    let field = |key: &str| fields.iter().find(|(k, _)| k == key).map(|(_, v)| v);
-    let mut problems = Vec::new();
-    match field("experiment") {
-        Some(Json::Str(name)) if name == stem => {}
-        other => problems.push(format!("`experiment` is {other:?}, not \"{stem}\"")),
-    }
-    match field("rows") {
-        None => {}
-        Some(Json::Arr(rows)) if !rows.is_empty() => {}
-        Some(other) => problems.push(format!("`rows` must be a non-empty array, not {other:?}")),
-    }
-    match field("seed") {
-        None | Some(Json::Uint(_)) => {}
-        Some(other) => problems.push(format!(
-            "`seed` must be a non-negative integer, not {other:?}"
-        )),
-    }
-    match field("accesses") {
-        None => {}
-        Some(Json::Uint(n)) if *n > 0 => {}
-        Some(other) => problems.push(format!(
-            "`accesses` must be a positive integer, not {other:?}"
-        )),
-    }
+/// The problems with one committed golden: its structure
+/// ([`golden::structure_problems`]), and whether any test compares it.
+fn problems(stem: &str, text: &str) -> Vec<String> {
+    let mut problems = golden::structure_problems(stem, text);
     if !FIGURES.iter().any(|(name, _)| *name == stem) && !OWN_TESTS.contains(&stem) {
         problems.push("no test compares it".to_owned());
     }
@@ -122,7 +90,7 @@ fn structure_problems(stem: &str, text: &str) -> Vec<String> {
 
 #[test]
 fn committed_goldens_are_well_formed_and_compared() {
-    let mut problems = Vec::new();
+    let mut found = Vec::new();
     let mut count = 0;
     for entry in fs::read_dir(golden::dir()).expect("golden directory is readable") {
         let path = entry.expect("golden directory entry").path();
@@ -134,8 +102,8 @@ fn committed_goldens_are_well_formed_and_compared() {
         };
         count += 1;
         let text = fs::read_to_string(&path).expect("golden is readable");
-        for problem in structure_problems(stem, &text) {
-            problems.push(format!("{stem}.json: {problem}"));
+        for problem in problems(stem, &text) {
+            found.push(format!("{stem}.json: {problem}"));
         }
     }
     assert_eq!(
@@ -143,24 +111,13 @@ fn committed_goldens_are_well_formed_and_compared() {
         FIGURES.len() + OWN_TESTS.len(),
         "one committed golden per compared snapshot"
     );
-    assert!(problems.is_empty(), "{}", problems.join("\n"));
+    assert!(found.is_empty(), "{}", found.join("\n"));
 }
 
 #[test]
-fn structure_check_rejects_malformed_goldens() {
-    let ok = r#"{"experiment": "fig6", "accesses": 150000, "seed": 42, "rows": [{}]}"#;
-    assert_eq!(structure_problems("fig6", ok), Vec::<String>::new());
-    let bad = r#"{"experiment": "some_other_name", "accesses": 0, "seed": -3, "rows": []}"#;
-    let found = structure_problems("fig6", bad);
-    for field in ["`experiment`", "`rows`", "`seed`", "`accesses`"] {
-        assert!(
-            found.iter().any(|p| p.starts_with(field)),
-            "{field} not flagged: {found:?}"
-        );
-    }
+fn uncompared_goldens_are_flagged() {
     let orphan = r#"{"experiment": "orphan"}"#;
-    assert_eq!(
-        structure_problems("orphan", orphan),
-        ["no test compares it"]
-    );
+    assert_eq!(problems("orphan", orphan), ["no test compares it"]);
+    let compared = r#"{"experiment": "fig6"}"#;
+    assert_eq!(problems("fig6", compared), Vec::<String>::new());
 }

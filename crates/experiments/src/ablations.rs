@@ -2,7 +2,7 @@
 //! distillation threshold policy, WOC replacement selection, reverter
 //! leader-set count and word size.
 
-use crate::report::{fmt_pct, Table};
+use crate::report::{fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig, ReverterConfig, ThresholdPolicy, WocReplacement};
 use ldis_mem::stats::percent_reduction;
@@ -143,18 +143,42 @@ pub fn report(ablation: &Ablation) -> String {
     t.render()
 }
 
-/// Runs every ablation and concatenates the reports.
-pub fn all(cfg: &RunConfig) -> String {
-    [
+/// Runs every ablation, in report order.
+pub fn data(cfg: &RunConfig) -> Vec<Ablation> {
+    vec![
         woc_ways(cfg),
         threshold_policy(cfg),
         woc_replacement(cfg),
         leader_sets(cfg),
     ]
-    .iter()
-    .map(report)
-    .collect::<Vec<_>>()
-    .join("\n")
+}
+
+/// The golden snapshot (compared against `tests/golden/ablations.json`):
+/// every variant's mean-MPKI reduction at full precision.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
+        .iter()
+        .flat_map(|a| {
+            a.variants.iter().map(|(variant, red)| {
+                Json::obj([
+                    ("ablation", Json::str(&a.name)),
+                    ("variant", Json::str(variant)),
+                    ("reduction_pct", Json::num(*red)),
+                ])
+            })
+        })
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("experiment", Json::str("ablations")),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
+}
+
+/// Runs every ablation and concatenates the reports.
+pub fn all(cfg: &RunConfig) -> String {
+    data(cfg).iter().map(report).collect::<Vec<_>>().join("\n")
 }
 
 #[cfg(test)]

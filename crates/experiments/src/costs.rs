@@ -5,7 +5,7 @@
 //! energy is computed from simulated activity, showing when the removed
 //! DRAM fetches pay for the extra tag probes.
 
-use crate::report::{fmt_f, fmt_pct, Table};
+use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_distill::{CostModel, DistillCache, DistillConfig};
 use ldis_workloads::memory_intensive;
@@ -41,6 +41,28 @@ pub fn data(cfg: &RunConfig) -> Vec<CostsRow> {
             distill_tag_share_pct: de.tags_mj / de.total_mj() * 100.0,
         }
     })
+}
+
+/// The golden snapshot (compared against `tests/golden/costs.json`): both
+/// energies and the distill tag share per benchmark at full precision.
+pub fn snapshot(cfg: &RunConfig) -> Json {
+    let rows = data(cfg)
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("benchmark", Json::str(&r.benchmark)),
+                ("base_mj", Json::num(r.base_mj)),
+                ("distill_mj", Json::num(r.distill_mj)),
+                ("distill_tag_share_pct", Json::num(r.distill_tag_share_pct)),
+            ])
+        })
+        .collect::<Vec<_>>();
+    Json::obj([
+        ("experiment", Json::str("costs")),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+        ("rows", Json::Arr(rows)),
+    ])
 }
 
 /// Renders the Section 7.5 report (latency constants + energy table).

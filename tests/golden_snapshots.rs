@@ -9,8 +9,8 @@
 
 use line_distillation::experiments::report::Json;
 use line_distillation::experiments::{
-    advisor, appendix, exec, fig10, fig11, fig13, fig6, fig7, fig8, fig9, golden, linesize,
-    motivation, mrc, parallel, resilience, sweep, table3, RunConfig,
+    ablations, advisor, appendix, costs, exec, fig10, fig11, fig13, fig6, fig7, fig8, fig9, golden,
+    linesize, motivation, mrc, parallel, resilience, sweep, table3, RunConfig,
 };
 use std::fs;
 
@@ -49,6 +49,8 @@ figure_goldens! {
     table6_matches_golden: "table6" => appendix::table6_snapshot,
     mrc_matches_golden: "mrc" => mrc::snapshot,
     advisor_matches_golden: "advisor" => advisor::snapshot,
+    costs_matches_golden: "costs" => costs::snapshot,
+    ablations_matches_golden: "ablations" => ablations::snapshot,
 }
 
 /// The goldens compared by tests of their own below.

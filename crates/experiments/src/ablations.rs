@@ -31,27 +31,26 @@ fn subset() -> Vec<Benchmark> {
         .collect()
 }
 
-fn mean_reduction<F>(cfg: &RunConfig, make: F) -> f64
+/// The 1 MB baseline MPKI of each subset benchmark, in subset order:
+/// every variant's reduction is measured against these runs.
+pub fn baseline_mpki(cfg: &RunConfig) -> Vec<f64> {
+    for_each_benchmark(&subset(), |b| run_baseline(b, cfg, 1 << 20).mpki)
+}
+
+fn mean_reduction<F>(cfg: &RunConfig, base: &[f64], make: F) -> f64
 where
     F: Fn() -> DistillCache + Sync,
 {
-    let benches = subset();
-    let pairs = for_each_benchmark(&benches, |b| {
-        let base = run_baseline(b, cfg, 1 << 20);
-        let d = run(b, cfg, &make);
-        (base.mpki, d.mpki)
-    });
-    let base: f64 = pairs.iter().map(|p| p.0).sum::<f64>();
-    let dist: f64 = pairs.iter().map(|p| p.1).sum::<f64>();
-    percent_reduction(base, dist)
+    let dist = for_each_benchmark(&subset(), |b| run(b, cfg, &make).mpki);
+    percent_reduction(base.iter().sum(), dist.iter().sum())
 }
 
 /// WOC way count: 1, 2 (paper) or 3 of 8 ways.
-pub fn woc_ways(cfg: &RunConfig) -> Ablation {
+pub fn woc_ways(cfg: &RunConfig, base: &[f64]) -> Ablation {
     let variants = [1u32, 2, 3]
         .iter()
         .map(|&w| {
-            let red = mean_reduction(cfg, || {
+            let red = mean_reduction(cfg, base, || {
                 DistillCache::new(DistillConfig::hpca2007_default().with_woc_ways(w))
             });
             (format!("{w} WOC ways"), red)
@@ -64,24 +63,26 @@ pub fn woc_ways(cfg: &RunConfig) -> Ablation {
 }
 
 /// Threshold policy: none (LDIS-Base), fixed K in {2, 4, 6}, median.
-pub fn threshold_policy(cfg: &RunConfig) -> Ablation {
+pub fn threshold_policy(cfg: &RunConfig, base: &[f64]) -> Ablation {
     let mut variants = Vec::new();
     let with_policy = |p: ThresholdPolicy| DistillConfig::hpca2007_default().with_policy(p);
     variants.push((
         "all (no threshold)".to_owned(),
-        mean_reduction(cfg, || DistillCache::new(with_policy(ThresholdPolicy::All))),
+        mean_reduction(cfg, base, || {
+            DistillCache::new(with_policy(ThresholdPolicy::All))
+        }),
     ));
     for k in [2u8, 4, 6] {
         variants.push((
             format!("fixed K={k}"),
-            mean_reduction(cfg, || {
+            mean_reduction(cfg, base, || {
                 DistillCache::new(with_policy(ThresholdPolicy::Fixed(k)))
             }),
         ));
     }
     variants.push((
         "median".to_owned(),
-        mean_reduction(cfg, || {
+        mean_reduction(cfg, base, || {
             DistillCache::new(with_policy(ThresholdPolicy::median()))
         }),
     ));
@@ -92,14 +93,14 @@ pub fn threshold_policy(cfg: &RunConfig) -> Ablation {
 }
 
 /// WOC replacement candidate selection: random (paper) vs. round-robin.
-pub fn woc_replacement(cfg: &RunConfig) -> Ablation {
+pub fn woc_replacement(cfg: &RunConfig, base: &[f64]) -> Ablation {
     let variants = [
         ("random", WocReplacement::Random),
         ("round-robin", WocReplacement::RoundRobin),
     ]
     .iter()
     .map(|(label, policy)| {
-        let red = mean_reduction(cfg, || {
+        let red = mean_reduction(cfg, base, || {
             DistillCache::new(DistillConfig::hpca2007_default().with_woc_replacement(*policy))
         });
         ((*label).to_owned(), red)
@@ -112,11 +113,11 @@ pub fn woc_replacement(cfg: &RunConfig) -> Ablation {
 }
 
 /// Reverter leader-set count: 8, 32 (paper), 128.
-pub fn leader_sets(cfg: &RunConfig) -> Ablation {
+pub fn leader_sets(cfg: &RunConfig, base: &[f64]) -> Ablation {
     let variants = [8u32, 32, 128]
         .iter()
         .map(|&n| {
-            let red = mean_reduction(cfg, || {
+            let red = mean_reduction(cfg, base, || {
                 DistillCache::new(DistillConfig::ldis_mt().with_reverter(ReverterConfig {
                     leader_sets: n,
                     ..ReverterConfig::default()
@@ -143,13 +144,15 @@ pub fn report(ablation: &Ablation) -> String {
     t.render()
 }
 
-/// Runs every ablation, in report order.
+/// Runs every ablation, in report order, against one set of baseline
+/// runs.
 pub fn data(cfg: &RunConfig) -> Vec<Ablation> {
+    let base = baseline_mpki(cfg);
     vec![
-        woc_ways(cfg),
-        threshold_policy(cfg),
-        woc_replacement(cfg),
-        leader_sets(cfg),
+        woc_ways(cfg, &base),
+        threshold_policy(cfg, &base),
+        woc_replacement(cfg, &base),
+        leader_sets(cfg, &base),
     ]
 }
 
@@ -190,7 +193,7 @@ mod tests {
         // The paper's footnote: random selection has similar performance
         // to ordered selection.
         let cfg = RunConfig::quick().with_accesses(250_000);
-        let a = woc_replacement(&cfg);
+        let a = woc_replacement(&cfg, &baseline_mpki(&cfg));
         let random = a.variants[0].1;
         let rr = a.variants[1].1;
         assert!(
@@ -202,7 +205,7 @@ mod tests {
     #[test]
     fn two_woc_ways_is_a_sweet_spot_over_one() {
         let cfg = RunConfig::quick().with_accesses(250_000);
-        let a = woc_ways(&cfg);
+        let a = woc_ways(&cfg, &baseline_mpki(&cfg));
         let one = a.variants[0].1;
         let two = a.variants[1].1;
         assert!(

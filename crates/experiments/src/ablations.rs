@@ -1,6 +1,6 @@
-//! Ablations of the design choices DESIGN.md calls out: WOC way count,
-//! distillation threshold policy, WOC replacement selection, reverter
-//! leader-set count and word size.
+//! Ablations of the design choices DESIGN.md §7 calls out: WOC way count,
+//! distillation threshold policy, WOC replacement selection and reverter
+//! leader-set count.
 
 use crate::report::{fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
@@ -37,99 +37,67 @@ pub fn baseline_mpki(cfg: &RunConfig) -> Vec<f64> {
     for_each_benchmark(&subset(), |b| run_baseline(b, cfg, 1 << 20).mpki)
 }
 
-fn mean_reduction<F>(cfg: &RunConfig, base: &[f64], make: F) -> f64
-where
-    F: Fn() -> DistillCache + Sync,
-{
-    let dist = for_each_benchmark(&subset(), |b| run(b, cfg, &make).mpki);
+fn mean_reduction(cfg: &RunConfig, base: &[f64], config: DistillConfig) -> f64 {
+    let dist = for_each_benchmark(&subset(), |b| {
+        run(b, cfg, || DistillCache::new(config)).mpki
+    });
     percent_reduction(base.iter().sum(), dist.iter().sum())
+}
+
+/// The `name` ablation: each `(label, config)` variant's mean-MPKI
+/// reduction over the subset's baseline MPKIs `base`.
+fn ablation<I>(cfg: &RunConfig, base: &[f64], name: &str, variants: I) -> Ablation
+where
+    I: IntoIterator<Item = (String, DistillConfig)>,
+{
+    let variants = variants
+        .into_iter()
+        .map(|(label, config)| (label, mean_reduction(cfg, base, config)));
+    Ablation {
+        name: name.to_owned(),
+        variants: variants.collect(),
+    }
 }
 
 /// WOC way count: 1, 2 (paper) or 3 of 8 ways.
 pub fn woc_ways(cfg: &RunConfig, base: &[f64]) -> Ablation {
-    let variants = [1u32, 2, 3]
-        .iter()
-        .map(|&w| {
-            let red = mean_reduction(cfg, base, || {
-                DistillCache::new(DistillConfig::hpca2007_default().with_woc_ways(w))
-            });
-            (format!("{w} WOC ways"), red)
-        })
-        .collect();
-    Ablation {
-        name: "WOC way count".into(),
-        variants,
-    }
+    let config = |w| DistillConfig::hpca2007_default().with_woc_ways(w);
+    let variants = [1u32, 2, 3].map(|w| (format!("{w} WOC ways"), config(w)));
+    ablation(cfg, base, "WOC way count", variants)
 }
 
 /// Threshold policy: none (LDIS-Base), fixed K in {2, 4, 6}, median.
 pub fn threshold_policy(cfg: &RunConfig, base: &[f64]) -> Ablation {
-    let mut variants = Vec::new();
-    let with_policy = |p: ThresholdPolicy| DistillConfig::hpca2007_default().with_policy(p);
-    variants.push((
-        "all (no threshold)".to_owned(),
-        mean_reduction(cfg, base, || {
-            DistillCache::new(with_policy(ThresholdPolicy::All))
-        }),
-    ));
-    for k in [2u8, 4, 6] {
-        variants.push((
-            format!("fixed K={k}"),
-            mean_reduction(cfg, base, || {
-                DistillCache::new(with_policy(ThresholdPolicy::Fixed(k)))
-            }),
-        ));
-    }
-    variants.push((
-        "median".to_owned(),
-        mean_reduction(cfg, base, || {
-            DistillCache::new(with_policy(ThresholdPolicy::median()))
-        }),
-    ));
-    Ablation {
-        name: "distillation threshold policy".into(),
-        variants,
-    }
+    let mut policies = vec![("all (no threshold)".to_owned(), ThresholdPolicy::All)];
+    policies.extend([2u8, 4, 6].map(|k| (format!("fixed K={k}"), ThresholdPolicy::Fixed(k))));
+    policies.push(("median".to_owned(), ThresholdPolicy::median()));
+    let config = |p| DistillConfig::hpca2007_default().with_policy(p);
+    let variants = policies.into_iter().map(|(label, p)| (label, config(p)));
+    ablation(cfg, base, "distillation threshold policy", variants)
 }
 
 /// WOC replacement candidate selection: random (paper) vs. round-robin.
 pub fn woc_replacement(cfg: &RunConfig, base: &[f64]) -> Ablation {
+    let config = |r| DistillConfig::hpca2007_default().with_woc_replacement(r);
     let variants = [
         ("random", WocReplacement::Random),
         ("round-robin", WocReplacement::RoundRobin),
     ]
-    .iter()
-    .map(|(label, policy)| {
-        let red = mean_reduction(cfg, base, || {
-            DistillCache::new(DistillConfig::hpca2007_default().with_woc_replacement(*policy))
-        });
-        ((*label).to_owned(), red)
-    })
-    .collect();
-    Ablation {
-        name: "WOC replacement selection".into(),
-        variants,
-    }
+    .map(|(label, r)| (label.to_owned(), config(r)));
+    ablation(cfg, base, "WOC replacement selection", variants)
 }
 
 /// Reverter leader-set count: 8, 32 (paper), 128.
 pub fn leader_sets(cfg: &RunConfig, base: &[f64]) -> Ablation {
-    let variants = [8u32, 32, 128]
-        .iter()
-        .map(|&n| {
-            let red = mean_reduction(cfg, base, || {
-                DistillCache::new(DistillConfig::ldis_mt().with_reverter(ReverterConfig {
-                    leader_sets: n,
-                    ..ReverterConfig::default()
-                }))
-            });
-            (format!("{n} leader sets"), red)
-        })
-        .collect();
-    Ablation {
-        name: "reverter leader sets".into(),
-        variants,
-    }
+    let variants = [8u32, 32, 128].map(|leader_sets| {
+        let reverter = ReverterConfig {
+            leader_sets,
+            ..ReverterConfig::default()
+        };
+        let config = DistillConfig::ldis_mt().with_reverter(reverter);
+        (format!("{leader_sets} leader sets"), config)
+    });
+    ablation(cfg, base, "reverter leader sets", variants)
 }
 
 /// Renders an ablation as a table.

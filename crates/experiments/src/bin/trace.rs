@@ -6,12 +6,16 @@
 //! ldis-trace replay <file> [--l2 baseline|distill]
 //! ```
 //!
-//! Traces use the LDT1 binary format (`ldis_mem::Trace::write_to`), so a
-//! recorded stream can be replayed bit-identically on another machine or
-//! against a different cache organization.
+//! `record` writes the trace every experiment simulates for the benchmark
+//! at run seed `--seed` (defaults: the paper run's), so `replay --l2
+//! baseline` reproduces Figure 6's baseline. Traces use the LDT1 binary
+//! format (`ldis_mem::Trace::write_to`), so a recorded stream can be
+//! replayed bit-identically on another machine or against a different
+//! cache organization.
 
 use ldis_cache::{BaselineL2, CacheConfig, Hierarchy, SecondLevel};
 use ldis_distill::{DistillCache, DistillConfig};
+use ldis_experiments::RunConfig;
 use ldis_mem::{AccessKind, LineGeometry, Trace};
 use ldis_workloads::spec2000;
 use std::fs::File;
@@ -48,13 +52,14 @@ fn record(args: &[String]) {
         (Some(b), Some(p)) => (b.clone(), p.clone()),
         _ => usage(),
     };
-    let accesses = parse_flag(args, "--accesses", 1_000_000) as usize;
-    let seed = parse_flag(args, "--seed", 42);
+    let mut cfg = RunConfig::paper();
+    cfg.seed = parse_flag(args, "--seed", cfg.seed);
+    let accesses = parse_flag(args, "--accesses", cfg.accesses) as usize;
     let bench = spec2000::by_name(&bench_name).unwrap_or_else(|| {
         eprintln!("unknown benchmark: {bench_name}");
         usage()
     });
-    let trace = (bench.make)(seed).record(accesses);
+    let trace = cfg.workload(&bench).record(accesses);
     let file = File::create(&path).expect("create trace file");
     trace
         .write_to(BufWriter::new(file))

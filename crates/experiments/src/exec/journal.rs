@@ -5,7 +5,7 @@
 //! seed and shape); every further line records one completed cell:
 //!
 //! ```text
-//! {"journal": "ldis-sweep", "version": 1, "matrix_id": ..., "cells": ..., "checksum": ...}
+//! {"journal": "ldis-sweep", "version": 2, "matrix_id": ..., "cells": ..., "checksum": ...}
 //! {"matrix_id": ..., "cell": 3, "seed": ..., "result": {...}, "checksum": ...}
 //! ```
 //!
@@ -31,9 +31,10 @@ use std::collections::BTreeMap;
 use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 
-/// Journal format marker and version (line-1 fields).
+/// Journal format marker and version (line-1 fields). Version 1 cells ran
+/// on label-seeded traces, so they never resume into today's matrix.
 const MAGIC: &str = "ldis-sweep";
-const VERSION: u64 = 1;
+const VERSION: u64 = 2;
 
 /// Converts a value to and from the canonical [`Json`] tree, exactly:
 /// `decode(encode(x)) == x` bit for bit, including float payloads.
@@ -523,6 +524,22 @@ mod tests {
         };
         let err = Journal::resume::<RunResult>(&path, other).expect_err("must refuse");
         assert!(err.contains("matrix mismatch"), "{err}");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn resume_refuses_a_version_1_journal() {
+        let path = tmp("version-1");
+        let header = seal(Json::obj([
+            ("journal", Json::str(MAGIC)),
+            ("version", Json::uint(1)),
+            ("matrix_id", Json::uint(HDR.matrix_id)),
+            ("cells", Json::uint(HDR.cells)),
+        ]))
+        .expect("seal");
+        std::fs::write(&path, format!("{}\n", header.render())).expect("write");
+        let err = Journal::resume::<RunResult>(&path, HDR).expect_err("must refuse");
+        assert!(err.contains("unsupported version"), "{err}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,10 +2,11 @@
 //! only.
 
 use crate::report::{fmt_f, Json, Table};
+use crate::runner::drive;
 use crate::{baseline_config, for_each_benchmark, RunConfig};
-use ldis_cache::{BaselineL2, Hierarchy, SecondLevel};
-use ldis_compress::{SizeCategory, ValueSizeModel};
-use ldis_workloads::{memory_intensive, TraceLength};
+use ldis_cache::{BaselineL2, SecondLevel};
+use ldis_compress::SizeCategory;
+use ldis_workloads::memory_intensive;
 
 /// Compressibility class fractions for one benchmark: `[1/8, 1/4, 1/2,
 /// full]`, once over all words and once over used words only.
@@ -46,12 +47,8 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig10Row> {
 /// The Figure 10 analysis over an explicit benchmark subset.
 pub fn data_for(benches: &[ldis_workloads::Benchmark], cfg: &RunConfig) -> Vec<Fig10Row> {
     for_each_benchmark(benches, |b| {
-        let mut workload = (b.make)(cfg.seed);
-        let l2 = BaselineL2::new(baseline_config(1 << 20));
-        let mut hier = Hierarchy::hpca2007(l2);
-        workload.drive(&mut hier, TraceLength::accesses(cfg.accesses));
-
-        let model = ValueSizeModel::new(workload.values(), hier.l2().geometry(), cfg.seed);
+        let hier = drive(b, cfg, BaselineL2::new(baseline_config(1 << 20)));
+        let model = cfg.value_model(b);
         let mut all = [0u64; 4];
         let mut used = [0u64; 4];
         let mut lines = 0u64;

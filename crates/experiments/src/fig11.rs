@@ -4,7 +4,7 @@ use crate::golden::l2_counts;
 use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_cache::L2Stats;
-use ldis_compress::{fac_cache, CmprCache, CmprConfig, ValueSizeModel};
+use ldis_compress::{fac_cache, CmprCache, CmprConfig};
 use ldis_distill::{DistillCache, DistillConfig};
 use ldis_mem::stats::percent_reduction;
 use ldis_workloads::memory_intensive;
@@ -34,10 +34,7 @@ pub struct Fig11Row {
 pub fn data(cfg: &RunConfig) -> Vec<Fig11Row> {
     let benches = memory_intensive();
     for_each_benchmark(&benches, |b| {
-        let values = (b.make)(cfg.seed).values();
-        let geom = ldis_mem::LineGeometry::default();
-        let model = ValueSizeModel::new(values, geom, cfg.seed);
-
+        let model = cfg.value_model(b);
         let base = run_baseline(b, cfg, 1 << 20);
         let ldis_3x = run(b, cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
@@ -155,8 +152,7 @@ mod tests {
     fn fac_beats_plain_ldis_on_compressible_sparse_data() {
         let b = spec2000::by_name("health").unwrap();
         let cfg = RunConfig::quick().with_accesses(500_000);
-        let values = (b.make)(cfg.seed).values();
-        let model = ValueSizeModel::new(values, ldis_mem::LineGeometry::default(), cfg.seed);
+        let model = cfg.value_model(&b);
         let base = run_baseline(&b, &cfg, 1 << 20);
         let ldis = run(&b, &cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default().with_woc_ways(3))

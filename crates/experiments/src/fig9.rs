@@ -1,12 +1,12 @@
 //! Figure 9: system IPC improvement with the distill cache.
 
 use crate::report::{fmt_f, fmt_pct, Json, Table};
-use crate::{baseline_config, for_each_benchmark, RunConfig};
+use crate::{baseline_config, for_each_benchmark, run_timed, RunConfig};
 use ldis_cache::BaselineL2;
 use ldis_distill::{DistillCache, DistillConfig};
 use ldis_mem::stats::{gmean_percent, percent_improvement};
-use ldis_timing::{workload_factors, L2Timing, SystemConfig, TimingSim};
-use ldis_workloads::memory_intensive;
+use ldis_timing::L2Timing;
+use ldis_workloads::{memory_intensive, Benchmark};
 
 /// IPC of the baseline and distill systems for one benchmark.
 #[derive(Clone, Debug)]
@@ -28,25 +28,18 @@ impl Fig9Row {
 
 /// Runs the Figure 9 matrix: both timed systems per benchmark.
 pub fn data(cfg: &RunConfig) -> Vec<Fig9Row> {
-    let benches = memory_intensive();
-    for_each_benchmark(&benches, |b| {
-        let (dep, br) = workload_factors(b.name);
-        let sys = SystemConfig::hpca2007_baseline().with_workload_factors(dep, br);
+    for_each_benchmark(&memory_intensive(), |b| row(b, cfg))
+}
 
-        let l2 = BaselineL2::new(baseline_config(1 << 20));
-        let mut base_sim = TimingSim::new(l2, sys, L2Timing::baseline());
-        let base = base_sim.run(&mut (b.make)(cfg.seed), cfg.accesses);
-
-        let dc = DistillCache::new(DistillConfig::hpca2007_default());
-        let mut dist_sim = TimingSim::new(dc, sys, L2Timing::distill());
-        let dist = dist_sim.run(&mut (b.make)(cfg.seed), cfg.accesses);
-
-        Fig9Row {
-            benchmark: b.name.to_owned(),
-            base_ipc: base.ipc(),
-            distill_ipc: dist.ipc(),
-        }
-    })
+/// Both timed systems of one benchmark.
+fn row(b: &Benchmark, cfg: &RunConfig) -> Fig9Row {
+    let base = BaselineL2::new(baseline_config(1 << 20));
+    let dist = DistillCache::new(DistillConfig::hpca2007_default());
+    Fig9Row {
+        benchmark: b.name.to_owned(),
+        base_ipc: run_timed(b, cfg, base, L2Timing::baseline()).ipc(),
+        distill_ipc: run_timed(b, cfg, dist, L2Timing::distill()).ipc(),
+    }
 }
 
 /// The golden snapshot (compared against `tests/golden/fig9.json`): the
@@ -108,23 +101,7 @@ mod tests {
 
     fn ipc_pair(name: &str, accesses: u64) -> Fig9Row {
         let b = spec2000::by_name(name).unwrap();
-        let cfg = RunConfig::quick().with_accesses(accesses);
-        let rows = for_each_benchmark(&[b], |b| {
-            let (dep, br) = workload_factors(b.name);
-            let sys = SystemConfig::hpca2007_baseline().with_workload_factors(dep, br);
-            let l2 = BaselineL2::new(baseline_config(1 << 20));
-            let base = TimingSim::new(l2, sys, L2Timing::baseline())
-                .run(&mut (b.make)(cfg.seed), cfg.accesses);
-            let dc = DistillCache::new(DistillConfig::hpca2007_default());
-            let dist = TimingSim::new(dc, sys, L2Timing::distill())
-                .run(&mut (b.make)(cfg.seed), cfg.accesses);
-            Fig9Row {
-                benchmark: b.name.to_owned(),
-                base_ipc: base.ipc(),
-                distill_ipc: dist.ipc(),
-            }
-        });
-        rows.into_iter().next().unwrap()
+        row(&b, &RunConfig::quick().with_accesses(accesses))
     }
 
     #[test]

@@ -76,6 +76,6 @@ pub mod table3;
 
 pub use runner::{
     baseline_config, for_each_benchmark, run, run_baseline, run_baseline_with_words,
-    run_capacity_sweep, run_matrix, run_matrix_with_threads, run_sampled_capacity_sweep,
+    run_capacity_sweep, run_matrix, run_matrix_with_threads, run_sampled_capacity_sweep, run_timed,
     CapacityPoint, CapacitySweep, RunConfig, RunResult, SampledCapacityPoint, SampledCapacitySweep,
 };

@@ -3,10 +3,12 @@
 //! before footprint change) and Table 2 (MPKI + compulsory misses).
 
 use crate::report::{fmt_f, Json, Table};
-use crate::{baseline_config, for_each_benchmark, run_baseline_with_words, RunConfig, RunResult};
+use crate::{
+    baseline_config, for_each_benchmark, run_baseline_with_words, run_timed, RunConfig, RunResult,
+};
 use ldis_cache::BaselineL2;
 use ldis_mem::stats::Histogram;
-use ldis_timing::{workload_factors, L2Timing, SystemConfig, TimingSim};
+use ldis_timing::L2Timing;
 use ldis_workloads::{memory_intensive, Benchmark};
 
 /// One benchmark's baseline characterization.
@@ -70,16 +72,9 @@ pub fn snapshot(cfg: &RunConfig) -> Json {
     let rows = for_each_benchmark(&benches, |b| {
         let (r, words) = run_baseline_with_words(b, cfg, 1 << 20);
         let p = profile_of(b, &r, &words);
-        // IPC of the timed baseline system (Figure 9's reference side),
-        // on the same derived-seed convention as every sweep cell.
-        let (dep, br) = workload_factors(b.name);
-        let sys = SystemConfig::hpca2007_baseline().with_workload_factors(dep, br);
+        // IPC of the timed baseline system (Figure 9's reference side).
         let l2 = BaselineL2::new(baseline_config(1 << 20));
-        let mut sim = TimingSim::new(l2, sys, L2Timing::baseline());
-        let timed = sim.run(
-            &mut (b.make)(cfg.seed_for(b, "baseline-timed")),
-            cfg.accesses,
-        );
+        let timed = run_timed(b, cfg, l2, L2Timing::baseline());
         Json::obj([
             ("benchmark", Json::str(b.name)),
             ("mpki", Json::num(p.mpki)),

@@ -181,7 +181,7 @@ pub fn measure_phases(cfg: &RunConfig, serial: &BenchPoint) -> PhaseBreakdown {
     let mut buf = Vec::with_capacity(Workload::DRIVE_BLOCK);
     let start = Instant::now();
     for cell in &cells {
-        let mut workload = (cell.benchmark.make)(cell.seed(cfg));
+        let mut workload = cfg.workload(&cell.benchmark);
         let mut remaining = cfg.warmup + cfg.accesses;
         while remaining > 0 {
             #[expect(

@@ -76,9 +76,6 @@ fn run_point(
     if let Some(rcfg) = resilience {
         dc = dc.with_resilience(rcfg);
     }
-    // The workload seed derives from the cache label only — every scheme ×
-    // rate point of a benchmark replays the *same* trace, so Δmpki always
-    // compares like with like.
     let hier = drive(benchmark, cfg, dc);
     let mpki = hier.mpki();
     match hier.l2().health() {

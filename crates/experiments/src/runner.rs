@@ -1,17 +1,19 @@
 //! Shared machinery for running benchmark × cache-configuration matrices.
 //!
-//! Every cell of a matrix is an independent simulation: the cell's
-//! workload seed is derived from `RunConfig.seed`, the benchmark's stable
-//! id and the cache configuration's label via
-//! [`SimRng::derive`](ldis_mem::SimRng::derive). Cells therefore execute
-//! on the [`parallel`](crate::parallel) worker pool in any order while the
-//! merged matrix stays bit-identical for every thread count.
+//! Every run of a benchmark simulates the same trace: its workload is
+//! seeded from `RunConfig.seed` and the benchmark's stable id only
+//! ([`RunConfig::trace_seed`]), so two cache organizations differ by
+//! their mechanism and not by sampling noise. Runs share no state and
+//! execute on the [`parallel`](crate::parallel) worker pool in any order
+//! while the merged matrix stays bit-identical for every thread count.
 
 use crate::parallel;
 use ldis_cache::{BaselineL2, CacheConfig, Hierarchy, HierarchyStats, L2Stats, SecondLevel};
+use ldis_compress::ValueSizeModel;
 use ldis_mem::{stable_id, LineGeometry, SimRng};
 use ldis_mrc::{ConfigResult, MattsonL2, SampledMrc, ShardsConfig, ShardsL2};
-use ldis_workloads::{Benchmark, TraceLength};
+use ldis_timing::{workload_factors, L2Timing, SystemConfig, TimingResult, TimingSim};
+use ldis_workloads::{Benchmark, TraceLength, Workload};
 
 /// Global knobs for an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -59,13 +61,31 @@ impl RunConfig {
         self
     }
 
-    /// The workload seed of one (benchmark, configuration) sweep cell:
-    /// a deterministic split of `self.seed` by the benchmark's stable id
-    /// and the configuration label's stable hash. Every cell draws from
-    /// its own stream, so a sweep's cells are statistically independent
-    /// and may run on any number of threads in any order.
-    pub fn seed_for(&self, benchmark: &Benchmark, config_label: &str) -> u64 {
-        SimRng::derive_seed(self.seed, u64::from(benchmark.id), stable_id(config_label))
+    /// The seed of `benchmark`'s trace: a split of `self.seed` by the
+    /// benchmark's stable id, shared by every cache organization the
+    /// benchmark runs on. The `"baseline"` component keeps every baseline
+    /// golden's bytes: it is the stream baseline runs have always used.
+    pub fn trace_seed(&self, benchmark: &Benchmark) -> u64 {
+        SimRng::derive_seed(self.seed, u64::from(benchmark.id), stable_id("baseline"))
+    }
+
+    /// `benchmark`'s workload, generating the trace of
+    /// [`trace_seed`](Self::trace_seed).
+    pub fn workload(&self, benchmark: &Benchmark) -> Workload {
+        (benchmark.make)(self.trace_seed(benchmark))
+    }
+
+    /// The compressed-size model of `benchmark`'s values (Figures 10 and
+    /// 11), seeded like its trace.
+    pub fn value_model(&self, benchmark: &Benchmark) -> ValueSizeModel {
+        let values = self.workload(benchmark).values();
+        ValueSizeModel::new(values, LineGeometry::default(), self.trace_seed(benchmark))
+    }
+
+    /// [`trace_seed`](Self::trace_seed) under its former signature, which
+    /// `perfbench` still calls; the label is ignored.
+    pub fn seed_for(&self, benchmark: &Benchmark, _config_label: &str) -> u64 {
+        self.trace_seed(benchmark)
     }
 }
 
@@ -101,9 +121,7 @@ impl RunResult {
 }
 
 /// Runs `benchmark` for `cfg.accesses` accesses against the L2 produced by
-/// `make_l2`, returning the distilled result. The workload seed is the
-/// cell's derived seed ([`RunConfig::seed_for`]), so each (benchmark,
-/// configuration) cell of a sweep reproduces independently of every other.
+/// `make_l2`, returning the distilled result.
 pub fn run<L2, F>(benchmark: &Benchmark, cfg: &RunConfig, make_l2: F) -> RunResult
 where
     L2: SecondLevel,
@@ -112,16 +130,16 @@ where
     result_of(benchmark, &drive(benchmark, cfg, make_l2()))
 }
 
-/// The prologue every run shares: seeds `benchmark`'s workload for `l2`'s
-/// label ([`RunConfig::seed_for`]), puts `l2` under the paper's L1s, runs
-/// the warmup and resets the counters, then drives `cfg.accesses`
-/// measured accesses. Returns the hierarchy for the caller to read out.
+/// The prologue every untimed run shares: puts `l2` under the paper's
+/// L1s, runs `benchmark`'s workload ([`RunConfig::workload`]) for the
+/// warmup and resets the counters, then drives `cfg.accesses` measured
+/// accesses. Returns the hierarchy for the caller to read out.
 pub(crate) fn drive<L2: SecondLevel>(
     benchmark: &Benchmark,
     cfg: &RunConfig,
     l2: L2,
 ) -> Hierarchy<L2> {
-    let mut workload = (benchmark.make)(cfg.seed_for(benchmark, l2.name()));
+    let mut workload = cfg.workload(benchmark);
     let mut hier = Hierarchy::hpca2007(l2);
     if cfg.warmup > 0 {
         workload.drive(&mut hier, TraceLength::accesses(cfg.warmup));
@@ -129,6 +147,30 @@ pub(crate) fn drive<L2: SecondLevel>(
     }
     workload.drive(&mut hier, TraceLength::accesses(cfg.accesses));
     hier
+}
+
+/// The timed counterpart of [`drive`]: puts `l2` with `timing` into
+/// Figure 9's system for `benchmark`, runs the warmup and then
+/// `cfg.accesses` measured accesses of its workload on one [`TimingSim`],
+/// and returns the measured phase.
+pub fn run_timed<L2: SecondLevel>(
+    benchmark: &Benchmark,
+    cfg: &RunConfig,
+    l2: L2,
+    timing: L2Timing,
+) -> TimingResult {
+    let (dependent, mispredicts) = workload_factors(benchmark.name);
+    let system = SystemConfig::hpca2007_baseline().with_workload_factors(dependent, mispredicts);
+    let mut sim = TimingSim::new(l2, system, timing);
+    let mut workload = cfg.workload(benchmark);
+    let warm = sim.run(&mut workload, cfg.warmup);
+    let all = sim.run(&mut workload, cfg.accesses);
+    TimingResult {
+        instructions: all.instructions - warm.instructions,
+        cycles: all.cycles - warm.cycles,
+        memory_requests: all.memory_requests - warm.memory_requests,
+        mshr_stall_cycles: all.mshr_stall_cycles - warm.mshr_stall_cycles,
+    }
 }
 
 /// The distilled result of a finished run of `benchmark`.
@@ -207,12 +249,11 @@ pub struct CapacityPoint {
 /// Every traditional-cache size of a capacity sweep, answered from one
 /// Mattson profiling pass over the benchmark's trace.
 ///
-/// The reconstruction is exact, not approximate: because every direct
-/// baseline run of a given benchmark derives the same workload seed
-/// (the configuration label is always `"baseline"` regardless of size)
-/// and the L1s' behavior does not depend on the L2's capacity, the L2
-/// request stream is identical across sizes — so a stack-distance pass
-/// over that one stream reproduces each size's counters bit for bit.
+/// The reconstruction is exact, not approximate: every run of a
+/// benchmark simulates the same trace, and the L1s' behavior does not
+/// depend on the L2's capacity, so the L2 request stream is identical
+/// across sizes — and a stack-distance pass over that one stream
+/// reproduces each size's counters bit for bit.
 /// The differential-oracle suite (`tests/mrc_oracle.rs`) enforces this
 /// equality against direct simulation for the whole quick matrix.
 #[derive(Clone, Debug)]
@@ -295,9 +336,9 @@ pub struct SampledCapacityPoint {
 /// hashed sample of the lines. The bounded-error oracle
 /// (`tests/mrc_sampled_oracle.rs`) asserts every point stays within the
 /// per-rate MPKI budget [`ldis_mrc::mpki_tolerance`] of the exact
-/// Mattson reconstruction. Because the adapter also reports its name as
-/// `"baseline"`, the L2 request stream — and therefore `hierarchy` — is
-/// byte-identical to the exact run's.
+/// Mattson reconstruction. The pass simulates the exact run's trace, so
+/// the L2 request stream — and therefore `hierarchy` — is byte-identical
+/// to the exact run's.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SampledCapacitySweep {
     /// Benchmark name.
@@ -332,8 +373,8 @@ impl SampledCapacitySweep {
 /// Runs `benchmark` once behind a [`ShardsL2`] sampled profiler and
 /// estimates a traditional LRU baseline of every size in `sizes` from the
 /// finished sampled MRC. The sampled counterpart of
-/// [`run_capacity_sweep`]: same derived seed, same request stream, a
-/// fraction of the memory and work.
+/// [`run_capacity_sweep`]: same trace, same request stream, a fraction
+/// of the memory and work.
 pub fn run_sampled_capacity_sweep(
     benchmark: &Benchmark,
     cfg: &RunConfig,
@@ -516,6 +557,20 @@ mod tests {
         assert_eq!(p.mpki.to_bits(), direct.mpki.to_bits());
         assert_eq!(p.result.line_misses, direct.l2.line_misses);
         assert_eq!(p.result.compulsory_misses, direct.l2.compulsory_misses);
+    }
+
+    #[test]
+    fn a_recorded_trace_replays_the_baseline_run() {
+        // `ldis-trace record` writes `RunConfig::workload`'s trace, so
+        // replaying it on the baseline reproduces the figures' baseline.
+        let b = spec2000::by_name("mcf").unwrap();
+        let cfg = RunConfig::quick();
+        let trace = cfg.workload(&b).record(cfg.accesses as usize);
+        let mut hier = Hierarchy::hpca2007(BaselineL2::new(baseline_config(1 << 20)));
+        hier.run_trace(&trace);
+        let direct = run_baseline(&b, &cfg, 1 << 20);
+        assert_eq!(hier.l2().stats(), &direct.l2);
+        assert_eq!(hier.stats(), &direct.hierarchy);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub const CONFIGS: [SweepConfig; 3] = [
 
 impl SweepConfig {
     /// The configuration's report label (identical to the L2's
-    /// `name()`, so derived cell seeds match direct `run_*` calls).
+    /// `name()`).
     pub fn label(self) -> &'static str {
         match self {
             SweepConfig::Baseline => "baseline",
@@ -71,10 +71,10 @@ pub struct CellSpec {
 }
 
 impl CellSpec {
-    /// The cell's derived workload seed (identical to what a direct
-    /// [`run`] of the same pair would use).
+    /// The cell's workload seed: its benchmark's
+    /// [`trace_seed`](RunConfig::trace_seed).
     pub fn seed(&self, cfg: &RunConfig) -> u64 {
-        cfg.seed_for(&self.benchmark, self.config.label())
+        cfg.trace_seed(&self.benchmark)
     }
 
     /// `bench/config`, the row key used in snapshots and reports.
@@ -372,7 +372,8 @@ pub fn execute(opts: &SweepOptions) -> Result<SweepOutcome, String> {
         completed,
         |cell, result| {
             if let Some(j) = journal.as_mut() {
-                if let Err(e) = j.append(cell, specs_seed(&cfg, cell), result) {
+                let seed = specs.get(cell).map_or(0, |s| s.seed(&cfg));
+                if let Err(e) = j.append(cell, seed, result) {
                     journal_error.get_or_insert(e);
                 }
             }
@@ -451,12 +452,6 @@ pub fn execute(opts: &SweepOptions) -> Result<SweepOutcome, String> {
     })
 }
 
-/// The derived seed of cell `cell` (helper for journal appends, where
-/// the spec list is no longer borrowable).
-fn specs_seed(cfg: &RunConfig, cell: usize) -> u64 {
-    cells().get(cell).map(|s| s.seed(cfg)).unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -494,18 +489,12 @@ mod tests {
 
     #[test]
     fn cell_seeds_match_direct_runs() {
-        // The sweep must derive exactly the seeds a direct run_* call
-        // would, or resumed results could differ from the figures'.
+        // The sweep must record exactly the seed a direct run_* call
+        // uses, or its repro commands would replay another trace.
         let cfg = RunConfig::quick();
-        let specs = cells();
-        let spec = specs
-            .iter()
-            .find(|s| s.benchmark.name == "mcf")
-            .expect("mcf");
-        assert_eq!(
-            spec.seed(&cfg),
-            cfg.seed_for(&spec.benchmark, spec.config.label())
-        );
+        for spec in cells().iter().filter(|s| s.benchmark.name == "mcf") {
+            assert_eq!(spec.seed(&cfg), cfg.trace_seed(&spec.benchmark));
+        }
     }
 
     #[test]

@@ -51,9 +51,7 @@ impl ConfigResult {
 ///
 /// Behaves exactly like [`BaselineL2`](ldis_cache::BaselineL2) as far as
 /// the L1 hierarchy can observe — same geometry, same full
-/// `valid_words` on every response, same `"baseline"` report name (so
-/// the per-cell seed derivation of `ldis-experiments` replays the same
-/// trace a direct baseline run would see) — while internally maintaining
+/// `valid_words` on every response — while internally maintaining
 /// Mattson stacks for every distinct set count among its configurations.
 ///
 /// The hit/miss outcome it reports upward is that of its *primary*
@@ -243,10 +241,7 @@ impl SecondLevel for MattsonL2 {
     }
 
     fn name(&self) -> &str {
-        // The same report label as BaselineL2, so `RunConfig::seed_for`
-        // derives the same per-cell seed and the profiler sees the exact
-        // trace a direct baseline simulation would see.
-        "baseline"
+        "Mattson"
     }
 }
 
@@ -317,12 +312,6 @@ mod tests {
             mattson.stats().compulsory_misses,
             direct.stats().compulsory_misses
         );
-    }
-
-    #[test]
-    fn reports_the_baseline_label_for_seed_replay() {
-        let l2 = MattsonL2::for_configs(&tiny_configs());
-        assert_eq!(l2.name(), BaselineL2::new(tiny_configs()[0]).name());
     }
 
     #[test]

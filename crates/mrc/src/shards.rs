@@ -639,12 +639,10 @@ pub fn check_bounded_error(
 /// A [`SecondLevel`] adapter feeding the L2 demand stream into a
 /// [`ShardsProfiler`].
 ///
-/// Reports its name as `"baseline"` so [`RunConfig::seed_for`] (in
-/// `ldis-experiments`) derives the same per-cell workload seed as a
-/// direct baseline or Mattson run — the L1 hierarchy's behavior does not
-/// depend on the L2's replies, so the profiler observes the byte-identical
-/// request stream the exact engines see. Every access is answered as a
-/// nominal line miss with all words valid (the sampler models no concrete
+/// The L1 hierarchy's behavior does not depend on the L2's replies, so
+/// on the same trace the profiler observes the byte-identical request
+/// stream the exact engines see. Every access is answered as a nominal
+/// line miss with all words valid (the sampler models no concrete
 /// capacity).
 pub struct ShardsL2 {
     geometry: LineGeometry,
@@ -704,7 +702,7 @@ impl SecondLevel for ShardsL2 {
     }
 
     fn name(&self) -> &str {
-        "baseline"
+        "SHARDS"
     }
 }
 

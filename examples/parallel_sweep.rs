@@ -2,9 +2,10 @@
 //! configuration matrix serially and on a worker pool, show the speedup,
 //! and prove the results are bit-identical.
 //!
-//! Every cell derives its randomness from the run seed, the benchmark's
-//! frozen id and the cache configuration's label — never from a shared
-//! stream — so scheduling order cannot leak into any number.
+//! Every cell derives its randomness from the run seed and the
+//! benchmark's frozen id — never from a shared stream — so scheduling
+//! order cannot leak into any number, and every configuration of a
+//! benchmark runs on the same trace.
 //!
 //! ```text
 //! cargo run --release --example parallel_sweep
@@ -68,6 +69,6 @@ fn main() {
             b.name, row[0].mpki, row[1].mpki, row[2].mpki
         );
     }
-    println!("\n(MPKI; LDIS columns use per-cell derived seeds, so adding a");
+    println!("\n(MPKI; every column of a row runs the benchmark's one trace, so adding a");
     println!("configuration or reordering the matrix never moves these numbers)");
 }

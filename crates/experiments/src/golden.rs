@@ -3,10 +3,10 @@
 //! Committed JSON snapshots under `tests/golden/` (repository root) pin
 //! the quick-config results of Figures 6–11 and 13, Tables 3, 5 and 6,
 //! and the `motivation`, `linesize`, `resilience`, `mrc`, `advisor`,
-//! `costs`, `ablations` and `sweep` experiments, so any change to the simulator, the workload
-//! models or the sweep engine that moves a number fails the test suite
-//! with a line-level diff instead of silently shifting the paper
-//! reproduction. `tests/golden_snapshots.rs` declares the figure goldens
+//! `costs`, `ablations` and `sweep` experiments, so any change to the
+//! simulator, the workload models or the sweep engine that moves a
+//! number fails the test suite with a line-level diff instead of
+//! silently shifting the paper reproduction. `tests/golden_snapshots.rs` declares the figure goldens
 //! in one table, with one test per entry, and checks that every committed
 //! file is well formed ([`structure_problems`]) and compared by some test.
 //!

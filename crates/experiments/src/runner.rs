@@ -149,7 +149,7 @@ pub(crate) fn drive<L2: SecondLevel>(
     hier
 }
 
-/// The timed counterpart of [`drive`]: puts `l2` with `timing` into
+/// The timed counterpart of [`run`]: puts `l2` with `timing` into
 /// Figure 9's system for `benchmark`, runs the warmup and then
 /// `cfg.accesses` measured accesses of its workload on one [`TimingSim`],
 /// and returns the measured phase.

@@ -4,7 +4,7 @@ use crate::{
     CacheConfig, L1Lookup, L2Outcome, L2Request, SecondLevel, SectoredCache, SetAssocCache,
 };
 use ldis_mem::stats::Counter;
-use ldis_mem::{Access, AccessKind, Trace, TraceSource, WordIndex};
+use ldis_mem::{Access, AccessKind, Trace, WordIndex};
 
 /// What happened on one access — consumed by the timing model
 /// (`ldis-timing`) to charge latencies.
@@ -159,13 +159,6 @@ impl<L2: SecondLevel> Hierarchy<L2> {
         match access.kind {
             AccessKind::InstrFetch => self.ifetch(access),
             AccessKind::Load | AccessKind::Store => self.data_access(access),
-        }
-    }
-
-    /// Runs every access of a source through the hierarchy.
-    pub fn run(&mut self, source: &mut dyn TraceSource) {
-        while let Some(a) = source.next_access() {
-            self.access(a);
         }
     }
 

@@ -151,7 +151,6 @@ pub struct BaselineL2 {
     cache: SetAssocCache,
     stats: L2Stats,
     compulsory: CompulsoryTracker,
-    label: String,
 }
 
 impl BaselineL2 {
@@ -162,15 +161,7 @@ impl BaselineL2 {
             cache: SetAssocCache::new(cfg),
             stats,
             compulsory: CompulsoryTracker::new(),
-            label: "baseline".to_owned(),
         }
-    }
-
-    /// Creates a baseline cache with a custom report label (e.g. "TRAD 2MB").
-    pub fn with_label(cfg: CacheConfig, label: impl Into<String>) -> Self {
-        let mut b = BaselineL2::new(cfg);
-        b.label = label.into();
-        b
     }
 
     /// The underlying cache, for content inspection (Figure 10 sampling).
@@ -243,7 +234,7 @@ impl SecondLevel for BaselineL2 {
     }
 
     fn name(&self) -> &str {
-        &self.label
+        "baseline"
     }
 }
 

@@ -178,13 +178,6 @@ impl DistillConfig {
         self
     }
 
-    /// Removes the reverter circuit.
-    #[must_use]
-    pub fn without_reverter(mut self) -> Self {
-        self.reverter = None;
-        self
-    }
-
     /// Changes the number of WOC ways (e.g. 3 for the LDIS-4xTags
     /// configuration of Figure 11).
     ///

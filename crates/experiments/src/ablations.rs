@@ -2,10 +2,11 @@
 //! distillation threshold policy, WOC replacement selection and reverter
 //! leader-set count.
 
+use crate::golden;
 use crate::report::{fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig, ReverterConfig, ThresholdPolicy, WocReplacement};
-use ldis_mem::stats::percent_reduction;
+use ldis_mem::stats::mean_reduction;
 use ldis_workloads::{memory_intensive, Benchmark};
 
 /// A generic ablation result: mean-MPKI reduction per variant.
@@ -37,11 +38,13 @@ pub fn baseline_mpki(cfg: &RunConfig) -> Vec<f64> {
     for_each_benchmark(&subset(), |b| run_baseline(b, cfg, 1 << 20).mpki)
 }
 
-fn mean_reduction(cfg: &RunConfig, base: &[f64], config: DistillConfig) -> f64 {
+/// Runs `config` on every subset benchmark: its mean-MPKI reduction over
+/// the baseline MPKIs `base`.
+fn variant_reduction(cfg: &RunConfig, base: &[f64], config: DistillConfig) -> f64 {
     let dist = for_each_benchmark(&subset(), |b| {
         run(b, cfg, || DistillCache::new(config)).mpki
     });
-    percent_reduction(base.iter().sum(), dist.iter().sum())
+    mean_reduction(base.iter().copied(), dist)
 }
 
 /// The `name` ablation: each `(label, config)` variant's mean-MPKI
@@ -52,7 +55,7 @@ where
 {
     let variants = variants
         .into_iter()
-        .map(|(label, config)| (label, mean_reduction(cfg, base, config)));
+        .map(|(label, config)| (label, variant_reduction(cfg, base, config)));
     Ablation {
         name: name.to_owned(),
         variants: variants.collect(),
@@ -127,24 +130,16 @@ pub fn data(cfg: &RunConfig) -> Vec<Ablation> {
 /// The golden snapshot (compared against `tests/golden/ablations.json`):
 /// every variant's mean-MPKI reduction at full precision.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .flat_map(|a| {
-            a.variants.iter().map(|(variant, red)| {
-                Json::obj([
-                    ("ablation", Json::str(&a.name)),
-                    ("variant", Json::str(variant)),
-                    ("reduction_pct", Json::num(*red)),
-                ])
-            })
+    let rows = data(cfg).into_iter().flat_map(|a| {
+        a.variants.into_iter().map(move |(variant, red)| {
+            Json::obj([
+                ("ablation", Json::str(&a.name)),
+                ("variant", Json::str(variant)),
+                ("reduction_pct", Json::num(red)),
+            ])
         })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("ablations")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    });
+    golden::snapshot("ablations", cfg, [], rows)
 }
 
 /// Runs every ablation and concatenates the reports.

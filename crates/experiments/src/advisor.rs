@@ -28,6 +28,7 @@
 //! [`TenantMix`] through the advisor and snapshots the recommendations
 //! (`tests/golden/advisor.json`).
 
+use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::{mrc, RunConfig};
 use ldis_mem::{stable_id, Access, AccessKind, LineGeometry, SimRng};
@@ -359,45 +360,42 @@ pub fn report(run: &AdvisorRun) -> String {
 /// `tests/golden/advisor.json`.
 pub fn snapshot(cfg: &RunConfig) -> Json {
     let run = data(cfg);
-    let rows = run
-        .recommendations
-        .iter()
-        .map(|r| {
-            let curve = r.miss_ratios.iter().map(|&(size, m)| {
-                Json::obj([
-                    ("size_kb", Json::uint(size >> 10)),
-                    ("miss_ratio", Json::num(m)),
-                ])
-            });
+    let rows = run.recommendations.iter().map(|r| {
+        let curve = r.miss_ratios.iter().map(|&(size, m)| {
             Json::obj([
-                ("key", Json::str(&r.tenant)),
-                ("refs", Json::uint(r.window_refs)),
-                ("windows", Json::uint(r.windows_completed)),
-                ("final_rate", Json::num(r.final_rate)),
-                ("sample_len", Json::uint(r.sample_len as u64)),
-                ("mean_words_used", Json::num(r.mean_words_used)),
-                ("distill", Json::uint(u64::from(r.distill))),
-                ("loc_ways", Json::uint(u64::from(r.loc_ways))),
-                ("woc_ways", Json::uint(u64::from(r.woc_ways))),
-                ("size_kb", Json::uint(r.size_bytes >> 10)),
-                ("miss_ratio", Json::num(r.miss_ratio)),
-                ("curve", Json::arr(curve)),
+                ("size_kb", Json::uint(size >> 10)),
+                ("miss_ratio", Json::num(m)),
             ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("advisor")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("window_accesses", Json::uint(run.window_accesses)),
-        ("rate", Json::num(run.rate)),
-        ("target_miss_ratio", Json::num(run.target_miss_ratio)),
-        (
-            "sizes_kb",
-            Json::arr(run.candidate_sizes.iter().map(|&s| Json::uint(s >> 10))),
-        ),
-        ("rows", Json::Arr(rows)),
-    ])
+        });
+        Json::obj([
+            ("key", Json::str(&r.tenant)),
+            ("refs", Json::uint(r.window_refs)),
+            ("windows", Json::uint(r.windows_completed)),
+            ("final_rate", Json::num(r.final_rate)),
+            ("sample_len", Json::uint(r.sample_len as u64)),
+            ("mean_words_used", Json::num(r.mean_words_used)),
+            ("distill", Json::uint(u64::from(r.distill))),
+            ("loc_ways", Json::uint(u64::from(r.loc_ways))),
+            ("woc_ways", Json::uint(u64::from(r.woc_ways))),
+            ("size_kb", Json::uint(r.size_bytes >> 10)),
+            ("miss_ratio", Json::num(r.miss_ratio)),
+            ("curve", Json::arr(curve)),
+        ])
+    });
+    golden::snapshot(
+        "advisor",
+        cfg,
+        [
+            ("window_accesses", Json::uint(run.window_accesses)),
+            ("rate", Json::num(run.rate)),
+            ("target_miss_ratio", Json::num(run.target_miss_ratio)),
+            (
+                "sizes_kb",
+                Json::arr(run.candidate_sizes.iter().map(|&s| Json::uint(s >> 10))),
+            ),
+        ],
+        rows,
+    )
 }
 
 #[cfg(test)]

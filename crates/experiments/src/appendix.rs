@@ -1,6 +1,7 @@
 //! Appendix experiments: Table 5 (cache-insensitive benchmarks) and
 //! Table 6 (average words used vs. cache size).
 
+use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::{for_each_benchmark, run, run_capacity_sweep, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig};
@@ -80,24 +81,16 @@ pub fn table5_report(rows: &[Table5Row]) -> String {
 /// The Table 5 golden snapshot (`tests/golden/table5.json`), computed
 /// through the single-pass capacity sweep.
 pub fn table5_snapshot(cfg: &RunConfig) -> Json {
-    let rows = table5_data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("trad_1mb_mpki", Json::num(r.trad_1mb)),
-                ("ldis_1mb_mpki", Json::num(r.ldis_1mb)),
-                ("trad_2mb_mpki", Json::num(r.trad_2mb)),
-                ("trad_4mb_mpki", Json::num(r.trad_4mb)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("table5")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = table5_data(cfg).into_iter().map(|r| {
+        Json::obj([
+            ("benchmark", Json::str(&r.benchmark)),
+            ("trad_1mb_mpki", Json::num(r.trad_1mb)),
+            ("ldis_1mb_mpki", Json::num(r.ldis_1mb)),
+            ("trad_2mb_mpki", Json::num(r.trad_2mb)),
+            ("trad_4mb_mpki", Json::num(r.trad_4mb)),
+        ])
+    });
+    golden::snapshot("table5", cfg, [], rows)
 }
 
 /// Table 6: average words used per evicted line as cache size varies.
@@ -141,28 +134,24 @@ pub fn table6_data(cfg: &RunConfig) -> Vec<Table6Row> {
 /// The Table 6 golden snapshot (`tests/golden/table6.json`), computed
 /// through the single-pass capacity sweep.
 pub fn table6_snapshot(cfg: &RunConfig) -> Json {
-    let rows = table6_data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                (
-                    "avg_words",
-                    Json::arr(r.avg_words.iter().copied().map(Json::num)),
-                ),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("table6")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        (
+    let rows = table6_data(cfg).into_iter().map(|r| {
+        Json::obj([
+            ("benchmark", Json::str(&r.benchmark)),
+            (
+                "avg_words",
+                Json::arr(r.avg_words.iter().copied().map(Json::num)),
+            ),
+        ])
+    });
+    golden::snapshot(
+        "table6",
+        cfg,
+        [(
             "sizes_kb",
             Json::arr(TABLE6_SIZES.iter().map(|&s| Json::uint(s >> 10))),
-        ),
-        ("rows", Json::Arr(rows)),
-    ])
+        )],
+        rows,
+    )
 }
 
 /// Renders Table 6.

@@ -10,6 +10,9 @@
 //!             fig11 fig13 table5 table6 mrc advisor ablations resilience
 //! ```
 //!
+//! `--quick` sets the short access budget of [`RunConfig::quick`] and
+//! keeps every other flag; `--accesses` must be positive.
+//!
 //! Sweeps run on a worker pool sized by `--threads`, the `LDIS_THREADS`
 //! environment variable, or the machine's available parallelism (in that
 //! priority order). Results are bit-identical for every thread count.
@@ -41,6 +44,7 @@ use ldis_experiments::{
     ablations, advisor, appendix, costs, fig10, fig11, fig13, fig6, fig7, fig8, fig9, linesize,
     motivation, mrc, parallel, perf, resilience, sweep, table3, RunConfig,
 };
+use std::num::NonZeroU64;
 
 const ALL: &[&str] = &[
     "fig1",
@@ -99,7 +103,8 @@ fn main() {
         match arg.as_str() {
             "--accesses" => {
                 let v = args.next().unwrap_or_else(|| usage());
-                cfg.accesses = v.parse().unwrap_or_else(|_| usage());
+                let n: NonZeroU64 = v.parse().unwrap_or_else(|_| usage());
+                cfg.accesses = n.get();
             }
             "--warmup" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -117,7 +122,7 @@ fn main() {
                 }
                 parallel::set_thread_override(Some(n));
             }
-            "--quick" => cfg = RunConfig::quick(),
+            "--quick" => cfg.accesses = RunConfig::quick().accesses,
             "--journal" => journal = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--resume" => resume = true,
             "--cell" => {

@@ -5,6 +5,7 @@
 //! energy is computed from simulated activity, showing when the removed
 //! DRAM fetches pay for the extra tag probes.
 
+use crate::golden;
 use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_distill::{CostModel, DistillCache, DistillConfig};
@@ -46,23 +47,15 @@ pub fn data(cfg: &RunConfig) -> Vec<CostsRow> {
 /// The golden snapshot (compared against `tests/golden/costs.json`): both
 /// energies and the distill tag share per benchmark at full precision.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("base_mj", Json::num(r.base_mj)),
-                ("distill_mj", Json::num(r.distill_mj)),
-                ("distill_tag_share_pct", Json::num(r.distill_tag_share_pct)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("costs")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = data(cfg).into_iter().map(|r| {
+        Json::obj([
+            ("benchmark", Json::str(&r.benchmark)),
+            ("base_mj", Json::num(r.base_mj)),
+            ("distill_mj", Json::num(r.distill_mj)),
+            ("distill_tag_share_pct", Json::num(r.distill_tag_share_pct)),
+        ])
+    });
+    golden::snapshot("costs", cfg, [], rows)
 }
 
 /// Renders the Section 7.5 report (latency constants + energy table).

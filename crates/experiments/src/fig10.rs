@@ -1,6 +1,7 @@
 //! Figure 10: compressibility of cache lines — all words vs. used words
 //! only.
 
+use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::runner::drive;
 use crate::{baseline_config, for_each_benchmark, RunConfig};
@@ -90,23 +91,15 @@ pub fn data_for(benches: &[ldis_workloads::Benchmark], cfg: &RunConfig) -> Vec<F
 /// they pin every class count, and through them the compressed size of
 /// every resident line.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("lines", Json::uint(r.lines)),
-                ("all_words", Json::arr(r.all_words.map(Json::num))),
-                ("used_words", Json::arr(r.used_words.map(Json::num))),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("fig10")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = data(cfg).into_iter().map(|r| {
+        Json::obj([
+            ("benchmark", Json::str(&r.benchmark)),
+            ("lines", Json::uint(r.lines)),
+            ("all_words", Json::arr(r.all_words.map(Json::num))),
+            ("used_words", Json::arr(r.used_words.map(Json::num))),
+        ])
+    });
+    golden::snapshot("fig10", cfg, [], rows)
 }
 
 /// Renders the Figure 10 report.

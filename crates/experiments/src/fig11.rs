@@ -1,33 +1,43 @@
 //! Figure 11: LDIS vs. compression vs. footprint-aware compression.
 
-use crate::golden::l2_counts;
+use crate::golden::{self, l2_counts};
 use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_cache::L2Stats;
 use ldis_compress::{fac_cache, CmprCache, CmprConfig};
 use ldis_distill::{DistillCache, DistillConfig};
-use ldis_mem::stats::percent_reduction;
+use ldis_mem::stats::{mean_reduction, percent_reduction};
 use ldis_workloads::memory_intensive;
 
-/// MPKI reductions over the baseline for the four Figure 11 organizations.
+/// Per-benchmark MPKI under the baseline and the four Figure 11
+/// organizations.
 #[derive(Clone, Debug)]
 pub struct Fig11Row {
     /// Benchmark name.
     pub benchmark: String,
     /// Baseline MPKI.
     pub base: f64,
-    /// LDIS with 2 WOC ways ("3xTags") reduction (%).
+    /// LDIS with 2 WOC ways ("3xTags") MPKI.
     pub ldis_3x: f64,
-    /// LDIS with 3 WOC ways ("4xTags") reduction (%).
+    /// LDIS with 3 WOC ways ("4xTags") MPKI.
     pub ldis_4x: f64,
-    /// Compressed traditional cache with 4× tags reduction (%).
+    /// Compressed traditional cache with 4× tags MPKI.
     pub cmpr_4x: f64,
-    /// Footprint-aware compression with 3 WOC ways reduction (%).
+    /// Footprint-aware compression with 3 WOC ways MPKI.
     pub fac_4x: f64,
     /// The CMPR-4xTags run's L2 counters.
     pub cmpr_l2: L2Stats,
     /// The FAC-4xTags run's L2 counters.
     pub fac_l2: L2Stats,
+}
+
+impl Fig11Row {
+    /// Percentage MPKI reductions relative to the baseline, in column
+    /// order: LDIS-3xTags, LDIS-4xTags, CMPR-4xTags, FAC-4xTags.
+    pub fn reductions(&self) -> [f64; 4] {
+        [self.ldis_3x, self.ldis_4x, self.cmpr_4x, self.fac_4x]
+            .map(|mpki| percent_reduction(self.base, mpki))
+    }
 }
 
 /// Runs the Figure 11 matrix.
@@ -46,14 +56,13 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig11Row> {
         let fac = run(b, cfg, || {
             fac_cache(DistillConfig::hpca2007_default().with_woc_ways(3), model)
         });
-        let red = |m: f64| percent_reduction(base.mpki, m);
         Fig11Row {
             benchmark: b.name.to_owned(),
             base: base.mpki,
-            ldis_3x: red(ldis_3x.mpki),
-            ldis_4x: red(ldis_4x.mpki),
-            cmpr_4x: red(cmpr.mpki),
-            fac_4x: red(fac.mpki),
+            ldis_3x: ldis_3x.mpki,
+            ldis_4x: ldis_4x.mpki,
+            cmpr_4x: cmpr.mpki,
+            fac_4x: fac.mpki,
             cmpr_l2: cmpr.l2,
             fac_l2: fac.l2,
         }
@@ -64,47 +73,33 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig11Row> {
 /// reductions at full precision plus the raw counters of the two
 /// compressed caches, which no other golden covers.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("base_mpki", Json::num(r.base)),
-                ("ldis_3x_reduction_pct", Json::num(r.ldis_3x)),
-                ("ldis_4x_reduction_pct", Json::num(r.ldis_4x)),
-                ("cmpr_4x_reduction_pct", Json::num(r.cmpr_4x)),
-                ("fac_4x_reduction_pct", Json::num(r.fac_4x)),
-                ("cmpr_4x", l2_counts(&r.cmpr_l2)),
-                ("fac_4x", l2_counts(&r.fac_l2)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("fig11")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = data(cfg).into_iter().map(|r| {
+        let [ldis_3x, ldis_4x, cmpr_4x, fac_4x] = r.reductions();
+        Json::obj([
+            ("benchmark", Json::str(&r.benchmark)),
+            ("base_mpki", Json::num(r.base)),
+            ("ldis_3x_reduction_pct", Json::num(ldis_3x)),
+            ("ldis_4x_reduction_pct", Json::num(ldis_4x)),
+            ("cmpr_4x_reduction_pct", Json::num(cmpr_4x)),
+            ("fac_4x_reduction_pct", Json::num(fac_4x)),
+            ("cmpr_4x", l2_counts(&r.cmpr_l2)),
+            ("fac_4x", l2_counts(&r.fac_l2)),
+        ])
+    });
+    golden::snapshot("fig11", cfg, [], rows)
 }
 
-/// Mean-MPKI reductions per configuration (the paper's summary metric).
-pub fn mean_reductions(rows: &[Fig11Row]) -> (f64, f64, f64, f64) {
-    let n = rows.len() as f64;
-    let base: f64 = rows.iter().map(|r| r.base).sum::<f64>() / n;
-    let mean_of = |f: fn(&Fig11Row) -> f64| {
-        let reduced: f64 = rows
-            .iter()
-            .map(|r| r.base * (1.0 - f(r) / 100.0))
-            .sum::<f64>()
-            / n;
-        percent_reduction(base, reduced)
-    };
-    (
-        mean_of(|r| r.ldis_3x),
-        mean_of(|r| r.ldis_4x),
-        mean_of(|r| r.cmpr_4x),
-        mean_of(|r| r.fac_4x),
-    )
+/// Mean-MPKI reductions per organization (the paper's summary metric),
+/// in the column order of [`Fig11Row::reductions`].
+pub fn mean_reductions(rows: &[Fig11Row]) -> [f64; 4] {
+    let reduction =
+        |f: fn(&Fig11Row) -> f64| mean_reduction(rows.iter().map(|r| r.base), rows.iter().map(f));
+    [
+        reduction(|r| r.ldis_3x),
+        reduction(|r| r.ldis_4x),
+        reduction(|r| r.cmpr_4x),
+        reduction(|r| r.fac_4x),
+    ]
 }
 
 /// Renders the Figure 11 report.
@@ -121,24 +116,13 @@ pub fn report(rows: &[Fig11Row]) -> String {
         ],
     );
     for r in rows {
-        t.row(vec![
-            r.benchmark.clone(),
-            fmt_f(r.base, 2),
-            fmt_pct(r.ldis_3x),
-            fmt_pct(r.ldis_4x),
-            fmt_pct(r.cmpr_4x),
-            fmt_pct(r.fac_4x),
-        ]);
+        let mut cells = vec![r.benchmark.clone(), fmt_f(r.base, 2)];
+        cells.extend(r.reductions().map(fmt_pct));
+        t.row(cells);
     }
-    let (l3, l4, c4, f4) = mean_reductions(rows);
-    t.row(vec![
-        "avg".into(),
-        String::new(),
-        fmt_pct(l3),
-        fmt_pct(l4),
-        fmt_pct(c4),
-        fmt_pct(f4),
-    ]);
+    let mut avg = vec!["avg".to_owned(), String::new()];
+    avg.extend(mean_reductions(rows).map(fmt_pct));
+    t.row(avg);
     t.note("paper: FAC ≈ 50% average reduction, beating both LDIS and CMPR alone");
     t.render()
 }
@@ -175,25 +159,25 @@ mod tests {
             Fig11Row {
                 benchmark: "a".into(),
                 base: 10.0,
-                ldis_3x: 50.0,
-                ldis_4x: 50.0,
-                cmpr_4x: 0.0,
-                fac_4x: 50.0,
+                ldis_3x: 5.0,
+                ldis_4x: 5.0,
+                cmpr_4x: 10.0,
+                fac_4x: 5.0,
                 cmpr_l2: L2Stats::default(),
                 fac_l2: L2Stats::default(),
             },
             Fig11Row {
                 benchmark: "b".into(),
                 base: 30.0,
-                ldis_3x: 0.0,
-                ldis_4x: 0.0,
-                cmpr_4x: 0.0,
-                fac_4x: 50.0,
+                ldis_3x: 30.0,
+                ldis_4x: 30.0,
+                cmpr_4x: 30.0,
+                fac_4x: 15.0,
                 cmpr_l2: L2Stats::default(),
                 fac_l2: L2Stats::default(),
             },
         ];
-        let (l3, _, c4, f4) = mean_reductions(&rows);
+        let [l3, _, c4, f4] = mean_reductions(&rows);
         assert!((l3 - 12.5).abs() < 1e-9, "{l3}");
         assert_eq!(c4, 0.0);
         assert!((f4 - 50.0).abs() < 1e-9);

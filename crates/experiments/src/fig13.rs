@@ -1,15 +1,15 @@
 //! Figure 13: spatial footprint prediction (SFP) vs. line distillation.
 
-use crate::golden::l2_counts;
+use crate::golden::{self, l2_counts};
 use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_cache::L2Stats;
 use ldis_distill::{DistillCache, DistillConfig};
-use ldis_mem::stats::percent_reduction;
+use ldis_mem::stats::{mean_reduction, percent_reduction};
 use ldis_sfp::{SfpCache, SfpConfig};
 use ldis_workloads::memory_intensive;
 
-/// MPKI reductions over the baseline for SFP (two predictor sizes) and
+/// Per-benchmark MPKI under the baseline, SFP (two predictor sizes) and
 /// LDIS.
 #[derive(Clone, Debug)]
 pub struct Fig13Row {
@@ -17,16 +17,24 @@ pub struct Fig13Row {
     pub benchmark: String,
     /// Baseline MPKI.
     pub base: f64,
-    /// SFP with a 16 k-entry (64 kB) predictor: reduction (%).
+    /// SFP with a 16 k-entry (64 kB) predictor: MPKI.
     pub sfp_16k: f64,
-    /// SFP with a 64 k-entry (256 kB) predictor: reduction (%).
+    /// SFP with a 64 k-entry (256 kB) predictor: MPKI.
     pub sfp_64k: f64,
-    /// LDIS-MT-RC: reduction (%).
+    /// LDIS-MT-RC: MPKI.
     pub ldis: f64,
     /// The SFP-16k run's L2 counters.
     pub sfp_16k_l2: L2Stats,
     /// The SFP-64k run's L2 counters.
     pub sfp_64k_l2: L2Stats,
+}
+
+impl Fig13Row {
+    /// Percentage MPKI reductions relative to the baseline, in column
+    /// order: SFP-16k, SFP-64k, LDIS.
+    pub fn reductions(&self) -> [f64; 3] {
+        [self.sfp_16k, self.sfp_64k, self.ldis].map(|mpki| percent_reduction(self.base, mpki))
+    }
 }
 
 /// Runs the Figure 13 matrix.
@@ -39,13 +47,12 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig13Row> {
         let ldis = run(b, cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         });
-        let red = |m: f64| percent_reduction(base.mpki, m);
         Fig13Row {
             benchmark: b.name.to_owned(),
             base: base.mpki,
-            sfp_16k: red(s16.mpki),
-            sfp_64k: red(s64.mpki),
-            ldis: red(ldis.mpki),
+            sfp_16k: s16.mpki,
+            sfp_64k: s64.mpki,
+            ldis: ldis.mpki,
             sfp_16k_l2: s16.l2,
             sfp_64k_l2: s64.l2,
         }
@@ -56,45 +63,31 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig13Row> {
 /// reductions at full precision plus the raw counters of both SFP
 /// predictor sizes, which no other golden covers.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("base_mpki", Json::num(r.base)),
-                ("sfp_16k_reduction_pct", Json::num(r.sfp_16k)),
-                ("sfp_64k_reduction_pct", Json::num(r.sfp_64k)),
-                ("ldis_reduction_pct", Json::num(r.ldis)),
-                ("sfp_16k", l2_counts(&r.sfp_16k_l2)),
-                ("sfp_64k", l2_counts(&r.sfp_64k_l2)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("fig13")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = data(cfg).into_iter().map(|r| {
+        let [sfp_16k, sfp_64k, ldis] = r.reductions();
+        Json::obj([
+            ("benchmark", Json::str(&r.benchmark)),
+            ("base_mpki", Json::num(r.base)),
+            ("sfp_16k_reduction_pct", Json::num(sfp_16k)),
+            ("sfp_64k_reduction_pct", Json::num(sfp_64k)),
+            ("ldis_reduction_pct", Json::num(ldis)),
+            ("sfp_16k", l2_counts(&r.sfp_16k_l2)),
+            ("sfp_64k", l2_counts(&r.sfp_64k_l2)),
+        ])
+    });
+    golden::snapshot("fig13", cfg, [], rows)
 }
 
-/// Mean-MPKI reductions for the three configurations.
-pub fn mean_reductions(rows: &[Fig13Row]) -> (f64, f64, f64) {
-    let n = rows.len() as f64;
-    let base: f64 = rows.iter().map(|r| r.base).sum::<f64>() / n;
-    let mean_of = |f: fn(&Fig13Row) -> f64| {
-        let reduced: f64 = rows
-            .iter()
-            .map(|r| r.base * (1.0 - f(r) / 100.0))
-            .sum::<f64>()
-            / n;
-        percent_reduction(base, reduced)
-    };
-    (
-        mean_of(|r| r.sfp_16k),
-        mean_of(|r| r.sfp_64k),
-        mean_of(|r| r.ldis),
-    )
+/// Mean-MPKI reductions for the three configurations, in the column
+/// order of [`Fig13Row::reductions`].
+pub fn mean_reductions(rows: &[Fig13Row]) -> [f64; 3] {
+    let reduction =
+        |f: fn(&Fig13Row) -> f64| mean_reduction(rows.iter().map(|r| r.base), rows.iter().map(f));
+    [
+        reduction(|r| r.sfp_16k),
+        reduction(|r| r.sfp_64k),
+        reduction(|r| r.ldis),
+    ]
 }
 
 /// Renders the Figure 13 report.
@@ -104,22 +97,13 @@ pub fn report(rows: &[Fig13Row]) -> String {
         &["bench", "base-mpki", "SFP-16k", "SFP-64k", "LDIS"],
     );
     for r in rows {
-        t.row(vec![
-            r.benchmark.clone(),
-            fmt_f(r.base, 2),
-            fmt_pct(r.sfp_16k),
-            fmt_pct(r.sfp_64k),
-            fmt_pct(r.ldis),
-        ]);
+        let mut cells = vec![r.benchmark.clone(), fmt_f(r.base, 2)];
+        cells.extend(r.reductions().map(fmt_pct));
+        t.row(cells);
     }
-    let (s16, s64, ldis) = mean_reductions(rows);
-    t.row(vec![
-        "avg".into(),
-        String::new(),
-        fmt_pct(s16),
-        fmt_pct(s64),
-        fmt_pct(ldis),
-    ]);
+    let mut avg = vec!["avg".to_owned(), String::new()];
+    avg.extend(mean_reductions(rows).map(fmt_pct));
+    t.row(avg);
     t.note("paper: SFP reduces misses but significantly less than LDIS; mispredictions turn would-be hits into misses");
     t.render()
 }
@@ -142,19 +126,21 @@ mod tests {
             let ldis = run(b, &cfg, || {
                 DistillCache::new(DistillConfig::hpca2007_default())
             });
-            let red = |m: f64| percent_reduction(base.mpki, m);
             Fig13Row {
                 benchmark: b.name.to_owned(),
                 base: base.mpki,
-                sfp_16k: red(sfp.mpki),
+                sfp_16k: sfp.mpki,
                 sfp_64k: f64::NAN,
-                ldis: red(ldis.mpki),
+                ldis: ldis.mpki,
                 sfp_16k_l2: sfp.l2,
                 sfp_64k_l2: L2Stats::default(),
             }
         });
-        let avg_sfp: f64 = rows.iter().map(|r| r.sfp_16k).sum::<f64>() / rows.len() as f64;
-        let avg_ldis: f64 = rows.iter().map(|r| r.ldis).sum::<f64>() / rows.len() as f64;
+        let avg = |f: fn(&Fig13Row) -> f64| {
+            let reductions = rows.iter().map(|r| percent_reduction(r.base, f(r)));
+            reductions.sum::<f64>() / rows.len() as f64
+        };
+        let (avg_sfp, avg_ldis) = (avg(|r| r.sfp_16k), avg(|r| r.ldis));
         assert!(
             avg_ldis > avg_sfp,
             "LDIS {avg_ldis}% must beat SFP {avg_sfp}% on sparse workloads"
@@ -180,9 +166,9 @@ mod tests {
         let rows = vec![Fig13Row {
             benchmark: "x".into(),
             base: 5.0,
-            sfp_16k: 10.0,
-            sfp_64k: 12.0,
-            ldis: 30.0,
+            sfp_16k: 4.5,
+            sfp_64k: 4.4,
+            ldis: 3.5,
             sfp_16k_l2: L2Stats::default(),
             sfp_64k_l2: L2Stats::default(),
         }];

@@ -1,9 +1,10 @@
 //! Figure 6: reduction in MPKI with the three LDIS configurations.
 
+use crate::golden;
 use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig};
-use ldis_mem::stats::percent_reduction;
+use ldis_mem::stats::{mean_reduction, percent_reduction};
 use ldis_workloads::memory_intensive;
 
 /// Per-benchmark MPKI under the baseline and the three LDIS configurations.
@@ -22,13 +23,11 @@ pub struct Fig6Row {
 }
 
 impl Fig6Row {
-    /// Percentage MPKI reductions (base, MT, MT-RC) relative to baseline.
-    pub fn reductions(&self) -> (f64, f64, f64) {
-        (
-            percent_reduction(self.base, self.ldis_base),
-            percent_reduction(self.base, self.ldis_mt),
-            percent_reduction(self.base, self.ldis_mt_rc),
-        )
+    /// Percentage MPKI reductions relative to the baseline, in column
+    /// order: LDIS-Base, LDIS-MT, LDIS-MT-RC.
+    pub fn reductions(&self) -> [f64; 3] {
+        [self.ldis_base, self.ldis_mt, self.ldis_mt_rc]
+            .map(|mpki| percent_reduction(self.base, mpki))
     }
 }
 
@@ -53,37 +52,29 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig6Row> {
 /// The golden snapshot (compared against `tests/golden/fig6.json`): the
 /// four MPKIs per benchmark at full precision.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("base_mpki", Json::num(r.base)),
-                ("ldis_base_mpki", Json::num(r.ldis_base)),
-                ("ldis_mt_mpki", Json::num(r.ldis_mt)),
-                ("ldis_mt_rc_mpki", Json::num(r.ldis_mt_rc)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("fig6")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = data(cfg).into_iter().map(|r| {
+        Json::obj([
+            ("benchmark", Json::str(r.benchmark)),
+            ("base_mpki", Json::num(r.base)),
+            ("ldis_base_mpki", Json::num(r.ldis_base)),
+            ("ldis_mt_mpki", Json::num(r.ldis_mt)),
+            ("ldis_mt_rc_mpki", Json::num(r.ldis_mt_rc)),
+        ])
+    });
+    golden::snapshot("fig6", cfg, [], rows)
 }
 
 /// The paper's summary metric: percentage reduction of the *arithmetic
-/// mean* MPKI over the given rows, per configuration.
-pub fn mean_mpki_reductions(rows: &[Fig6Row]) -> (f64, f64, f64) {
-    let n = rows.len() as f64;
-    let mean = |f: fn(&Fig6Row) -> f64| rows.iter().map(f).sum::<f64>() / n;
-    let base = mean(|r| r.base);
-    (
-        percent_reduction(base, mean(|r| r.ldis_base)),
-        percent_reduction(base, mean(|r| r.ldis_mt)),
-        percent_reduction(base, mean(|r| r.ldis_mt_rc)),
-    )
+/// mean* MPKI over the given rows, in the column order of
+/// [`Fig6Row::reductions`].
+pub fn mean_mpki_reductions(rows: &[Fig6Row]) -> [f64; 3] {
+    let reduction =
+        |f: fn(&Fig6Row) -> f64| mean_reduction(rows.iter().map(|r| r.base), rows.iter().map(f));
+    [
+        reduction(|r| r.ldis_base),
+        reduction(|r| r.ldis_mt),
+        reduction(|r| r.ldis_mt_rc),
+    ]
 }
 
 /// Renders the Figure 6 report.
@@ -93,36 +84,20 @@ pub fn report(rows: &[Fig6Row]) -> String {
         &["bench", "base-mpki", "LDIS-Base", "LDIS-MT", "LDIS-MT-RC"],
     );
     for r in rows {
-        let (b, mt, rc) = r.reductions();
-        t.row(vec![
-            r.benchmark.clone(),
-            fmt_f(r.base, 2),
-            fmt_pct(b),
-            fmt_pct(mt),
-            fmt_pct(rc),
-        ]);
+        let mut cells = vec![r.benchmark.clone(), fmt_f(r.base, 2)];
+        cells.extend(r.reductions().map(fmt_pct));
+        t.row(cells);
     }
-    let all = mean_mpki_reductions(rows);
     let no_mcf: Vec<Fig6Row> = rows
         .iter()
         .filter(|r| r.benchmark != "mcf")
         .cloned()
         .collect();
-    let nomcf = mean_mpki_reductions(&no_mcf);
-    t.row(vec![
-        "avg".into(),
-        String::new(),
-        fmt_pct(all.0),
-        fmt_pct(all.1),
-        fmt_pct(all.2),
-    ]);
-    t.row(vec![
-        "avgNomcf".into(),
-        String::new(),
-        fmt_pct(nomcf.0),
-        fmt_pct(nomcf.1),
-        fmt_pct(nomcf.2),
-    ]);
+    for (label, rows) in [("avg", rows), ("avgNomcf", &no_mcf)] {
+        let mut cells = vec![label.to_owned(), String::new()];
+        cells.extend(mean_mpki_reductions(rows).map(fmt_pct));
+        t.row(cells);
+    }
     t.note("paper: LDIS-Base 22.8%, LDIS-MT-RC 30.7% mean-MPKI reduction; swim pathological without the reverter");
     t.render()
 }
@@ -181,7 +156,7 @@ mod tests {
                 ldis_mt_rc: 80.0,
             },
         ];
-        let (b, mt, rc) = mean_mpki_reductions(&rows);
+        let [b, mt, rc] = mean_mpki_reductions(&rows);
         assert!((b - (110.0 - 98.0) / 110.0 * 100.0).abs() < 1e-9);
         assert!(mt > b);
         assert_eq!(mt, rc);

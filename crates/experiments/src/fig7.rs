@@ -1,6 +1,7 @@
 //! Figure 7: breakdown of cache accesses into hit/miss classes for the
 //! baseline cache and the distill cache.
 
+use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::{for_each_benchmark, run, run_baseline, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig};
@@ -50,26 +51,18 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig7Row> {
 /// The golden snapshot (compared against `tests/golden/fig7.json`): the
 /// hit/miss fractions of both organizations at full precision.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("base_hit", Json::num(r.base_hit)),
-                ("loc_hit", Json::num(r.loc_hit)),
-                ("woc_hit", Json::num(r.woc_hit)),
-                ("hole_miss", Json::num(r.hole_miss)),
-                ("line_miss", Json::num(r.line_miss)),
-                ("extra_access_pct", Json::num(r.extra_access_pct)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("fig7")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = data(cfg).into_iter().map(|r| {
+        Json::obj([
+            ("benchmark", Json::str(&r.benchmark)),
+            ("base_hit", Json::num(r.base_hit)),
+            ("loc_hit", Json::num(r.loc_hit)),
+            ("woc_hit", Json::num(r.woc_hit)),
+            ("hole_miss", Json::num(r.hole_miss)),
+            ("line_miss", Json::num(r.line_miss)),
+            ("extra_access_pct", Json::num(r.extra_access_pct)),
+        ])
+    });
+    golden::snapshot("fig7", cfg, [], rows)
 }
 
 /// Renders the Figure 7 report.

@@ -1,6 +1,7 @@
 //! Figure 8: capacity analysis — the distill cache vs. larger traditional
 //! caches.
 
+use crate::golden;
 use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{for_each_benchmark, run, run_capacity_sweep, RunConfig};
 use ldis_distill::{DistillCache, DistillConfig};
@@ -10,7 +11,7 @@ use ldis_workloads::memory_intensive;
 /// The traditional sizes of the Figure 8 comparison: 1, 1.5 and 2 MB.
 const FIG8_SIZES: [u64; 3] = [1 << 20, 3 << 19, 2 << 20];
 
-/// MPKI reductions over the 1 MB baseline for the distill cache and for
+/// Per-benchmark MPKI of the 1 MB baseline, the 1 MB distill cache and
 /// 1.5 MB / 2 MB traditional caches.
 #[derive(Clone, Debug)]
 pub struct Fig8Row {
@@ -18,12 +19,21 @@ pub struct Fig8Row {
     pub benchmark: String,
     /// Baseline 1 MB MPKI.
     pub base: f64,
-    /// 1 MB distill-cache reduction (%).
+    /// 1 MB distill-cache MPKI.
     pub distill: f64,
-    /// 1.5 MB traditional reduction (%).
+    /// 1.5 MB traditional MPKI.
     pub trad_1_5mb: f64,
-    /// 2 MB traditional reduction (%).
+    /// 2 MB traditional MPKI.
     pub trad_2mb: f64,
+}
+
+impl Fig8Row {
+    /// Percentage MPKI reductions relative to the baseline, in column
+    /// order: distill 1 MB, traditional 1.5 MB, traditional 2 MB.
+    pub fn reductions(&self) -> [f64; 3] {
+        [self.distill, self.trad_1_5mb, self.trad_2mb]
+            .map(|mpki| percent_reduction(self.base, mpki))
+    }
 }
 
 /// Runs the Figure 8 matrix. All three traditional sizes come from one
@@ -40,13 +50,12 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig8Row> {
         let distill = run(b, cfg, || {
             DistillCache::new(DistillConfig::hpca2007_default())
         });
-        let base = sweep.mpki_at(1 << 20);
         Fig8Row {
             benchmark: b.name.to_owned(),
-            base,
-            distill: percent_reduction(base, distill.mpki),
-            trad_1_5mb: percent_reduction(base, sweep.mpki_at(3 << 19)),
-            trad_2mb: percent_reduction(base, sweep.mpki_at(2 << 20)),
+            base: sweep.mpki_at(1 << 20),
+            distill: distill.mpki,
+            trad_1_5mb: sweep.mpki_at(3 << 19),
+            trad_2mb: sweep.mpki_at(2 << 20),
         }
     })
 }
@@ -54,24 +63,17 @@ pub fn data(cfg: &RunConfig) -> Vec<Fig8Row> {
 /// The golden snapshot (compared against `tests/golden/fig8.json`),
 /// computed through the single-pass capacity sweep.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let rows = data(cfg)
-        .iter()
-        .map(|r| {
-            Json::obj([
-                ("benchmark", Json::str(&r.benchmark)),
-                ("base_mpki", Json::num(r.base)),
-                ("distill_reduction_pct", Json::num(r.distill)),
-                ("trad_1_5mb_reduction_pct", Json::num(r.trad_1_5mb)),
-                ("trad_2mb_reduction_pct", Json::num(r.trad_2mb)),
-            ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("fig8")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    let rows = data(cfg).into_iter().map(|r| {
+        let [distill, trad_1_5mb, trad_2mb] = r.reductions();
+        Json::obj([
+            ("benchmark", Json::str(r.benchmark)),
+            ("base_mpki", Json::num(r.base)),
+            ("distill_reduction_pct", Json::num(distill)),
+            ("trad_1_5mb_reduction_pct", Json::num(trad_1_5mb)),
+            ("trad_2mb_reduction_pct", Json::num(trad_2mb)),
+        ])
+    });
+    golden::snapshot("fig8", cfg, [], rows)
 }
 
 /// Renders the Figure 8 report.
@@ -87,13 +89,9 @@ pub fn report(rows: &[Fig8Row]) -> String {
         ],
     );
     for r in rows {
-        t.row(vec![
-            r.benchmark.clone(),
-            fmt_f(r.base, 2),
-            fmt_pct(r.distill),
-            fmt_pct(r.trad_1_5mb),
-            fmt_pct(r.trad_2mb),
-        ]);
+        let mut cells = vec![r.benchmark.clone(), fmt_f(r.base, 2)];
+        cells.extend(r.reductions().map(fmt_pct));
+        t.row(cells);
     }
     t.note(
         "paper: distill ≈ 1.5MB for facerec/ammp/sixtrack; distill beats 2MB for mcf and health",
@@ -143,9 +141,9 @@ mod tests {
         let rows = vec![Fig8Row {
             benchmark: "x".into(),
             base: 5.0,
-            distill: 30.0,
-            trad_1_5mb: 25.0,
-            trad_2mb: 40.0,
+            distill: 3.5,
+            trad_1_5mb: 3.75,
+            trad_2mb: 3.0,
         }];
         assert!(report(&rows).contains("TRAD-2MB"));
     }

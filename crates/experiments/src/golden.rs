@@ -221,6 +221,25 @@ pub fn verify_surviving(
     Ok(GoldenStatus::Matched)
 }
 
+/// The golden snapshot of a simulated experiment, in the shape
+/// [`structure_problems`] checks: `experiment`, the run's `accesses` and
+/// `seed`, the `header` fields in order, then `rows`.
+pub fn snapshot<'a>(
+    experiment: &str,
+    cfg: &RunConfig,
+    header: impl IntoIterator<Item = (&'a str, Json)>,
+    rows: impl IntoIterator<Item = Json>,
+) -> Json {
+    let mut fields = vec![
+        ("experiment", Json::str(experiment)),
+        ("accesses", Json::uint(cfg.accesses)),
+        ("seed", Json::uint(cfg.seed)),
+    ];
+    fields.extend(header);
+    fields.push(("rows", Json::arr(rows)));
+    Json::obj(fields)
+}
+
 /// The problems with the structure of a committed golden, `text` read
 /// from `tests/golden/<stem>.json`: its `experiment` must name the file,
 /// and the `rows`, `seed` and `accesses` a snapshot carries must pin
@@ -288,6 +307,30 @@ mod tests {
     #[test]
     fn golden_config_is_quick() {
         assert_eq!(golden_config(), RunConfig::quick());
+    }
+
+    #[test]
+    fn the_writer_writes_what_the_validator_accepts() {
+        let cfg = RunConfig::quick();
+        let row = || Json::obj([("benchmark", Json::str("art"))]);
+        let sizes = ("sizes_kb", Json::arr([Json::uint(768), Json::uint(1024)]));
+        let plain = snapshot("plain", &cfg, [], [row()]);
+        let sized = snapshot("sized", &cfg, [sizes], [row(), row()]);
+        for (stem, doc) in [("plain", &plain), ("sized", &sized)] {
+            let problems = structure_problems(stem, &doc.render_pretty());
+            assert_eq!(problems, Vec::<String>::new(), "{stem}");
+        }
+        let Json::Obj(fields) = &sized else {
+            panic!("a snapshot is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["experiment", "accesses", "seed", "sizes_kb", "rows"]);
+        let empty = snapshot("empty", &cfg, [], []).render_pretty();
+        let problems = structure_problems("empty", &empty);
+        assert!(
+            matches!(problems.as_slice(), [p] if p.starts_with("`rows`")),
+            "{problems:?}"
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! experiment reproduces that claim and contrasts it with LDIS at 64 B,
 //! which gets the best of both.
 
+use crate::golden;
 use crate::report::{fmt_f, fmt_pct, Json, Table};
 use crate::{run, run_matrix, RunConfig};
 use ldis_cache::{BaselineL2, CacheConfig};
@@ -14,22 +15,37 @@ use ldis_mem::stats::percent_reduction;
 use ldis_mem::LineGeometry;
 use ldis_workloads::memory_intensive;
 
-/// Per-benchmark MPKI across line sizes plus LDIS at 64 B.
+/// Per-benchmark MPKI across line sizes plus LDIS at 64 B and 128 B.
 #[derive(Clone, Debug)]
 pub struct LineSizeRow {
     /// Benchmark name.
     pub benchmark: String,
     /// Baseline 64 B MPKI.
     pub base_64b: f64,
-    /// Change from moving to 32 B lines (%, negative = more misses).
-    pub delta_32b: f64,
-    /// Change from moving to 128 B lines (%).
-    pub delta_128b: f64,
-    /// Change from LDIS at 64 B (%).
-    pub delta_ldis: f64,
-    /// Change from LDIS at 128 B lines (%). Section 7.5.1: the unused-word
-    /// problem — and so distillation's opportunity — grows with the line.
-    pub delta_ldis_128b: f64,
+    /// Baseline 32 B MPKI.
+    pub mpki_32b: f64,
+    /// Baseline 128 B MPKI.
+    pub mpki_128b: f64,
+    /// LDIS MPKI at 64 B lines.
+    pub mpki_ldis: f64,
+    /// LDIS MPKI at 128 B lines. Section 7.5.1: the unused-word problem —
+    /// and so distillation's opportunity — grows with the line.
+    pub mpki_ldis_128b: f64,
+}
+
+impl LineSizeRow {
+    /// Percentage MPKI reductions relative to the 64 B baseline (negative
+    /// = more misses), in column order: 32 B, 128 B, LDIS at 64 B, LDIS
+    /// at 128 B.
+    pub fn reductions(&self) -> [f64; 4] {
+        [
+            self.mpki_32b,
+            self.mpki_128b,
+            self.mpki_ldis,
+            self.mpki_ldis_128b,
+        ]
+        .map(|mpki| percent_reduction(self.base_64b, mpki))
+    }
 }
 
 fn baseline_with_lines(line_bytes: u32) -> BaselineL2 {
@@ -62,14 +78,13 @@ pub fn data(cfg: &RunConfig) -> Vec<LineSizeRow> {
             // The sweep produced exactly one cell per configuration above;
             // a missing cell would mean the matrix shape itself is broken.
             let mpki = |i: usize| cells.get(i).map_or(0.0, |c| c.mpki);
-            let base = mpki(0);
             LineSizeRow {
                 benchmark: b.name.to_owned(),
-                base_64b: base,
-                delta_32b: percent_reduction(base, mpki(1)),
-                delta_128b: percent_reduction(base, mpki(2)),
-                delta_ldis: percent_reduction(base, mpki(3)),
-                delta_ldis_128b: percent_reduction(base, mpki(4)),
+                base_64b: mpki(0),
+                mpki_32b: mpki(1),
+                mpki_128b: mpki(2),
+                mpki_ldis: mpki(3),
+                mpki_ldis_128b: mpki(4),
             }
         })
         .collect()
@@ -80,21 +95,17 @@ pub fn data(cfg: &RunConfig) -> Vec<LineSizeRow> {
 /// Compared against `tests/golden/linesize.json`.
 pub fn snapshot(cfg: &RunConfig) -> Json {
     let rows = data(cfg).into_iter().map(|r| {
+        let [delta_32b, delta_128b, delta_ldis, delta_ldis_128b] = r.reductions();
         Json::obj([
             ("benchmark", Json::str(r.benchmark)),
             ("base_64b_mpki", Json::num(r.base_64b)),
-            ("delta_32b_pct", Json::num(r.delta_32b)),
-            ("delta_128b_pct", Json::num(r.delta_128b)),
-            ("delta_ldis_pct", Json::num(r.delta_ldis)),
-            ("delta_ldis_128b_pct", Json::num(r.delta_ldis_128b)),
+            ("delta_32b_pct", Json::num(delta_32b)),
+            ("delta_128b_pct", Json::num(delta_128b)),
+            ("delta_ldis_pct", Json::num(delta_ldis)),
+            ("delta_ldis_128b_pct", Json::num(delta_ldis_128b)),
         ])
     });
-    Json::obj([
-        ("experiment", Json::str("linesize")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::arr(rows)),
-    ])
+    golden::snapshot("linesize", cfg, [], rows)
 }
 
 /// Builds an LDIS configuration for a non-default line size (used by the
@@ -121,17 +132,13 @@ pub fn report(rows: &[LineSizeRow]) -> String {
     );
     let mut worse_at_32 = 0;
     for r in rows {
-        if r.delta_32b < 0.0 {
+        let reductions = r.reductions();
+        if reductions[0] < 0.0 {
             worse_at_32 += 1;
         }
-        t.row(vec![
-            r.benchmark.clone(),
-            fmt_f(r.base_64b, 2),
-            fmt_pct(r.delta_32b),
-            fmt_pct(r.delta_128b),
-            fmt_pct(r.delta_ldis),
-            fmt_pct(r.delta_ldis_128b),
-        ]);
+        let mut cells = vec![r.benchmark.clone(), fmt_f(r.base_64b, 2)];
+        cells.extend(reductions.map(fmt_pct));
+        t.row(cells);
     }
     t.note(format!(
         "{worse_at_32}/{} benchmarks get worse at 32B (paper footnote 2: 'increases the cache misses for most of the benchmarks')",
@@ -204,18 +211,18 @@ mod tests {
             LineSizeRow {
                 benchmark: "a".into(),
                 base_64b: 1.0,
-                delta_32b: -10.0,
-                delta_128b: 5.0,
-                delta_ldis: 20.0,
-                delta_ldis_128b: 25.0,
+                mpki_32b: 1.1,
+                mpki_128b: 0.95,
+                mpki_ldis: 0.8,
+                mpki_ldis_128b: 0.75,
             },
             LineSizeRow {
                 benchmark: "b".into(),
                 base_64b: 1.0,
-                delta_32b: 10.0,
-                delta_128b: 5.0,
-                delta_ldis: 20.0,
-                delta_ldis_128b: 25.0,
+                mpki_32b: 0.9,
+                mpki_128b: 0.95,
+                mpki_ldis: 0.8,
+                mpki_ldis_128b: 0.75,
             },
         ];
         let s = report(&rows);

@@ -2,11 +2,12 @@
 //! benchmark: Figure 1 (words-used histogram), Figure 2 (recency position
 //! before footprint change) and Table 2 (MPKI + compulsory misses).
 
+use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::{
     baseline_config, for_each_benchmark, run_baseline_with_words, run_timed, RunConfig, RunResult,
 };
-use ldis_cache::BaselineL2;
+use ldis_cache::{BaselineL2, L2Stats};
 use ldis_mem::stats::Histogram;
 use ldis_timing::L2Timing;
 use ldis_workloads::{memory_intensive, Benchmark};
@@ -35,9 +36,13 @@ pub struct BaselineProfile {
     pub paper_compulsory_pct: f64,
     /// Paper average words used at 1 MB (Table 6).
     pub paper_avg_words: f64,
+    /// The run's L2 counters.
+    pub l2: L2Stats,
+    /// Instructions the run executed.
+    pub instructions: u64,
 }
 
-fn profile_of(b: &Benchmark, r: &RunResult, hist: &Histogram) -> BaselineProfile {
+fn profile_of(b: &Benchmark, r: RunResult, hist: &Histogram) -> BaselineProfile {
     let words_used_fraction: Vec<f64> = (0..hist.len()).map(|i| hist.fraction(i)).collect();
     let rec = &r.l2.recency_before_change;
     let recency_fraction: Vec<f64> = (0..rec.len()).map(|i| rec.fraction(i)).collect();
@@ -51,6 +56,8 @@ fn profile_of(b: &Benchmark, r: &RunResult, hist: &Histogram) -> BaselineProfile
         paper_mpki: b.paper_mpki,
         paper_compulsory_pct: b.paper_compulsory_pct,
         paper_avg_words: b.paper_avg_words,
+        l2: r.l2,
+        instructions: r.hierarchy.instructions,
     }
 }
 
@@ -59,7 +66,7 @@ pub fn data(cfg: &RunConfig) -> Vec<BaselineProfile> {
     let benches = memory_intensive();
     for_each_benchmark(&benches, |b| {
         let (r, words) = run_baseline_with_words(b, cfg, 1 << 20);
-        profile_of(b, &r, &words)
+        profile_of(b, r, &words)
     })
 }
 
@@ -68,37 +75,31 @@ pub fn data(cfg: &RunConfig) -> Vec<BaselineProfile> {
 /// raw L2 counters, at the given configuration. Byte-stable for a given
 /// seed; compared against `tests/golden/motivation.json`.
 pub fn snapshot(cfg: &RunConfig) -> Json {
-    let benches = memory_intensive();
-    let rows = for_each_benchmark(&benches, |b| {
-        let (r, words) = run_baseline_with_words(b, cfg, 1 << 20);
-        let p = profile_of(b, &r, &words);
-        // IPC of the timed baseline system (Figure 9's reference side).
+    // IPC of the timed baseline system (Figure 9's reference side).
+    let ipcs = for_each_benchmark(&memory_intensive(), |b| {
         let l2 = BaselineL2::new(baseline_config(1 << 20));
-        let timed = run_timed(b, cfg, l2, L2Timing::baseline());
+        run_timed(b, cfg, l2, L2Timing::baseline()).ipc()
+    });
+    let rows = data(cfg).into_iter().zip(ipcs).map(|(p, ipc)| {
         Json::obj([
-            ("benchmark", Json::str(b.name)),
+            ("benchmark", Json::str(p.benchmark)),
             ("mpki", Json::num(p.mpki)),
-            ("ipc", Json::num(timed.ipc())),
+            ("ipc", Json::num(ipc)),
             ("avg_words_used", Json::num(p.avg_words_used)),
             ("compulsory_pct", Json::num(p.compulsory_pct)),
             (
                 "words_used_fraction",
-                Json::arr(p.words_used_fraction.iter().copied().map(Json::num)),
+                Json::arr(p.words_used_fraction.into_iter().map(Json::num)),
             ),
-            ("l2_accesses", Json::uint(r.l2.accesses)),
-            ("l2_hits", Json::uint(r.l2.hits())),
-            ("l2_line_misses", Json::uint(r.l2.line_misses)),
-            ("l2_evictions", Json::uint(r.l2.evictions)),
-            ("l2_writebacks", Json::uint(r.l2.writebacks)),
-            ("instructions", Json::uint(r.hierarchy.instructions)),
+            ("l2_accesses", Json::uint(p.l2.accesses)),
+            ("l2_hits", Json::uint(p.l2.hits())),
+            ("l2_line_misses", Json::uint(p.l2.line_misses)),
+            ("l2_evictions", Json::uint(p.l2.evictions)),
+            ("l2_writebacks", Json::uint(p.l2.writebacks)),
+            ("instructions", Json::uint(p.instructions)),
         ])
     });
-    Json::obj([
-        ("experiment", Json::str("motivation")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::Arr(rows)),
-    ])
+    golden::snapshot("motivation", cfg, [], rows)
 }
 
 /// Figure 1: distribution of the words used in a cache line.
@@ -208,7 +209,7 @@ mod tests {
         let cfg = RunConfig::quick();
         for_each_benchmark(&benches, |b| {
             let (r, words) = run_baseline_with_words(b, &cfg, 1 << 20);
-            profile_of(b, &r, &words)
+            profile_of(b, r, &words)
         })
     }
 

@@ -7,6 +7,7 @@
 //! `mrc` subcommand renders the full miss-ratio curve of all 16 + 11
 //! benchmarks over half a megabyte to four megabytes.
 
+use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::{for_each_benchmark, run_capacity_sweep, CapacitySweep, RunConfig};
 use ldis_workloads::{cache_insensitive, memory_intensive, Benchmark};
@@ -66,44 +67,40 @@ pub fn report(sweeps: &[CapacitySweep]) -> String {
 /// compared against `tests/golden/mrc.json`.
 pub fn snapshot(cfg: &RunConfig) -> Json {
     let sweeps = data(cfg);
-    let rows = sweeps
-        .iter()
-        .map(|s| {
-            let points = s.points.iter().map(|p| {
-                Json::obj([
-                    ("size_kb", Json::uint(p.size_bytes >> 10)),
-                    ("sets", Json::uint(p.config.num_sets())),
-                    ("ways", Json::uint(u64::from(p.config.ways()))),
-                    ("mpki", Json::num(p.mpki)),
-                    ("accesses", Json::uint(p.result.accesses)),
-                    ("hits", Json::uint(p.result.hits)),
-                    ("line_misses", Json::uint(p.result.line_misses)),
-                    ("compulsory_misses", Json::uint(p.result.compulsory_misses)),
-                    ("evictions", Json::uint(p.result.evictions)),
-                    ("writebacks", Json::uint(p.result.writebacks)),
-                    (
-                        "avg_words_used",
-                        Json::num(p.result.words_used_with_resident.mean()),
-                    ),
-                ])
-            });
+    let rows = sweeps.iter().map(|s| {
+        let points = s.points.iter().map(|p| {
             Json::obj([
-                ("benchmark", Json::str(&s.benchmark)),
-                ("instructions", Json::uint(s.hierarchy.instructions)),
-                ("points", Json::arr(points)),
+                ("size_kb", Json::uint(p.size_bytes >> 10)),
+                ("sets", Json::uint(p.config.num_sets())),
+                ("ways", Json::uint(u64::from(p.config.ways()))),
+                ("mpki", Json::num(p.mpki)),
+                ("accesses", Json::uint(p.result.accesses)),
+                ("hits", Json::uint(p.result.hits)),
+                ("line_misses", Json::uint(p.result.line_misses)),
+                ("compulsory_misses", Json::uint(p.result.compulsory_misses)),
+                ("evictions", Json::uint(p.result.evictions)),
+                ("writebacks", Json::uint(p.result.writebacks)),
+                (
+                    "avg_words_used",
+                    Json::num(p.result.words_used_with_resident.mean()),
+                ),
             ])
-        })
-        .collect::<Vec<_>>();
-    Json::obj([
-        ("experiment", Json::str("mrc")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        (
+        });
+        Json::obj([
+            ("benchmark", Json::str(&s.benchmark)),
+            ("instructions", Json::uint(s.hierarchy.instructions)),
+            ("points", Json::arr(points)),
+        ])
+    });
+    golden::snapshot(
+        "mrc",
+        cfg,
+        [(
             "sizes_kb",
             Json::arr(MRC_SIZES.iter().map(|&s| Json::uint(s >> 10))),
-        ),
-        ("rows", Json::Arr(rows)),
-    ])
+        )],
+        rows,
+    )
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 //! from the run seed: the same seed and rate reproduce the campaign
 //! byte for byte.
 
+use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::runner::drive;
 use crate::{for_each_benchmark, RunConfig};
@@ -135,12 +136,7 @@ pub fn snapshot(cfg: &RunConfig) -> Json {
             ("degraded", Json::Bool(p.degraded)),
         ])
     });
-    Json::obj([
-        ("experiment", Json::str("resilience")),
-        ("accesses", Json::uint(cfg.accesses)),
-        ("seed", Json::uint(cfg.seed)),
-        ("rows", Json::arr(rows)),
-    ])
+    golden::snapshot("resilience", cfg, [], rows)
 }
 
 /// Renders the campaign as a resilience report.

@@ -52,12 +52,6 @@ impl SfpConfig {
     pub fn num_sets(&self) -> u64 {
         self.size_bytes / (self.geometry.line_bytes() as u64 * self.ways as u64)
     }
-
-    /// Word-slot budget per set.
-    pub fn slots_per_set(&self) -> u32 {
-        self.ways
-            .saturating_mul(self.geometry.words_per_line() as u32)
-    }
 }
 
 #[derive(Clone, Copy, Debug)]

@@ -21,7 +21,6 @@ use line_distillation::experiments::{
     for_each_benchmark, golden, mrc, run, run_baseline, run_baseline_with_words,
     run_capacity_sweep, run_matrix, RunConfig,
 };
-use line_distillation::mem::stats::percent_reduction;
 use line_distillation::workloads::{cache_insensitive, memory_intensive};
 
 /// Oracle-vs-simulator equality over the full quick matrix: all 27
@@ -89,15 +88,12 @@ fn distill_mpki(b: &line_distillation::workloads::Benchmark, cfg: &RunConfig) ->
 
 /// Figure 8 by direct simulation: one baseline run per traditional size.
 fn fig8_direct(cfg: &RunConfig) -> Vec<Fig8Row> {
-    for_each_benchmark(&memory_intensive(), |b| {
-        let base = run_baseline(b, cfg, 1 << 20).mpki;
-        Fig8Row {
-            benchmark: b.name.to_owned(),
-            base,
-            distill: percent_reduction(base, distill_mpki(b, cfg)),
-            trad_1_5mb: percent_reduction(base, run_baseline(b, cfg, 3 << 19).mpki),
-            trad_2mb: percent_reduction(base, run_baseline(b, cfg, 2 << 20).mpki),
-        }
+    for_each_benchmark(&memory_intensive(), |b| Fig8Row {
+        benchmark: b.name.to_owned(),
+        base: run_baseline(b, cfg, 1 << 20).mpki,
+        distill: distill_mpki(b, cfg),
+        trad_1_5mb: run_baseline(b, cfg, 3 << 19).mpki,
+        trad_2mb: run_baseline(b, cfg, 2 << 20).mpki,
     })
 }
 

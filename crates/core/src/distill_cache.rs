@@ -69,13 +69,6 @@ impl DistillCache {
         .with_replacement(cfg.woc_replacement());
         DistillCache::with_word_store(cfg, woc)
     }
-
-    /// Creates a distill cache with a custom report label.
-    pub fn with_label(cfg: DistillConfig, label: impl Into<String>) -> Self {
-        let mut dc = DistillCache::new(cfg);
-        dc.label = label.into();
-        dc
-    }
 }
 
 impl<W: WordStore> DistillCache<W> {
@@ -944,9 +937,8 @@ mod tests {
             DistillCache::new(DistillConfig::hpca2007_default()).name(),
             "LDIS-MT-RC"
         );
-        assert_eq!(
-            DistillCache::with_label(DistillConfig::ldis_base(), "custom").name(),
-            "custom"
-        );
+        let mut custom = DistillCache::new(DistillConfig::ldis_base());
+        custom.set_label("custom");
+        assert_eq!(custom.name(), "custom");
     }
 }

@@ -17,33 +17,28 @@
 //! environment variable, or the machine's available parallelism (in that
 //! priority order). Results are bit-identical for every thread count.
 //!
-//! Two operational commands run outside the `all` set:
+//! One operational command runs outside the `all` set:
 //!
 //! ```text
 //! ldis-experiments sweep [--journal FILE] [--resume] [--cell N]
 //!                        [--cell-timeout MS] [--max-retries N]
 //!                        [--fault CELL:KIND[:ATTEMPTS],...]
 //!                        [--out FILE] [--quarantine FILE] [--golden-check]
-//! ldis-experiments bench [--out FILE] [--check FILE]
-//! ldis-experiments bench-mrc [--out FILE]
 //! ```
 //!
 //! `sweep` runs the full 27-benchmark × 3-configuration matrix on the
 //! crash-safe executor: cells are panic-isolated, retried, watchdogged
 //! and checkpointed; `--resume` replays a checksummed journal and
-//! produces bytes identical to an uninterrupted run. `bench` times the
-//! matrix (plus a single-thread generation/simulation phase split) and
-//! writes the `BENCH_sweep.json` trajectory artifact; `--check FILE`
-//! compares the fresh single-thread ns/access against the committed
-//! artifact and exits nonzero on a >10% regression. `bench-mrc` times
-//! the exact Mattson pass against the sampled SHARDS pass at rates
-//! 0.1/0.01/0.001 and writes `BENCH_mrc.json`.
+//! produces bytes identical to an uninterrupted run. Wall-clock
+//! throughput is measured by the standalone `perfbench/` package, not
+//! by this binary.
 
 use ldis_experiments::exec::FaultPlan;
 use ldis_experiments::{
     ablations, advisor, appendix, costs, fig10, fig11, fig13, fig6, fig7, fig8, fig9, linesize,
-    motivation, mrc, parallel, perf, resilience, sweep, table3, RunConfig,
+    motivation, mrc, parallel, resilience, sweep, table3, RunConfig,
 };
+use std::io::{ErrorKind, Write};
 use std::num::NonZeroU64;
 
 const ALL: &[&str] = &[
@@ -76,13 +71,25 @@ fn usage() -> ! {
          crash-safe sweep: sweep [--journal FILE] [--resume] [--cell N] [--cell-timeout MS]\n\
          \u{20}                  [--max-retries N] [--fault CELL:KIND[:ATTEMPTS],...]\n\
          \u{20}                  [--out FILE] [--quarantine FILE] [--golden-check]\n\
-         throughput:       bench [--out FILE] [--check FILE]  (sweep matrix)\n\
-         \u{20}                  bench-mrc [--out FILE]  (exact vs sampled MRC passes)\n\
          threads default to LDIS_THREADS or the available parallelism; results are\n\
          bit-identical for every thread count",
         ALL.join(" ")
     );
     std::process::exit(2);
+}
+
+/// Writes `text` and a newline to stdout. A reader that closed the pipe
+/// has all it wants, so a broken pipe exits 0 without a message; any
+/// other write error fails the run.
+fn emit(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write the report: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -95,7 +102,6 @@ fn main() {
     let mut max_retries: u32 = 2;
     let mut faults = FaultPlan::none();
     let mut out: Option<std::path::PathBuf> = None;
-    let mut check: Option<std::path::PathBuf> = None;
     let mut quarantine: Option<std::path::PathBuf> = None;
     let mut golden_check = false;
     let mut args = std::env::args().skip(1);
@@ -145,7 +151,6 @@ fn main() {
                 });
             }
             "--out" => out = Some(args.next().unwrap_or_else(|| usage()).into()),
-            "--check" => check = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--quarantine" => quarantine = Some(args.next().unwrap_or_else(|| usage()).into()),
             "--golden-check" => golden_check = true,
             "--help" | "-h" => usage(),
@@ -154,8 +159,8 @@ fn main() {
         }
     }
 
-    // `sweep` and `bench` are operational commands dispatched outside the
-    // per-figure loop (and never part of `all`).
+    // `sweep` is an operational command dispatched outside the per-figure
+    // loop (and never part of `all`).
     if wanted.iter().any(|w| w == "sweep") {
         if wanted.len() > 1 {
             eprintln!("`sweep` runs alone (it has its own flags)");
@@ -173,7 +178,7 @@ fn main() {
         opts.golden_check = golden_check;
         match sweep::execute(&opts) {
             Ok(outcome) => {
-                println!("{}", outcome.text);
+                emit(&outcome.text);
                 if outcome.quarantined > 0 {
                     // Quarantine degrades the run; it does not fail it.
                     eprintln!(
@@ -189,77 +194,6 @@ fn main() {
         }
         return;
     }
-    if wanted.iter().any(|w| w == "bench") {
-        if wanted.len() > 1 {
-            eprintln!("`bench` runs alone");
-            usage();
-        }
-        let points = perf::measure(&cfg, &[1, 4]).unwrap_or_else(|e| {
-            eprintln!("bench failed: {e}");
-            std::process::exit(1);
-        });
-        println!("{}", perf::report(&cfg, &points));
-        let phases = points.first().map(|serial| {
-            let ph = perf::measure_phases(&cfg, serial);
-            println!("  {}", perf::phase_report(&ph));
-            ph
-        });
-        if let Some(path) = out {
-            let host = perf::HostFacts::probe();
-            let rendered = perf::snapshot(&cfg, &host, &points, phases.as_ref()).render_pretty();
-            if let Err(e) = std::fs::write(&path, rendered) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("wrote {}", path.display());
-        }
-        if let Some(path) = check {
-            let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                eprintln!("cannot read {}: {e}", path.display());
-                std::process::exit(1);
-            });
-            let fresh = points.first().unwrap_or_else(|| {
-                eprintln!("no single-thread measurement");
-                std::process::exit(1);
-            });
-            match perf::check_regression_retrying(&committed, fresh, 3, || {
-                eprintln!("  slow window; re-measuring single-thread");
-                perf::measure(&cfg, &[1])
-                    .unwrap_or_else(|e| {
-                        eprintln!("bench failed: {e}");
-                        std::process::exit(1);
-                    })
-                    .into_iter()
-                    .next()
-            }) {
-                Ok(verdict) => println!("{verdict}"),
-                Err(e) => {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                }
-            }
-        }
-        return;
-    }
-    if wanted.iter().any(|w| w == "bench-mrc") {
-        if wanted.len() > 1 {
-            eprintln!("`bench-mrc` runs alone");
-            usage();
-        }
-        let points = perf::measure_mrc(&cfg, &[0.1, 0.01, 0.001]);
-        println!("{}", perf::mrc_report(&cfg, &points));
-        if let Some(path) = out {
-            let host = perf::HostFacts::probe();
-            let rendered = perf::mrc_snapshot(&cfg, &host, &points).render_pretty();
-            if let Err(e) = std::fs::write(&path, rendered) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            println!("wrote {}", path.display());
-        }
-        return;
-    }
-
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         wanted = ALL.iter().map(|s| (*s).to_owned()).collect();
     }
@@ -270,13 +204,14 @@ fn main() {
         }
     }
 
-    println!(
+    emit(&format!(
         "Line Distillation (HPCA 2007) reproduction — {} accesses per run, seed {}, \
-         {} worker thread(s)\n",
+         warmup {}, {} worker thread(s)\n",
         cfg.accesses,
         cfg.seed,
+        cfg.warmup,
         parallel::configured_threads()
-    );
+    ));
 
     // Figure 1 / Figure 2 / Table 2 share one baseline run per benchmark.
     let needs_motivation = wanted
@@ -311,6 +246,6 @@ fn main() {
             "resilience" => resilience::report(&resilience::data(&cfg)),
             _ => unreachable!("validated above"),
         };
-        println!("{out}");
+        emit(&out);
     }
 }

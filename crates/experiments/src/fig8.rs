@@ -38,7 +38,7 @@ impl Fig8Row {
 
 /// Runs the Figure 8 matrix. All three traditional sizes come from one
 /// Mattson capacity sweep per benchmark
-/// ([`run_capacity_sweep`](crate::run_capacity_sweep)); only the distill
+/// ([`run_capacity_sweep`]); only the distill
 /// point simulates directly. Bit-identical to one direct baseline
 /// simulation per size — `tests/mrc_oracle.rs` keeps that reference and
 /// the golden snapshot pins the result — with two simulations per

@@ -29,9 +29,9 @@ use std::fs;
 use std::path::PathBuf;
 
 /// The canonical configuration every golden snapshot is computed with:
-/// [`RunConfig::quick`]. `ldis-experiments bench --quick` times the same
-/// configuration, so benchmark numbers and snapshots describe the same
-/// work.
+/// [`RunConfig::quick`]. `perfbench` reruns the `sweep` and `capacity`
+/// snapshots at this configuration and checks their rows against the
+/// goldens before it reports a timing.
 pub fn golden_config() -> RunConfig {
     RunConfig::quick()
 }

@@ -30,7 +30,6 @@
 //! | [`ablations`] | design-choice ablations (DESIGN.md §7) |
 //! | [`resilience`] | fault-injection campaign (DESIGN.md fault model) |
 //! | [`sweep`] | full matrix on the crash-safe executor ([`exec`]) |
-//! | [`perf`] | wall-clock throughput trajectory (`BENCH_sweep.json`) |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -67,7 +66,6 @@ pub mod linesize;
 pub mod motivation;
 pub mod mrc;
 pub mod parallel;
-pub mod perf;
 pub mod report;
 pub mod resilience;
 mod runner;

@@ -2,7 +2,7 @@
 //! from one Mattson stack-distance pass per benchmark (`crates/mrc`).
 //!
 //! This is the engine behind the capacity studies — the rewired Figure 8
-//! and Tables 5/6 call [`run_capacity_sweep`](crate::run_capacity_sweep)
+//! and Tables 5/6 call [`run_capacity_sweep`]
 //! with their own size lists — and an experiment in its own right: the
 //! `mrc` subcommand renders the full miss-ratio curve of all 16 + 11
 //! benchmarks over half a megabyte to four megabytes.

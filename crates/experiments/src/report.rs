@@ -54,46 +54,6 @@ impl Table {
         self.notes.push(note.into());
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Renders the table as CSV (header row + data rows; notes omitted).
-    /// Cells containing commas or quotes are quoted per RFC 4180.
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{}",
-            self.headers
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(",")
-        );
-        for row in &self.rows {
-            let _ = writeln!(
-                out,
-                "{}",
-                row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(",")
-            );
-        }
-        out
-    }
-
     /// Renders the table with aligned columns (first column
     /// left-justified, the rest right-justified).
     pub fn render(&self) -> String {
@@ -545,22 +505,6 @@ mod tests {
         assert!(s.contains("note: hello"));
         // Right-aligned numeric column: "  1.0" padded to width 5.
         assert!(s.contains("  1.0"), "{s}");
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_escapes_and_includes_all_rows() {
-        let mut t = Table::new("T", &["name", "v"]);
-        t.row(vec!["plain".into(), "1".into()]);
-        t.row(vec!["with,comma".into(), "quote\"d".into()]);
-        t.note("notes are not exported");
-        let csv = t.to_csv();
-        assert_eq!(csv.lines().count(), 3);
-        assert!(csv.starts_with("name,v\n"));
-        assert!(csv.contains("\"with,comma\""));
-        assert!(csv.contains("\"quote\"\"d\""));
-        assert!(!csv.contains("notes"));
     }
 
     #[test]

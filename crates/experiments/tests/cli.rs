@@ -1,7 +1,7 @@
-//! The `ldis-experiments` command line, run as a built binary on
+//! The `ldis-experiments` command line, run as a built binary, mostly on
 //! `table3`, which simulates nothing.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn experiments(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_ldis-experiments"))
@@ -26,6 +26,7 @@ fn quick_keeps_the_flags_given_before_it() {
         after.contains("150000 accesses per run, seed 7,"),
         "{after}"
     );
+    assert!(after.contains("warmup 5000"), "{after}");
 }
 
 #[test]
@@ -34,4 +35,23 @@ fn zero_accesses_are_refused() {
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(out.stdout.is_empty(), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ldis-experiments"))
+        .args(["fig6", "--accesses", "2000"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the ldis-experiments binary starts");
+    // The header may still fit in the pipe, but the report comes after
+    // the simulation, so some write always meets the closed pipe.
+    drop(child.stdout.take());
+    let out = child
+        .wait_with_output()
+        .expect("the binary runs to its end");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
 }

@@ -235,12 +235,6 @@ impl SimRng {
         last_positive
     }
 
-    /// Forks an independent generator; the child stream is a deterministic
-    /// function of the parent's state, and the parent advances.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::new(self.next_u64())
-    }
-
     /// Derives the seed of one (benchmark, configuration) sweep cell from a
     /// root seed. Each cell of an experiment matrix draws its randomness
     /// from its own derived stream, so cells can execute in any order — on
@@ -534,14 +528,6 @@ mod tests {
             assert_eq!(rng.geometric(0.5), 1);
             assert!(rng.geometric(1.5) >= 1);
         }
-    }
-
-    #[test]
-    fn fork_streams_are_independent() {
-        let mut parent = SimRng::new(23);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -366,7 +366,7 @@ impl MattsonProfiler {
         deep + self.beyond + self.compulsory
     }
 
-    /// Hits of an `A`-way cache (complement of [`misses_at`]).
+    /// Hits of an `A`-way cache (complement of [`misses_at`](Self::misses_at)).
     pub fn hits_at(&self, ways: u32) -> u64 {
         self.accesses - self.misses_at(ways)
     }

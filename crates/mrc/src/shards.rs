@@ -457,11 +457,6 @@ impl ShardsProfiler {
         self.sampled_refs
     }
 
-    /// Sampled first-touch (cold) references.
-    pub fn cold_refs(&self) -> u64 {
-        self.cold
-    }
-
     /// Lines evicted by threshold lowering.
     pub fn evicted_lines(&self) -> u64 {
         self.evicted

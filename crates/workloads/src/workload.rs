@@ -179,8 +179,8 @@ impl Workload {
     }
 
     /// Clears `buf` and fills it with exactly `n` freshly generated
-    /// accesses, in the same order [`generate`](Workload::generate) would
-    /// return them one by one. Fresh visits are generated straight into
+    /// accesses, in the same order [`next_access`](TraceSource::next_access)
+    /// would return them one by one. Fresh visits are generated straight into
     /// `buf` — the queue only carries a visit tail across block boundaries.
     pub fn fill_block(&mut self, buf: &mut Vec<Access>, n: usize) {
         buf.clear();

@@ -254,6 +254,23 @@ impl SetArena {
         Some(way)
     }
 
+    /// The hit update of a way already at MRU, addressed by its flat slot
+    /// `set * ways + way`: ORs `span` into the footprint and sets the dirty
+    /// bit for writes. On such a way this is exactly `hit_update(.., latch =
+    /// false)` without the tag scan, the recency scan and the no-op
+    /// promotion. An out-of-range slot is ignored.
+    #[inline]
+    pub fn touch_mru(&mut self, slot: usize, span: u16, write: bool) {
+        if let Some(fp) = self.footprints.get_mut(slot) {
+            *fp |= span;
+        }
+        if write {
+            if let Some(m) = self.meta.get_mut(slot) {
+                *m |= DIRTY;
+            }
+        }
+    }
+
     /// The fused footprint-merge path (the L1D → LOC merge of Section 4.1):
     /// finds `tag` in `set` and, on a hit, OR-merges `bits` into the
     /// footprint (newly set bits latch the max position, exactly like
@@ -808,6 +825,22 @@ mod tests {
             None,
             "oob set"
         );
+    }
+
+    #[test]
+    fn touch_mru_is_a_latch_free_hit_on_the_mru_way() {
+        let mut touched = SetArena::new(2, 2);
+        touched.install(SET1, 0, 5, false, false);
+        touched.install(SET1, 1, 6, false, false);
+        touched.promote(SET1, 1);
+        let mut hit = touched.clone();
+        touched.touch_mru(SET1.get() * 2 + 1, 0b110, true);
+        assert_eq!(hit.hit_update(SET1, 6, 0b110, true, false), Some(1));
+        for way in 0..2 {
+            assert_eq!(touched.entry(SET1, way), hit.entry(SET1, way));
+            assert_eq!(touched.position_of(SET1, way), hit.position_of(SET1, way));
+        }
+        touched.touch_mru(4, 0b1, true); // out of range: ignored
     }
 
     #[test]

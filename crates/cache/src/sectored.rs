@@ -41,6 +41,11 @@ pub struct EvictedL1Line {
 /// the per-word valid bits are a parallel flat array indexed the same way
 /// (`set * ways + way`), so an access touches only contiguous storage.
 ///
+/// The cache memoizes the line of its last hit or fill and that line's flat
+/// slot (way memoization). That line is always resident at MRU of its set,
+/// so a data access to it skips the set/tag split, the tag scan and the
+/// promotion, which would leave the recency order as it is.
+///
 /// # Example
 ///
 /// ```
@@ -60,6 +65,11 @@ pub struct SectoredCache {
     arena: SetArena,
     /// Per-word valid bits, one `u16` per `(set, way)` (bit *i* = word *i*).
     valid_words: Vec<u16>,
+    /// The line of the last hit or fill and its flat slot. Invariant: that
+    /// line is resident in that slot at MRU of its set. A hit or a fill
+    /// moves the memo to its line, `invalidate` clears it, and nothing else
+    /// changes residency or recency.
+    memo: Option<(LineAddr, usize)>,
 }
 
 impl SectoredCache {
@@ -76,6 +86,7 @@ impl SectoredCache {
             cfg,
             arena,
             valid_words,
+            memo: None,
         }
     }
 
@@ -126,25 +137,31 @@ impl SectoredCache {
         last: WordIndex,
         write: bool,
     ) -> L1Lookup {
-        let set = self.cfg.set_index(line);
         let span = span_mask16(first.get(), last.get());
-        match self
-            .arena
-            .hit_update(set, self.cfg.tag(line), span, write, false)
-        {
-            None => L1Lookup::Miss,
-            Some(way) => {
-                let valid = self
-                    .valid_words
-                    .get(self.slot(set, way))
-                    .copied()
-                    .unwrap_or(0);
-                if span & !valid == 0 {
-                    L1Lookup::Hit
-                } else {
-                    L1Lookup::SectorMiss
-                }
+        let slot = match self.memo {
+            // The memoized line is resident at MRU: no lookup, no promotion.
+            Some((memo_line, slot)) if memo_line == line => {
+                self.arena.touch_mru(slot, span, write);
+                slot
             }
+            _ => {
+                let set = self.cfg.set_index(line);
+                let Some(way) = self
+                    .arena
+                    .hit_update(set, self.cfg.tag(line), span, write, false)
+                else {
+                    return L1Lookup::Miss;
+                };
+                let slot = self.slot(set, way);
+                self.memo = Some((line, slot));
+                slot
+            }
+        };
+        let valid = self.valid_words.get(slot).copied().unwrap_or(0);
+        if span & !valid == 0 {
+            L1Lookup::Hit
+        } else {
+            L1Lookup::SectorMiss
         }
     }
 
@@ -152,27 +169,7 @@ impl SectoredCache {
     /// evicting the LRU line if needed. The footprint starts empty — the
     /// caller records the demand words with [`access`](SectoredCache::access).
     pub fn fill(&mut self, line: LineAddr, valid_words: Footprint) -> Option<EvictedL1Line> {
-        let set = self.cfg.set_index(line);
-        let tag = self.cfg.tag(line);
-        debug_assert!(
-            self.arena.find(set, tag).is_none(),
-            "filling a resident line"
-        );
-        let (way, entry) = self.arena.install_evict(set, tag, 0, false, false);
-        let victim = if entry.valid {
-            Some(EvictedL1Line {
-                line: self.cfg.line_of(set, entry.tag),
-                footprint: entry.footprint,
-                dirty: entry.dirty,
-            })
-        } else {
-            None
-        };
-        let slot = self.slot(set, way);
-        if let Some(v) = self.valid_words.get_mut(slot) {
-            *v = valid_words.bits();
-        }
-        victim
+        self.install(line, valid_words, 0, false)
     }
 
     /// Installs `line` with the given valid words *and* records the demand
@@ -190,33 +187,44 @@ impl SectoredCache {
         last: WordIndex,
         write: bool,
     ) -> (Option<EvictedL1Line>, L1Lookup) {
-        let set = self.cfg.set_index(line);
-        let tag = self.cfg.tag(line);
-        debug_assert!(
-            self.arena.find(set, tag).is_none(),
-            "filling a resident line"
-        );
         let span = span_mask16(first.get(), last.get());
-        let (way, entry) = self.arena.install_evict(set, tag, span, write, false);
-        let victim = if entry.valid {
-            Some(EvictedL1Line {
-                line: self.cfg.line_of(set, entry.tag),
-                footprint: entry.footprint,
-                dirty: entry.dirty,
-            })
-        } else {
-            None
-        };
-        let slot = self.slot(set, way);
-        if let Some(v) = self.valid_words.get_mut(slot) {
-            *v = valid_words.bits();
-        }
+        let victim = self.install(line, valid_words, span, write);
         let lookup = if span & !valid_words.bits() == 0 {
             L1Lookup::Hit
         } else {
             L1Lookup::SectorMiss
         };
         (victim, lookup)
+    }
+
+    /// Installs `line` at MRU with `valid_words` valid, `span` as its
+    /// footprint and the dirty bit from `write`, memoizes it and returns the
+    /// line it displaced.
+    #[inline]
+    fn install(
+        &mut self,
+        line: LineAddr,
+        valid_words: Footprint,
+        span: u16,
+        write: bool,
+    ) -> Option<EvictedL1Line> {
+        let set = self.cfg.set_index(line);
+        let tag = self.cfg.tag(line);
+        debug_assert!(
+            self.arena.find(set, tag).is_none(),
+            "filling a resident line"
+        );
+        let (way, entry) = self.arena.install_evict(set, tag, span, write, false);
+        let slot = self.slot(set, way);
+        if let Some(v) = self.valid_words.get_mut(slot) {
+            *v = valid_words.bits();
+        }
+        self.memo = Some((line, slot));
+        entry.valid.then(|| EvictedL1Line {
+            line: self.cfg.line_of(set, entry.tag),
+            footprint: entry.footprint,
+            dirty: entry.dirty,
+        })
     }
 
     /// Adds valid words to a resident line (a sector fill). Returns whether
@@ -244,6 +252,7 @@ impl SectoredCache {
 
     /// Invalidates `line` if resident, returning its eviction record.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedL1Line> {
+        self.memo = None;
         let set = self.cfg.set_index(line);
         let way = self.arena.find(set, self.cfg.tag(line))?;
         let entry = self.arena.entry(set, way);

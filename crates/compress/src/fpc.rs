@@ -159,7 +159,9 @@ impl ValueSizeModel {
     /// [`ValueProfile::value_at`] picks each value *from*
     /// [`ValueProfile::class_at`], so summing the class sizes gives exactly
     /// the size of the encoded [`chunks`](Self::chunks) without building
-    /// them or hashing twice per chunk.
+    /// them or hashing twice per chunk. Each size is the code plus 16 bits
+    /// per [`ValueProfile::payload_halves`], which names the class without
+    /// branching on it.
     pub fn compressed_bytes(&self, line: LineAddr, words: Option<Footprint>) -> u32 {
         let all = Footprint::full(self.geometry.words_per_line()).bits();
         let mut used = words.map_or(all, |fp| fp.bits() & all);
@@ -173,7 +175,8 @@ impl ValueSizeModel {
             let word = ldis_mem::WordIndex::new(used.trailing_zeros() as u8);
             let addr4 = self.geometry.word_base(line, word).raw() / 4;
             for c in 0..chunks_per_word {
-                bits += class_bits(self.profile.class_at(addr4 + c, self.salt));
+                let halves = self.profile.payload_halves(addr4 + c, self.salt);
+                bits += CODE_BITS + 16 * u64::from(halves);
             }
             used &= used - 1;
         }

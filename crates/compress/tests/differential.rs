@@ -38,6 +38,37 @@ fn presets() -> [ValueProfile; 3] {
     ]
 }
 
+/// The presets, the profiles of a single class, then random profiles. Each
+/// probability of a random profile is zero a quarter of the time, and
+/// every third one is made of sixty-fourths that sum to exactly 1.0.
+fn profiles(rng: &mut SimRng) -> Vec<ValueProfile> {
+    let mut out = presets().to_vec();
+    for [zero, one, narrow] in [[0.0; 3], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]] {
+        out.push(ValueProfile::new(zero, one, narrow));
+    }
+    for i in 0..30 {
+        let p = if i % 3 == 0 {
+            let zero = rng.range(65);
+            let one = rng.range(65 - zero);
+            let p = [zero, one, 64 - zero - one].map(|k| k as f64 / 64.0);
+            assert_eq!(p[0] + p[1] + p[2], 1.0);
+            p
+        } else {
+            let mut left = 1.0;
+            [(); 3].map(|()| {
+                if rng.chance(0.25) {
+                    return 0.0;
+                }
+                let x = rng.f64() * left;
+                left -= x;
+                x
+            })
+        };
+        out.push(ValueProfile::new(p[0], p[1], p[2]));
+    }
+    out
+}
+
 fn random_footprint(rng: &mut SimRng) -> Footprint {
     Footprint::from_bits(1 + rng.range(255) as u16)
 }
@@ -328,28 +359,28 @@ impl WordStore for RefFacWoc {
     }
 }
 
-/// The compressed size from class-only sums equals the encoded size of
-/// the materialised values, for every preset, every footprint and the
-/// whole line.
+/// The compressed size from the branch-free class sizes equals the encoded
+/// size of the materialised values, for every preset and random profile,
+/// every footprint and the whole line.
 #[test]
 fn compressed_bytes_match_the_chunk_reference() {
     let geom = LineGeometry::default();
     let mut rng = SimRng::new(0xd1ff_0001);
-    for (p, profile) in presets().into_iter().enumerate() {
+    for profile in profiles(&mut rng) {
         let model = ValueSizeModel::new(profile, geom, rng.next_u64());
-        for _ in 0..64 {
+        for _ in 0..32 {
             let line = LineAddr::new(rng.range(1 << 40));
             assert_eq!(
                 model.compressed_bytes(line, None),
                 ref_compressed_bytes(&model, line, None),
-                "preset {p} line {line:?} whole line"
+                "{profile:?} line {line:?} whole line"
             );
             for bits in 1..=255u16 {
                 let fp = Footprint::from_bits(bits);
                 assert_eq!(
                     model.compressed_bytes(line, Some(fp)),
                     ref_compressed_bytes(&model, line, Some(fp)),
-                    "preset {p} line {line:?} footprint {bits:#010b}"
+                    "{profile:?} line {line:?} footprint {bits:#010b}"
                 );
             }
         }

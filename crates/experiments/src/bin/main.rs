@@ -34,11 +34,11 @@
 //! by this binary.
 
 use ldis_experiments::exec::FaultPlan;
+use ldis_experiments::report::emit;
 use ldis_experiments::{
     ablations, advisor, appendix, costs, fig10, fig11, fig13, fig6, fig7, fig8, fig9, linesize,
     motivation, mrc, parallel, resilience, sweep, table3, RunConfig,
 };
-use std::io::{ErrorKind, Write};
 use std::num::NonZeroU64;
 
 const ALL: &[&str] = &[
@@ -76,20 +76,6 @@ fn usage() -> ! {
         ALL.join(" ")
     );
     std::process::exit(2);
-}
-
-/// Writes `text` and a newline to stdout. A reader that closed the pipe
-/// has all it wants, so a broken pipe exits 0 without a message; any
-/// other write error fails the run.
-fn emit(text: &str) {
-    let mut stdout = std::io::stdout().lock();
-    if let Err(e) = writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
-        if e.kind() == ErrorKind::BrokenPipe {
-            std::process::exit(0);
-        }
-        eprintln!("cannot write the report: {e}");
-        std::process::exit(1);
-    }
 }
 
 fn main() {

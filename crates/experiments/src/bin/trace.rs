@@ -15,6 +15,7 @@
 
 use ldis_cache::{BaselineL2, CacheConfig, Hierarchy, SecondLevel};
 use ldis_distill::{DistillCache, DistillConfig};
+use ldis_experiments::report::emit;
 use ldis_experiments::RunConfig;
 use ldis_mem::{AccessKind, LineGeometry, Trace};
 use ldis_workloads::spec2000;
@@ -60,16 +61,20 @@ fn record(args: &[String]) {
         usage()
     });
     let trace = cfg.workload(&bench).record(accesses);
-    let file = File::create(&path).expect("create trace file");
-    trace
-        .write_to(BufWriter::new(file))
-        .expect("write trace file");
-    println!(
+    let file = File::create(&path).unwrap_or_else(|e| {
+        eprintln!("cannot create {path}: {e}");
+        std::process::exit(1);
+    });
+    if let Err(e) = trace.write_to(BufWriter::new(file)) {
+        eprintln!("cannot write {path}: {e}");
+        std::process::exit(1);
+    }
+    emit(&format!(
         "recorded {} accesses ({} instructions) of {} to {path}",
         trace.len(),
         trace.instructions(),
         trace.name()
-    );
+    ));
 }
 
 fn load(path: &str) -> Trace {
@@ -97,17 +102,20 @@ fn info(args: &[String]) {
         }
         lines.insert(geom.line_addr(a.addr));
     }
-    println!("trace:         {}", trace.name());
-    println!("accesses:      {}", trace.len());
-    println!("instructions:  {}", trace.instructions());
-    println!("loads:         {loads}");
-    println!("stores:        {stores}");
-    println!("ifetches:      {fetches}");
-    println!(
-        "distinct 64B lines: {} ({:.2} MB touched)",
+    emit(&format!(
+        "trace:         {}\n\
+         accesses:      {}\n\
+         instructions:  {}\n\
+         loads:         {loads}\n\
+         stores:        {stores}\n\
+         ifetches:      {fetches}\n\
+         distinct 64B lines: {} ({:.2} MB touched)",
+        trace.name(),
+        trace.len(),
+        trace.instructions(),
         lines.len(),
         lines.len() as f64 * 64.0 / (1024.0 * 1024.0)
-    );
+    ));
 }
 
 fn replay(args: &[String]) {
@@ -124,15 +132,22 @@ fn replay(args: &[String]) {
             let l2 = BaselineL2::new(CacheConfig::new(1 << 20, 8, LineGeometry::default()));
             let mut hier = Hierarchy::hpca2007(l2);
             hier.run_trace(&trace);
-            println!("baseline: {}", hier.l2().stats());
-            println!("MPKI: {:.3}", hier.mpki());
+            emit(&format!(
+                "baseline: {}\nMPKI: {:.3}",
+                hier.l2().stats(),
+                hier.mpki()
+            ));
         }
         "distill" => {
             let l2 = DistillCache::new(DistillConfig::hpca2007_default());
             let mut hier = Hierarchy::hpca2007(l2);
             hier.run_trace(&trace);
-            println!("{}: {}", hier.l2().name(), hier.l2().stats());
-            println!("MPKI: {:.3}", hier.mpki());
+            emit(&format!(
+                "{}: {}\nMPKI: {:.3}",
+                hier.l2().name(),
+                hier.l2().stats(),
+                hier.mpki()
+            ));
         }
         other => {
             eprintln!("unknown --l2 {other}");

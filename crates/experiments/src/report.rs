@@ -2,6 +2,22 @@
 //! JSON value used by the golden-snapshot harness (`crate::golden`).
 
 use std::fmt::Write as _;
+use std::io::{ErrorKind, Write as _};
+
+/// Writes `text` and a newline to stdout, for the command-line tools. A
+/// reader that closed the pipe has all it wants, so a broken pipe ends the
+/// process with exit code 0 and no message; any other write error ends it
+/// with a message and exit code 1.
+pub fn emit(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = writeln!(stdout, "{text}").and_then(|()| stdout.flush()) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("cannot write the report: {e}");
+        std::process::exit(1);
+    }
+}
 
 /// A simple aligned text table: title, header row, data rows.
 ///

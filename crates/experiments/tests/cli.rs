@@ -1,6 +1,8 @@
-//! The `ldis-experiments` command line, run as a built binary, mostly on
-//! `table3`, which simulates nothing.
+//! The `ldis-experiments` and `ldis-trace` command lines, run as built
+//! binaries; `ldis-experiments` mostly on `table3`, which simulates
+//! nothing.
 
+use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
 fn experiments(args: &[&str]) -> Output {
@@ -54,4 +56,63 @@ fn a_closed_stdout_ends_the_run_quietly() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+fn trace_tool(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_ldis-trace"))
+        .args(args)
+        .output()
+        .expect("the ldis-trace binary starts")
+}
+
+/// A path of this test target's scratch directory.
+fn scratch(name: &str) -> String {
+    let path: PathBuf = [env!("CARGO_TARGET_TMPDIR"), name].iter().collect();
+    path.to_str().expect("the scratch path is UTF-8").to_owned()
+}
+
+/// Exit code 1 with `message` on stderr, and no panic.
+fn assert_refused(out: &Output, message: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains(message), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn a_closed_stdout_ends_a_trace_replay_quietly() {
+    let path = scratch("replay-closed-stdout.ldt");
+    let out = trace_tool(&["record", "mcf", &path, "--accesses", "100000"]);
+    assert!(out.status.success(), "{out:?}");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_ldis-trace"))
+        .args(["replay", &path, "--l2", "baseline"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the ldis-trace binary starts");
+    // The report comes after the replay, so it meets the closed pipe.
+    drop(child.stdout.take());
+    let out = child
+        .wait_with_output()
+        .expect("the binary runs to its end");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
+fn recording_to_an_uncreatable_path_is_refused() {
+    let path = scratch("no-such-directory/x.ldt");
+    let out = trace_tool(&["record", "mcf", &path, "--accesses", "1000"]);
+    assert_refused(&out, &format!("cannot create {path}: "));
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn recording_to_a_full_device_is_refused() {
+    // 300 accesses fit in the write buffer, so only its flush fails.
+    for accesses in ["300", "1000"] {
+        let out = trace_tool(&["record", "mcf", "/dev/full", "--accesses", accesses]);
+        assert_refused(&out, "cannot write /dev/full: ");
+    }
 }

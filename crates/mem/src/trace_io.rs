@@ -40,13 +40,14 @@ fn kind_from(code: u8) -> io::Result<AccessKind> {
 }
 
 impl Trace {
-    /// Serializes the trace to a writer.
+    /// Serializes the trace to a writer and flushes it, so a buffered
+    /// writer's last error is returned here rather than lost when it drops.
     ///
     /// Pass `&mut writer` to keep using the writer afterwards.
     ///
     /// # Errors
     ///
-    /// Propagates any I/O error from the writer.
+    /// Propagates any I/O error from the writer, the flush included.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
         w.write_all(MAGIC)?;
         let name = self.name().as_bytes();
@@ -63,7 +64,7 @@ impl Trace {
             w.write_all(&a.insts.to_le_bytes())?;
             w.write_all(&[a.size, kind_code(a.kind)])?;
         }
-        Ok(())
+        w.flush()
     }
 
     /// Deserializes a trace from a reader.
@@ -147,6 +148,28 @@ mod tests {
         assert_eq!(back.name(), "sample");
         assert_eq!(back.accesses(), t.accesses());
         assert_eq!(back.instructions(), t.instructions());
+    }
+
+    /// A device with no room left: every write fails.
+    struct Full;
+
+    impl Write for Full {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::Error::new(io::ErrorKind::StorageFull, "no space left"))
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_to_returns_the_error_a_buffer_meets_on_flush() {
+        // The whole trace fits in the buffer, so only the flush writes.
+        let err = sample()
+            .write_to(io::BufWriter::new(Full))
+            .expect_err("the device is full");
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
     }
 
     #[test]

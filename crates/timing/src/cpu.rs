@@ -126,16 +126,10 @@ impl<L2: SecondLevel> TimingSim<L2> {
         }
     }
 
-    /// Runs `accesses` accesses of a workload and returns the result.
+    /// Runs `accesses` accesses of a workload, generated in blocks by
+    /// [`Workload::drive_with`], and returns the cumulative result.
     pub fn run(&mut self, workload: &mut Workload, accesses: u64) -> TimingResult {
-        use ldis_mem::TraceSource;
-        for _ in 0..accesses {
-            // Workloads are endless generators; stop early if one isn't.
-            let Some(a) = workload.next_access() else {
-                break;
-            };
-            self.step(a);
-        }
+        workload.drive_with(accesses, |a| self.step(a));
         TimingResult {
             instructions: self.hier.stats().instructions,
             cycles: self.cycle,

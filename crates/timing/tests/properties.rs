@@ -2,8 +2,9 @@
 //! seeded generator (`SimRng`) so every run explores the same cases and
 //! failures reproduce exactly.
 
-use ldis_cache::{BaselineL2, CacheConfig};
-use ldis_mem::{LineAddr, LineGeometry, SimRng};
+use ldis_cache::{BaselineL2, CacheConfig, SecondLevel};
+use ldis_distill::{DistillCache, DistillConfig};
+use ldis_mem::{LineAddr, LineGeometry, SimRng, TraceSource};
 use ldis_timing::{L2Timing, MemorySystem, SystemConfig, TimingSim};
 use ldis_workloads::spec2000;
 
@@ -122,4 +123,37 @@ fn mshr_bound_matters() {
         tight.cycles,
         loose.cycles
     );
+}
+
+/// `run` generates its accesses in blocks of `Workload::DRIVE_BLOCK`. Two
+/// runs that end on either side of a block edge, and mostly mid-visit,
+/// give the result, L2 statistics and hierarchy statistics of stepping the
+/// same accesses one `next_access` at a time.
+#[test]
+fn block_driven_runs_match_per_access_stepping() {
+    let sim = || {
+        let cfg = SystemConfig::hpca2007_baseline().with_workload_factors(0.5, 4.0);
+        let l2 = DistillCache::new(DistillConfig::hpca2007_default());
+        TimingSim::new(l2, cfg, L2Timing::distill())
+    };
+    let counts = [1u64, 511, 513, 1037];
+    for first in counts {
+        for second in counts {
+            let mut blocked = sim();
+            let mut workload = spec2000::mcf(7);
+            blocked.run(&mut workload, first);
+            let result = blocked.run(&mut workload, second);
+
+            let mut stepped = sim();
+            let mut workload = spec2000::mcf(7);
+            for _ in 0..first + second {
+                stepped.step(workload.next_access().expect("workloads are endless"));
+            }
+            let what = format!("{first} then {second} accesses");
+            assert_eq!(result, stepped.run(&mut workload, 0), "{what}");
+            let (b, s) = (blocked.hierarchy(), stepped.hierarchy());
+            assert_eq!(b.l2().stats(), s.l2().stats(), "{what}");
+            assert_eq!(b.stats(), s.stats(), "{what}");
+        }
+    }
 }

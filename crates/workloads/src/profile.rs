@@ -211,11 +211,18 @@ impl ValueProfile {
         ValueProfile::new(0.08, 0.0, 0.05)
     }
 
+    /// The uniform draw in `[0, 1)` that picks the class of the chunk at
+    /// `addr4`.
+    #[inline]
+    fn draw(addr4: u64, salt: u64) -> f64 {
+        let h = mix64(addr4 ^ salt.rotate_left(29));
+        (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
     /// The class of the 32-bit chunk at 4-byte-aligned address `addr4`
     /// (the address divided by 4).
     pub fn class_at(&self, addr4: u64, salt: u64) -> WordClass {
-        let h = mix64(addr4 ^ salt.rotate_left(29));
-        let u = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+        let u = Self::draw(addr4, salt);
         if u < self.p_zero {
             WordClass::Zero
         } else if u < self.p_zero + self.p_one {
@@ -225,6 +232,26 @@ impl ValueProfile {
         } else {
             WordClass::Full
         }
+    }
+
+    /// How many 16-bit halves of the chunk at `addr4` its encoding stores
+    /// (Table 4's payload): 0 for [`WordClass::Zero`] and
+    /// [`WordClass::One`], 1 for [`WordClass::Narrow`], 2 for
+    /// [`WordClass::Full`].
+    ///
+    /// It counts the class thresholds `p_zero + p_one` and
+    /// `p_zero + p_one + p_narrow` that the chunk's draw reaches: the same
+    /// draw and the same f64 sums, in the same order, as
+    /// [`class_at`](Self::class_at). With non-negative probabilities the
+    /// thresholds are monotone, so the count always names `class_at`'s
+    /// class, but it takes two compares where `class_at` takes a chain of
+    /// branches whose direction is a random draw.
+    #[inline]
+    pub fn payload_halves(&self, addr4: u64, salt: u64) -> u32 {
+        let u = Self::draw(addr4, salt);
+        let narrow = self.p_zero + self.p_one;
+        let full = narrow + self.p_narrow;
+        u32::from(u >= narrow) + u32::from(u >= full)
     }
 
     /// A concrete 32-bit value of the class at `addr4`.

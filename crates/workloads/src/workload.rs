@@ -124,36 +124,15 @@ impl Workload {
         self.geometry
     }
 
-    /// How many accesses [`drive`](Workload::drive) generates per block
-    /// before handing the block to the hierarchy.
+    /// How many accesses [`drive_with`](Workload::drive_with) generates
+    /// per block before handing the block on.
     pub const DRIVE_BLOCK: usize = 512;
 
-    /// Runs `length` of this workload through a cache hierarchy.
-    ///
-    /// In `Accesses` mode the trace is generated in blocks of
-    /// [`DRIVE_BLOCK`](Workload::DRIVE_BLOCK) accesses into a reusable
-    /// buffer and then simulated, so generation and simulation each run
-    /// over warm state instead of ping-ponging per access. The generated
-    /// trace is identical to per-access generation (the block boundary
-    /// only changes *when* accesses are produced, not which).
+    /// Runs `length` of this workload through a cache hierarchy; an
+    /// `Accesses` length goes through [`drive_with`](Workload::drive_with).
     pub fn drive<L2: SecondLevel>(&mut self, hier: &mut Hierarchy<L2>, length: TraceLength) {
         match length {
-            TraceLength::Accesses(n) => {
-                let mut buf = Vec::with_capacity(Self::DRIVE_BLOCK);
-                let mut remaining = n;
-                while remaining > 0 {
-                    #[expect(
-                        clippy::cast_possible_truncation,
-                        reason = "take is at most DRIVE_BLOCK, a usize"
-                    )]
-                    let take = remaining.min(Self::DRIVE_BLOCK as u64) as usize;
-                    self.fill_block(&mut buf, take);
-                    for &a in buf.iter() {
-                        hier.access(a);
-                    }
-                    remaining -= take as u64;
-                }
-            }
+            TraceLength::Accesses(n) => self.drive_with(n, |a| hier.access(a)),
             TraceLength::Instructions(n) => {
                 let start = hier.stats().instructions;
                 while hier.stats().instructions - start < n {
@@ -161,6 +140,32 @@ impl Workload {
                     hier.access(a);
                 }
             }
+        }
+    }
+
+    /// Hands the next `n` accesses to `f`, in trace order.
+    ///
+    /// The trace is generated in blocks of
+    /// [`DRIVE_BLOCK`](Workload::DRIVE_BLOCK) accesses into a reusable
+    /// buffer and then consumed, so generation and simulation each run
+    /// over warm state instead of ping-ponging per access. The accesses
+    /// are those per-access generation would give (the block boundary
+    /// only changes *when* accesses are produced, not which), also when
+    /// `n` ends mid-visit and a later call continues the trace.
+    pub fn drive_with(&mut self, n: u64, mut f: impl FnMut(Access)) {
+        let mut buf = Vec::with_capacity(Self::DRIVE_BLOCK);
+        let mut remaining = n;
+        while remaining > 0 {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "take is at most DRIVE_BLOCK, a usize"
+            )]
+            let take = remaining.min(Self::DRIVE_BLOCK as u64) as usize;
+            self.fill_block(&mut buf, take);
+            for &a in buf.iter() {
+                f(a);
+            }
+            remaining -= take as u64;
         }
     }
 

@@ -10,6 +10,10 @@
 //!   [`TagEntry`] ways and an explicit recency stack, over hundreds of
 //!   SimRng-derived random traces — same hits, same footprints, same
 //!   words-used histograms, same eviction order;
+//! * the sectored L1D ([`SectoredCache`], which also memoizes the line of
+//!   its last hit or fill) against the same per-set model plus one
+//!   valid-word mask per way — same lookups, same eviction records, same
+//!   residency;
 //! * [`Footprint::touch_span`] and the sectored-L1 span masks against the
 //!   historical `for w in first..=last` loop;
 //! * the WOC run-finder bit tricks against a naive aligned-window scan,
@@ -17,7 +21,9 @@
 //! * a seeded mutation check: an off-by-one span mask (behind the
 //!   test-only `span_mask16_with_mutation` flag) must trip the suite.
 
-use ldis_cache::{CacheConfig, EvictedLine, SetAssocCache, TagEntry};
+use ldis_cache::{
+    CacheConfig, EvictedL1Line, EvictedLine, L1Lookup, SectoredCache, SetAssocCache, TagEntry,
+};
 use ldis_mem::bitops::{
     aligned_stride, eligible_aligned_slots, free_aligned_windows, low_mask, span_mask16,
     span_mask16_with_mutation,
@@ -284,6 +290,231 @@ fn arena_cache_matches_legacy_per_set_model_on_random_traces() {
         assert_eq!(fast_total.count(bin), slow_total.count(bin), "bin {bin}");
     }
     assert!(fast_total.total() > 0, "traces must produce evictions");
+}
+
+/// The sectored L1D as per-set [`RefSet`] stacks plus one valid-word mask
+/// per way, updated word by word, with no memo.
+struct RefSectored {
+    cfg: CacheConfig,
+    sets: Vec<RefSet>,
+    /// `valid[set][way]`: bit *i* set when word *i* is valid.
+    valid: Vec<Vec<u16>>,
+}
+
+impl RefSectored {
+    fn new(cfg: CacheConfig) -> Self {
+        RefSectored {
+            sets: (0..cfg.num_sets())
+                .map(|_| RefSet::new(cfg.ways()))
+                .collect(),
+            valid: vec![vec![0; cfg.ways() as usize]; cfg.num_sets() as usize],
+            cfg,
+        }
+    }
+
+    /// The line's set, and its way there if resident.
+    fn find(&self, line: LineAddr) -> (usize, Option<usize>) {
+        let set = self.cfg.set_index(line).get();
+        (set, self.sets[set].find(self.cfg.tag(line)))
+    }
+
+    fn classify(&self, set: usize, way: usize, first: u8, last: u8) -> L1Lookup {
+        if (first..=last).all(|w| self.valid[set][way] & (1 << w) != 0) {
+            L1Lookup::Hit
+        } else {
+            L1Lookup::SectorMiss
+        }
+    }
+
+    fn lookup(&self, line: LineAddr, first: u8, last: u8) -> L1Lookup {
+        match self.find(line) {
+            (set, Some(way)) => self.classify(set, way, first, last),
+            (_, None) => L1Lookup::Miss,
+        }
+    }
+
+    fn access(&mut self, line: LineAddr, first: u8, last: u8, write: bool) -> L1Lookup {
+        let (set, Some(way)) = self.find(line) else {
+            return L1Lookup::Miss;
+        };
+        self.sets[set].promote(way);
+        let e = self.sets[set].entry_mut(way);
+        for w in first..=last {
+            e.footprint.touch(WordIndex::new(w));
+        }
+        e.dirty |= write;
+        self.classify(set, way, first, last)
+    }
+
+    /// Installs a missing line at MRU with an empty footprint. A demand
+    /// fill is this followed by `access`.
+    fn fill(&mut self, line: LineAddr, valid: Footprint) -> Option<EvictedL1Line> {
+        let (set, found) = self.find(line);
+        assert!(found.is_none(), "the trace only fills missing lines");
+        let way = self.sets[set].victim_way();
+        let old = *self.sets[set].entry(way);
+        self.sets[set]
+            .entry_mut(way)
+            .install(self.cfg.tag(line), false, false);
+        self.sets[set].promote(way);
+        self.valid[set][way] = valid.bits();
+        old.valid.then(|| EvictedL1Line {
+            line: self.cfg.line_of(SetIndex::new(set), old.tag),
+            footprint: old.footprint,
+            dirty: old.dirty,
+        })
+    }
+
+    fn fill_words(&mut self, line: LineAddr, words: Footprint) -> bool {
+        match self.find(line) {
+            (set, Some(way)) => {
+                self.valid[set][way] |= words.bits();
+                true
+            }
+            (_, None) => false,
+        }
+    }
+
+    fn invalidate(&mut self, line: LineAddr) -> Option<EvictedL1Line> {
+        let (set, way) = self.find(line);
+        let e = self.sets[set].entry_mut(way?);
+        e.valid = false;
+        Some(EvictedL1Line {
+            line,
+            footprint: e.footprint,
+            dirty: e.dirty,
+        })
+    }
+}
+
+/// What a sectored trace exercised: accesses to the line of the previous
+/// step that hit, evictions, and sector misses.
+#[derive(Default)]
+struct SectoredCoverage {
+    repeat_hits: u64,
+    evictions: u64,
+    sector_misses: u64,
+}
+
+/// Drives [`SectoredCache`] and [`RefSectored`] through one random trace:
+/// runs of accesses to one line (the memo's case), full and partial fills
+/// through `fill_demand` and through `fill` + `access` (the reference's
+/// demand fill), sector fills, stores, lookups and invalidations. Every
+/// lookup and eviction record is compared as it happens, the step's line
+/// word by word after every step, and every line's residency, valid
+/// words, footprint and dirty bit at the end.
+fn run_sectored_trace(seed: u64, seen: &mut SectoredCoverage) {
+    let mut rng = SimRng::new(seed);
+    let sets = 1u64 << rng.range(3);
+    let ways = 1 + rng.range(4) as u32;
+    let cfg = CacheConfig::with_sets(sets, ways, LineGeometry::default());
+    let mut fast = SectoredCache::new(cfg);
+    let mut slow = RefSectored::new(cfg);
+    let lines = sets * (ways as u64 + 2);
+    let mut line = LineAddr::new(0);
+    for step in 0..400 {
+        let repeat = rng.chance(0.5);
+        if !repeat {
+            line = LineAddr::new(rng.range(lines));
+        }
+        let first = rng.range(8) as u8;
+        let last = first + rng.range(8 - first as u64) as u8;
+        let (f, l) = (WordIndex::new(first), WordIndex::new(last));
+        let write = rng.chance(0.3);
+        let at = || format!("step {step}, line {} (seed {seed:#x})", line.raw());
+        match rng.range(12) {
+            0 => assert_eq!(fast.invalidate(line), slow.invalidate(line), "{}", at()),
+            1 => {
+                let words = Footprint::from_bits((rng.next_u64() & 0xff) as u16);
+                assert_eq!(
+                    fast.fill_words(line, words),
+                    slow.fill_words(line, words),
+                    "{}",
+                    at()
+                );
+            }
+            2 => assert_eq!(
+                fast.lookup(line, f, l),
+                slow.lookup(line, first, last),
+                "{}",
+                at()
+            ),
+            _ => {
+                let got = fast.access(line, f, l, write);
+                assert_eq!(got, slow.access(line, first, last, write), "{}", at());
+                match got {
+                    L1Lookup::Hit => seen.repeat_hits += u64::from(repeat),
+                    L1Lookup::SectorMiss => {
+                        seen.sector_misses += 1;
+                        // The missing words, sometimes only some of them.
+                        let mut words = (rng.next_u64() & 0xff) as u16;
+                        if rng.chance(0.7) {
+                            words |= span_mask16(first, last);
+                        }
+                        let words = Footprint::from_bits(words);
+                        assert!(fast.fill_words(line, words), "{}", at());
+                        assert!(slow.fill_words(line, words), "{}", at());
+                    }
+                    L1Lookup::Miss => {
+                        let valid = match rng.range(3) {
+                            0 => Footprint::full(8),
+                            _ => Footprint::from_bits(1 + rng.range(255) as u16),
+                        };
+                        let expected = (
+                            slow.fill(line, valid),
+                            slow.access(line, first, last, write),
+                        );
+                        let (evicted, lookup) = if rng.chance(0.25) {
+                            (fast.fill(line, valid), fast.access(line, f, l, write))
+                        } else {
+                            fast.fill_demand(line, valid, f, l, write)
+                        };
+                        assert_eq!((evicted, lookup), expected, "{}", at());
+                        seen.evictions += u64::from(evicted.is_some());
+                    }
+                }
+            }
+        }
+        for w in 0..8 {
+            assert_eq!(
+                fast.lookup(line, WordIndex::new(w), WordIndex::new(w)),
+                slow.lookup(line, w, w),
+                "word {w} after {}",
+                at()
+            );
+        }
+    }
+    let resident = (0..lines)
+        .filter(|&raw| slow.lookup(LineAddr::new(raw), 0, 0) != L1Lookup::Miss)
+        .count();
+    assert_eq!(fast.occupancy(), resident as u64, "seed {seed:#x}");
+    for raw in 0..lines {
+        let line = LineAddr::new(raw);
+        for w in 0..8 {
+            assert_eq!(
+                fast.lookup(line, WordIndex::new(w), WordIndex::new(w)),
+                slow.lookup(line, w, w),
+                "final word {w} of line {raw} (seed {seed:#x})"
+            );
+        }
+        assert_eq!(
+            fast.invalidate(line),
+            slow.invalidate(line),
+            "final line {raw} (seed {seed:#x})"
+        );
+    }
+}
+
+#[test]
+fn sectored_cache_matches_the_per_set_model_on_random_traces() {
+    let mut master = SimRng::new(stable_id("sectored-equivalence"));
+    let mut seen = SectoredCoverage::default();
+    for _ in 0..240 {
+        run_sectored_trace(master.next_u64(), &mut seen);
+    }
+    assert!(seen.repeat_hits > 10_000, "{}", seen.repeat_hits);
+    assert!(seen.evictions > 1_000, "{}", seen.evictions);
+    assert!(seen.sector_misses > 1_000, "{}", seen.sector_misses);
 }
 
 /// The per-word span reference — the loop `touch_span` replaced.

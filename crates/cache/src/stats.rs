@@ -109,15 +109,24 @@ impl fmt::Display for L2Stats {
 /// misses (Table 2). Shared by all second-level implementations.
 ///
 /// Runs on every demand miss, and the Mattson profiler (`ldis-mrc`) asks
-/// it on every access that misses one of its stacks, so membership is an
+/// it on every access that misses all of its stacks, so membership is an
 /// open-addressing table with a multiply-shift hash instead of an ordered
 /// set — the only observables (first-time bool and distinct count) are
-/// order-free.
+/// order-free. The table is keyed by 64-line block, and each slot holds
+/// a mask of the block's seen lines: the workloads touch lines in dense
+/// regions, so one 16-byte slot stands for up to 64 lines. When every
+/// block holds one line, the table takes twice the bytes of one keyed by
+/// line.
 #[derive(Clone, Debug, Default)]
 pub struct CompulsoryTracker {
-    /// Power-of-two probe table of seen lines, keyed `raw + 1` so the zero
-    /// word means "empty slot".
-    slots: Vec<u64>,
+    /// Power-of-two probe table of `[key, mask]` slots. The key is the
+    /// block `line >> 6` plus one, so the zero word means "empty slot"
+    /// (it cannot wrap: a block number is below `2^58`); mask bit `i`
+    /// means line `block * 64 + i` was seen.
+    slots: Vec<[u64; 2]>,
+    /// Occupied slots: blocks with at least one seen line.
+    blocks: usize,
+    /// Seen lines.
     seen: usize,
 }
 
@@ -133,23 +142,27 @@ impl CompulsoryTracker {
     /// returns `false` and changes nothing.
     pub fn record_miss(&mut self, line: LineAddr) -> bool {
         // Keep the load factor under 3/4 so linear probes stay short.
-        if self.seen.saturating_mul(4) >= self.slots.len().saturating_mul(3) {
+        if self.blocks.saturating_mul(4) >= self.slots.len().saturating_mul(3) {
             self.grow();
         }
-        let key = line.raw().wrapping_add(1);
-        debug_assert!(key != 0, "line address saturates the key space");
+        let key = (line.raw() >> 6) + 1;
+        let bit = 1u64 << (line.raw() & 63);
         let mask = self.slots.len().wrapping_sub(1);
         let mut i = Self::hash(key) & mask;
         loop {
-            match self.slots.get(i).copied() {
-                Some(0) => {
-                    if let Some(slot) = self.slots.get_mut(i) {
-                        *slot = key;
-                    }
+            match self.slots.get_mut(i) {
+                Some([k, lines]) if *k == key => {
+                    let first = *lines & bit == 0;
+                    *lines |= bit;
+                    self.seen = self.seen.saturating_add(usize::from(first));
+                    return first;
+                }
+                Some(slot @ [0, _]) => {
+                    *slot = [key, bit];
+                    self.blocks = self.blocks.saturating_add(1);
                     self.seen = self.seen.saturating_add(1);
                     return true;
                 }
-                Some(k) if k == key => return false,
                 _ => i = i.wrapping_add(1) & mask,
             }
         }
@@ -160,28 +173,28 @@ impl CompulsoryTracker {
         self.seen
     }
 
-    /// Fibonacci multiply-shift: line addresses are near-sequential, the
+    /// Fibonacci multiply-shift: block numbers are near-sequential, the
     /// multiply spreads them across the high bits the mask keeps.
     #[inline]
     fn hash(key: u64) -> usize {
         (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize
     }
 
-    /// Doubles the table (1024 slots initially) and re-inserts every key.
+    /// Doubles the table (512 slots initially) and re-inserts every slot.
     fn grow(&mut self) {
-        let new_len = (self.slots.len().saturating_mul(2)).max(1024);
-        let old = std::mem::replace(&mut self.slots, vec![0u64; new_len]);
+        let new_len = (self.slots.len().saturating_mul(2)).max(512);
+        let old = std::mem::replace(&mut self.slots, vec![[0u64; 2]; new_len]);
         let mask = new_len.wrapping_sub(1);
-        for key in old {
+        for [key, lines] in old {
             if key == 0 {
                 continue;
             }
             let mut i = Self::hash(key) & mask;
-            while self.slots.get(i).copied().unwrap_or(0) != 0 {
+            while self.slots.get(i).is_some_and(|&[k, _]| k != 0) {
                 i = i.wrapping_add(1) & mask;
             }
             if let Some(slot) = self.slots.get_mut(i) {
-                *slot = key;
+                *slot = [key, lines];
             }
         }
     }
@@ -239,21 +252,62 @@ mod tests {
 
     #[test]
     fn compulsory_tracker_matches_ordered_set_across_growth() {
-        // Enough distinct lines to force several table doublings, with
-        // revisits mixed in; the probe table must agree with a reference
-        // ordered set on every single answer.
-        let mut t = CompulsoryTracker::new();
-        let mut reference = std::collections::BTreeSet::new();
+        // Each pattern runs twice, so every line is revisited, into a
+        // tracker of its own and into one that every pattern shares. Both
+        // must agree with a reference ordered set on every answer and on
+        // the distinct count.
         let mut x = 0x1234_5678_9abc_def0u64;
-        for _ in 0..20_000 {
-            // Small xorshift so ~half the draws are repeats.
+        let mut xorshift = move || {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let line = LineAddr::new(x % 8192);
-            assert_eq!(t.record_miss(line), reference.insert(line));
+            x
+        };
+        // The last line a byte address can name.
+        let top = u64::MAX >> 6;
+        let patterns: Vec<(&str, Vec<u64>)> = vec![
+            (
+                "runs of 1 to 200 lines from every offset in a block",
+                (0..200u64)
+                    .flat_map(|r| (r * 1000 + r % 64)..=(r * 1000 + r % 64 + r))
+                    .collect(),
+            ),
+            (
+                "one line per block",
+                (0..5_000u64).map(|b| b * 64 + b % 64).collect(),
+            ),
+            ("random lines", (0..5_000).map(|_| xorshift()).collect()),
+            (
+                "random lines in a small space, about half repeats",
+                (0..20_000).map(|_| xorshift() % 8192).collect(),
+            ),
+            (
+                "the last lines of the address space",
+                (top - 300..=top).chain(u64::MAX - 300..=u64::MAX).collect(),
+            ),
+        ];
+        let mut shared = CompulsoryTracker::new();
+        let mut shared_reference = std::collections::BTreeSet::new();
+        for (name, lines) in &patterns {
+            let mut t = CompulsoryTracker::new();
+            let mut reference = std::collections::BTreeSet::new();
+            for pass in 0..2 {
+                for &raw in lines {
+                    let line = LineAddr::new(raw);
+                    let first = reference.insert(raw);
+                    assert_eq!(t.record_miss(line), first, "{name}, pass {pass}, {raw:#x}");
+                    assert_eq!(t.distinct_lines(), reference.len(), "{name}, {raw:#x}");
+                    assert_eq!(
+                        shared.record_miss(line),
+                        shared_reference.insert(raw),
+                        "{name}, pass {pass}, {raw:#x}, shared tracker"
+                    );
+                }
+            }
         }
-        assert_eq!(t.distinct_lines(), reference.len());
-        assert!(t.distinct_lines() > 1024, "growth path exercised");
+        assert_eq!(shared.distinct_lines(), shared_reference.len());
+        // The 5,000 one-line blocks alone double the table from 512 slots
+        // to 8,192.
+        assert!(shared.slots.len() >= 8192, "growth path exercised");
     }
 }

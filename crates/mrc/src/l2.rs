@@ -182,15 +182,21 @@ impl SecondLevel for MattsonL2 {
     fn access(&mut self, req: L2Request) -> L2Response {
         let word = if req.is_instr { None } else { Some(req.word) };
         // First-touch classification is asked for only by a profiler whose
-        // stack lacks the line. A line found in every stack was seen
-        // before: its first access missed every stack, which recorded it
-        // in the tracker.
+        // stack lacks the line, and the tracker only while no stack visited
+        // so far has held it. A line found in any stack was seen before:
+        // its first access missed every stack, which recorded it in the
+        // tracker. Any visiting order is exact; the largest set count goes
+        // first because its stack usually holds the most lines (sets times
+        // deepest ways), so mostly only an access that misses every stack
+        // pays the probe.
+        let mut held = false;
         let mut first_touch = None;
         let mut primary_depth = None;
-        for (i, p) in self.profilers.iter_mut().enumerate() {
+        for (i, p) in self.profilers.iter_mut().enumerate().rev() {
             let depth = p.record_with(req.line, word, req.write, req.is_instr, || {
-                *first_touch.get_or_insert_with(|| self.compulsory.record_miss(req.line))
+                !held && *first_touch.get_or_insert_with(|| self.compulsory.record_miss(req.line))
             });
+            held |= depth.is_some();
             if i == self.primary {
                 primary_depth = depth;
             }

@@ -172,10 +172,13 @@ impl Stream for RotatingScan {
 #[derive(Clone, Debug)]
 pub struct PointerChase {
     base_line: u64,
-    perm: Vec<u32>,
+    /// The nodes in a random cyclic order: each visit goes to the node
+    /// after the last one visited, wrapping at the end.
+    order: Vec<u32>,
     words: WordsProfile,
     salt: u64,
-    cur: u32,
+    /// Position in `order` of the last node visited.
+    pos: usize,
 }
 
 impl PointerChase {
@@ -191,45 +194,39 @@ impl PointerChase {
             clippy::cast_possible_truncation,
             reason = "the assert above bounds nodes to u32::MAX"
         )]
-        let mut perm: Vec<u32> = (0..nodes as u32).collect();
+        let mut order: Vec<u32> = (0..nodes as u32).collect();
         // `seed` is the caller's derived per-workload seed, and the xor
         // keeps this permutation apart from the workload's own stream.
         // Rewriting it as `derive_seed_chain` would shift the permutation
         // and break the goldens.
         let mut rng = SimRng::new(seed ^ rng::POINTER_CHASE);
-        // Fisher–Yates, then rotate so the cycle structure is a single loop
-        // (perm[i] = successor of node i in a random cyclic order).
-        for i in (1..perm.len()).rev() {
-            perm.swap(i, rng.index(i + 1));
+        // Fisher–Yates. Read cyclically, the shuffled order is one loop
+        // through every node, and the chase walks it from node 0.
+        for i in (1..order.len()).rev() {
+            order.swap(i, rng.index(i + 1));
         }
-        let mut successor = vec![0u32; perm.len()];
-        for (i, &node) in perm.iter().enumerate() {
-            // The cyclic successor of position i; `perm` is a permutation
-            // of 0..nodes, so both lookups are structurally in bounds.
-            let next = perm.get((i + 1) % perm.len()).copied().unwrap_or(node);
-            if let Some(slot) = successor.get_mut(node as usize) {
-                *slot = next;
-            }
-        }
+        let pos = order.iter().position(|&node| node == 0).unwrap_or(0);
         PointerChase {
             base_line,
-            perm: successor,
+            order,
             words,
             salt,
-            cur: 0,
+            pos,
         }
     }
 
     /// Number of nodes in the chase.
     pub fn nodes(&self) -> usize {
-        self.perm.len()
+        self.order.len()
     }
 }
 
 impl Stream for PointerChase {
     fn next_visit(&mut self, _rng: &mut SimRng) -> Visit {
-        self.cur = self.perm.get(self.cur as usize).copied().unwrap_or(0);
-        let line = LineAddr::new(self.base_line + self.cur as u64);
+        let next = self.pos + 1;
+        self.pos = if next == self.order.len() { 0 } else { next };
+        let node = self.order.get(self.pos).copied().unwrap_or(0);
+        let line = LineAddr::new(self.base_line + u64::from(node));
         Visit::data(line, self.words.footprint_for(line, self.salt))
     }
 }

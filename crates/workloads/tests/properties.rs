@@ -52,21 +52,56 @@ fn streams_stay_in_their_regions() {
     }
 }
 
+/// The successor-array chase that `PointerChase` walks as an order:
+/// `successor[node]` is the node after `node` in the shuffled cyclic
+/// order, and the visits follow it from node 0.
+fn reference_chase(nodes: u64, seed: u64) -> impl Iterator<Item = u64> {
+    let mut perm: Vec<u32> = (0..nodes as u32).collect();
+    let mut rng = SimRng::new(seed ^ ldis_mem::rng::POINTER_CHASE);
+    for i in (1..perm.len()).rev() {
+        perm.swap(i, rng.index(i + 1));
+    }
+    let mut successor = vec![0u32; perm.len()];
+    for (i, &node) in perm.iter().enumerate() {
+        successor[node as usize] = perm[(i + 1) % perm.len()];
+    }
+    let mut cur = 0u32;
+    std::iter::repeat_with(move || {
+        cur = successor[cur as usize];
+        u64::from(cur)
+    })
+}
+
 /// A pointer chase visits all nodes before repeating any (single cycle),
-/// regardless of seed.
+/// regardless of seed, and for two full cycles visits exactly what the
+/// successor-array reference does.
 #[test]
 fn chase_is_a_permutation_cycle() {
     let mut meta = SimRng::new(0x3013);
-    for case in 0..30 {
-        let seed = meta.next_u64();
-        let nodes = 2 + meta.range(254);
+    let mut cases: Vec<(u64, u64)> = (0..30)
+        .map(|_| {
+            let seed = meta.next_u64();
+            (seed, 2 + meta.range(254))
+        })
+        .collect();
+    cases.extend([1, 2, 3].map(|nodes| (meta.next_u64(), nodes)));
+    for (case, &(seed, nodes)) in cases.iter().enumerate() {
         let mut chase = PointerChase::new(0, nodes, WordsProfile::exactly(1), 0, seed);
         let mut rng = SimRng::new(1);
-        let mut seen = std::collections::BTreeSet::new();
-        for _ in 0..nodes {
-            assert!(seen.insert(chase.next_visit(&mut rng).line), "case {case}");
-        }
+        let visits: Vec<u64> = (0..2 * nodes)
+            .map(|_| chase.next_visit(&mut rng).line.raw())
+            .collect();
+        let want: Vec<u64> = reference_chase(nodes, seed)
+            .take(2 * nodes as usize)
+            .collect();
+        assert_eq!(visits, want, "case {case}: {nodes} nodes");
+        let (first, second) = visits.split_at(nodes as usize);
+        let seen: std::collections::BTreeSet<u64> = first.iter().copied().collect();
         assert_eq!(seen.len() as u64, nodes, "case {case}");
+        assert_eq!(
+            first, second,
+            "case {case}: the second cycle repeats the first"
+        );
     }
 }
 

@@ -87,36 +87,16 @@ pub struct Hierarchy<L2> {
 }
 
 impl<L2: SecondLevel> Hierarchy<L2> {
-    /// Creates a hierarchy with explicit L1 configurations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the L1 geometries differ from the L2's.
-    pub fn new(l1i_cfg: CacheConfig, l1d_cfg: CacheConfig, l2: L2) -> Self {
-        assert_eq!(
-            l1i_cfg.geometry(),
-            l2.geometry(),
-            "L1I and L2 must share a geometry"
-        );
-        assert_eq!(
-            l1d_cfg.geometry(),
-            l2.geometry(),
-            "L1D and L2 must share a geometry"
-        );
-        Hierarchy {
-            l1i: SetAssocCache::new(l1i_cfg),
-            l1d: SectoredCache::new(l1d_cfg),
-            l2,
-            stats: HierarchyStats::default(),
-        }
-    }
-
     /// Creates a hierarchy with the paper's Table 1 first-level caches:
     /// 16 kB 2-way L1I and 16 kB 2-way L1D, using the L2's geometry.
     pub fn hpca2007(l2: L2) -> Self {
-        let geom = l2.geometry();
-        let l1 = CacheConfig::new(16 << 10, 2, geom);
-        Hierarchy::new(l1, l1, l2)
+        let l1 = CacheConfig::new(16 << 10, 2, l2.geometry());
+        Hierarchy {
+            l1i: SetAssocCache::new(l1),
+            l1d: SectoredCache::new(l1),
+            l2,
+            stats: HierarchyStats::default(),
+        }
     }
 
     /// First-level and trace statistics.

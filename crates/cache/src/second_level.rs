@@ -168,21 +168,6 @@ impl BaselineL2 {
     pub fn cache(&self) -> &SetAssocCache {
         &self.cache
     }
-
-    fn record_eviction(stats: &mut L2Stats, ev: &crate::EvictedLine) {
-        stats.evictions.bump();
-        if ev.dirty {
-            stats.writebacks.bump();
-        }
-        if !ev.is_instr {
-            stats
-                .words_used_at_evict
-                .record(ev.footprint.used_words() as usize);
-            stats
-                .recency_before_change
-                .record(ev.recency_at_last_change as usize);
-        }
-    }
 }
 
 impl SecondLevel for BaselineL2 {
@@ -198,12 +183,13 @@ impl SecondLevel for BaselineL2 {
                 valid_words: full,
             }
         } else {
-            self.stats.line_misses.bump();
-            if self.compulsory.record_miss(req.line) {
-                self.stats.compulsory_misses.bump();
-            }
+            self.stats
+                .record_line_miss(self.compulsory.record_miss(req.line));
             if let Some(ev) = self.cache.install(req.line, word, req.write, req.is_instr) {
-                Self::record_eviction(&mut self.stats, &ev);
+                self.stats.record_eviction(&ev);
+                if ev.dirty {
+                    self.stats.writebacks.bump();
+                }
             }
             L2Response {
                 outcome: L2Outcome::LineMiss,
@@ -225,8 +211,7 @@ impl SecondLevel for BaselineL2 {
     }
 
     fn reset_stats(&mut self) {
-        let geom = self.geometry();
-        self.stats = L2Stats::new(geom.words_per_line(), self.cache.config().ways());
+        self.stats.reset();
     }
 
     fn geometry(&self) -> LineGeometry {

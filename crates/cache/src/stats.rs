@@ -1,6 +1,7 @@
 //! Statistics shared by every second-level cache organization.
 
-use ldis_mem::stats::{mpki, Histogram};
+use crate::EvictedLine;
+use ldis_mem::stats::{mpki, Counter, Histogram};
 use ldis_mem::LineAddr;
 use std::fmt;
 
@@ -49,6 +50,41 @@ impl L2Stats {
             words_used_at_evict: Histogram::new(words_per_line as usize + 1),
             recency_before_change: Histogram::new(ways as usize),
             ..L2Stats::default()
+        }
+    }
+
+    /// Zeroes every counter and keeps both histograms' shapes: the
+    /// statistics of the same cache freshly built.
+    pub fn reset(&mut self) {
+        let shape = |h: &Histogram| Histogram::new(h.len());
+        *self = L2Stats {
+            words_used_at_evict: shape(&self.words_used_at_evict),
+            recency_before_change: shape(&self.recency_before_change),
+            ..L2Stats::default()
+        };
+    }
+
+    /// Records a line miss; `first_touch` says whether the line was never
+    /// requested before (the [`CompulsoryTracker`] answer).
+    #[inline]
+    pub fn record_line_miss(&mut self, first_touch: bool) {
+        self.line_misses.bump();
+        if first_touch {
+            self.compulsory_misses.bump();
+        }
+    }
+
+    /// Records a line evicted from the line-organized store: the eviction
+    /// and, for a data line, its words used and the recency position of
+    /// its last footprint change.
+    #[inline]
+    pub fn record_eviction(&mut self, ev: &EvictedLine) {
+        self.evictions.bump();
+        if !ev.is_instr {
+            self.words_used_at_evict
+                .record(ev.footprint.used_words() as usize);
+            self.recency_before_change
+                .record(ev.recency_at_last_change as usize);
         }
     }
 

@@ -17,7 +17,8 @@
 
 use crate::ValueSizeModel;
 use ldis_cache::{
-    shift_in_mru, CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel,
+    shift_in_mru, CacheConfig, CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats,
+    SecondLevel,
 };
 use ldis_mem::stats::Counter;
 use ldis_mem::{Footprint, LineAddr, LineGeometry, SetIndex};
@@ -25,43 +26,36 @@ use ldis_mem::{Footprint, LineAddr, LineGeometry, SetIndex};
 /// Configuration of the compressed cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CmprConfig {
-    /// Data capacity in bytes (1 MB in the paper).
-    pub size_bytes: u64,
-    /// Baseline ways per set (8): sets the per-set data budget.
-    pub ways: u32,
+    /// The data array (1 MB, 8-way, 64 B lines in the paper): its sets
+    /// index the cache, and its ways set the per-set data budget.
+    pub data: CacheConfig,
     /// Tag multiplier (4 for CMPR-4xTags).
     pub tag_factor: u32,
     /// Storage granularity of compressed lines in bytes (one segment).
     pub segment_bytes: u32,
-    /// Line/word geometry.
-    pub geometry: LineGeometry,
 }
 
 impl CmprConfig {
     /// The paper's CMPR-4xTags: 1 MB, 8 ways of data, 4× tags, 8 B segments.
     pub fn cmpr_4x_tags() -> Self {
         CmprConfig {
-            size_bytes: 1 << 20,
-            ways: 8,
+            data: CacheConfig::new(1 << 20, 8, LineGeometry::default()),
             tag_factor: 4,
             segment_bytes: 8,
-            geometry: LineGeometry::default(),
         }
-    }
-
-    /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
-        self.size_bytes / (self.geometry.line_bytes() as u64 * self.ways as u64)
     }
 
     /// Data budget per set, in segments.
     pub fn segments_per_set(&self) -> u32 {
-        self.ways.saturating_mul(self.geometry.line_bytes()) / self.segment_bytes
+        self.data
+            .ways()
+            .saturating_mul(self.data.geometry().line_bytes())
+            / self.segment_bytes
     }
 
     /// Maximum tags per set.
     pub fn tags_per_set(&self) -> u32 {
-        self.ways.saturating_mul(self.tag_factor)
+        self.data.ways().saturating_mul(self.tag_factor)
     }
 }
 
@@ -110,38 +104,28 @@ impl CmprCache {
     ///
     /// # Panics
     ///
-    /// Panics unless `cfg` has at least one way, a tag factor of at least
-    /// one, a non-zero segment size that divides the line, and a size that
-    /// is a whole power-of-two number of sets (the set index is a mask).
+    /// Panics unless `cfg` has a tag factor of at least one and a non-zero
+    /// segment size that divides the line.
     pub fn new(cfg: CmprConfig, model: ValueSizeModel) -> Self {
-        assert!(cfg.ways >= 1, "CMPR needs at least one way");
         assert!(cfg.tag_factor >= 1, "CMPR needs a tag factor of at least 1");
-        let line = cfg.geometry.line_bytes();
+        let line = cfg.data.geometry().line_bytes();
         assert!(
             cfg.segment_bytes > 0 && line.is_multiple_of(cfg.segment_bytes),
             "segment size {} must be non-zero and divide the {line} B line",
             cfg.segment_bytes
         );
-        assert!(
-            cfg.size_bytes
-                .is_multiple_of(u64::from(line) * u64::from(cfg.ways))
-                && cfg.num_sets().is_power_of_two(),
-            "CMPR size {} must be a power-of-two number of {}-way sets",
-            cfg.size_bytes,
-            cfg.ways
-        );
         #[expect(
             clippy::cast_possible_truncation,
             reason = "the set count sizes in-memory arrays, so it fits usize"
         )]
-        let sets = cfg.num_sets() as usize;
+        let sets = cfg.data.num_sets() as usize;
         let stack_len = cfg.tags_per_set() as usize;
         CmprCache {
             stack_len,
             tags: vec![0; sets * stack_len],
             meta: vec![0; sets * stack_len],
             fill: vec![SetFill::default(); sets],
-            stats: L2Stats::new(cfg.geometry.words_per_line(), cfg.ways),
+            stats: L2Stats::new(cfg.data.geometry().words_per_line(), cfg.data.ways()),
             compulsory: CompulsoryTracker::new(),
             label: format!("CMPR-{}xTags", cfg.tag_factor),
             model,
@@ -164,19 +148,11 @@ impl CmprCache {
         self.fill.get(set.get()).map_or(0, |f| f.segments)
     }
 
-    fn set_and_tag(&self, line: LineAddr) -> (SetIndex, u64) {
-        let sets = self.cfg.num_sets();
-        (
-            SetIndex::of_line(line, sets),
-            line.raw() >> sets.trailing_zeros(),
-        )
-    }
-
     fn segments_for(&self, line: LineAddr) -> u32 {
         let bytes = self
             .model
             .compressed_bytes(line, None)
-            .min(self.cfg.geometry.line_bytes());
+            .min(self.cfg.data.geometry().line_bytes());
         bytes.div_ceil(self.cfg.segment_bytes).max(1)
     }
 
@@ -200,8 +176,11 @@ impl CmprCache {
 impl SecondLevel for CmprCache {
     fn access(&mut self, req: L2Request) -> L2Response {
         self.stats.accesses.bump();
-        let (set, tag) = self.set_and_tag(req.line);
-        let full = Footprint::full(self.cfg.geometry.words_per_line());
+        let (set, tag) = (
+            self.cfg.data.set_index(req.line),
+            self.cfg.data.tag(req.line),
+        );
+        let full = Footprint::full(self.geometry().words_per_line());
         let first = self.stack_start(set);
         let mut fill = self.fill.get(set.get()).copied().unwrap_or_default();
         let live = self
@@ -219,10 +198,8 @@ impl SecondLevel for CmprCache {
             };
         }
 
-        self.stats.line_misses.bump();
-        if self.compulsory.record_miss(req.line) {
-            self.stats.compulsory_misses.bump();
-        }
+        self.stats
+            .record_line_miss(self.compulsory.record_miss(req.line));
         let segments = self.segments_for(req.line);
         // Perfect LRU: evict from the tail until the new line fits both
         // the tag budget and the segment budget. `new` guarantees a lone
@@ -260,7 +237,7 @@ impl SecondLevel for CmprCache {
         if !dirty {
             return;
         }
-        let (set, tag) = self.set_and_tag(line);
+        let (set, tag) = (self.cfg.data.set_index(line), self.cfg.data.tag(line));
         let first = self.stack_start(set);
         let lines = self.lines_in_set(set);
         let pos = self
@@ -278,11 +255,11 @@ impl SecondLevel for CmprCache {
     }
 
     fn reset_stats(&mut self) {
-        self.stats = L2Stats::new(self.cfg.geometry.words_per_line(), self.cfg.ways);
+        self.stats.reset();
     }
 
     fn geometry(&self) -> LineGeometry {
-        self.cfg.geometry
+        self.cfg.data.geometry()
     }
 
     fn name(&self) -> &str {
@@ -313,7 +290,7 @@ mod tests {
     #[test]
     fn config_dimensions() {
         let cfg = CmprConfig::cmpr_4x_tags();
-        assert_eq!(cfg.num_sets(), 2048);
+        assert_eq!(cfg.data.num_sets(), 2048);
         assert_eq!(cfg.segments_per_set(), 64);
         assert_eq!(cfg.tags_per_set(), 32);
     }
@@ -374,20 +351,6 @@ mod tests {
         let mut cfg = CmprConfig::cmpr_4x_tags();
         edit(&mut cfg);
         CmprCache::new(cfg, zero_model())
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two number")]
-    fn rejects_a_set_count_that_is_not_a_power_of_two() {
-        // 1.5 MB of 8-way sets is 3072 sets: the set mask would never
-        // select sets 1024..2048.
-        cmpr(|c| c.size_bytes = 3 << 19);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one way")]
-    fn rejects_zero_ways() {
-        cmpr(|c| c.ways = 0);
     }
 
     #[test]

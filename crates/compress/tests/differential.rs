@@ -12,7 +12,9 @@
 //! Seeded random traces drive each pair in lockstep, and every observable
 //! must agree at every step.
 
-use ldis_cache::{CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel};
+use ldis_cache::{
+    CacheConfig, CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel,
+};
 use ldis_compress::{
     compressed_bytes, fac_cache, CmprCache, CmprConfig, CompressedWoc, ValueSizeModel,
 };
@@ -91,9 +93,12 @@ struct RefCmpr {
 
 impl RefCmpr {
     fn new(cfg: CmprConfig, model: ValueSizeModel) -> Self {
+        let data = cfg.data;
+        let sets =
+            data.size_bytes() / (u64::from(data.geometry().line_bytes()) * u64::from(data.ways()));
         RefCmpr {
-            sets: (0..cfg.num_sets()).map(|_| VecDeque::new()).collect(),
-            stats: L2Stats::new(cfg.geometry.words_per_line(), cfg.ways),
+            sets: (0..sets).map(|_| VecDeque::new()).collect(),
+            stats: L2Stats::new(data.geometry().words_per_line(), data.ways()),
             compulsory: CompulsoryTracker::new(),
             model,
             cfg,
@@ -101,7 +106,7 @@ impl RefCmpr {
     }
 
     fn set_and_tag(&self, line: LineAddr) -> (usize, u64) {
-        let sets = self.cfg.num_sets();
+        let sets = self.sets.len() as u64;
         (
             (line.raw() & (sets - 1)) as usize,
             line.raw() >> sets.trailing_zeros(),
@@ -109,15 +114,15 @@ impl RefCmpr {
     }
 
     fn segments_for(&self, line: LineAddr) -> u32 {
-        let bytes =
-            ref_compressed_bytes(&self.model, line, None).min(self.cfg.geometry.line_bytes());
+        let bytes = ref_compressed_bytes(&self.model, line, None)
+            .min(self.cfg.data.geometry().line_bytes());
         bytes.div_ceil(self.cfg.segment_bytes).max(1)
     }
 
     fn access(&mut self, req: L2Request) -> L2Response {
         self.stats.accesses.bump();
         let (set_idx, tag) = self.set_and_tag(req.line);
-        let full = Footprint::full(self.cfg.geometry.words_per_line());
+        let full = Footprint::full(self.cfg.data.geometry().words_per_line());
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.iter().position(|l| l.tag == tag) {
             let mut line = set.remove(pos).unwrap();
@@ -416,11 +421,9 @@ fn cmpr_matches_the_vecdeque_reference() {
                 let ways = [1u32, 2, 4, 8][rng.index(4)];
                 let sets = [1u64, 4, 8][rng.index(3)];
                 let cfg = CmprConfig {
-                    size_bytes: sets * u64::from(ways) * 64,
-                    ways,
+                    data: CacheConfig::with_sets(sets, ways, geometry),
                     tag_factor,
                     segment_bytes,
-                    geometry,
                 };
                 let model = ValueSizeModel::new(profile, geometry, rng.next_u64());
                 let mut new = CmprCache::new(cfg, model);

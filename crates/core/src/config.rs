@@ -85,10 +85,9 @@ impl Default for ReverterConfig {
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DistillConfig {
-    size_bytes: u64,
-    total_ways: u32,
+    /// The whole array: LOC and WOC ways together.
+    array: CacheConfig,
     woc_ways: u32,
-    geometry: LineGeometry,
     policy: ThresholdPolicy,
     reverter: Option<ReverterConfig>,
     seed: u64,
@@ -108,22 +107,15 @@ impl DistillConfig {
     /// Panics if `woc_ways` is zero or leaves no LOC way, or if the derived
     /// set count is not a power of two.
     pub fn new(size_bytes: u64, total_ways: u32, woc_ways: u32, geometry: LineGeometry) -> Self {
-        assert!(
-            woc_ways >= 1 && woc_ways < total_ways,
-            "need 1..total_ways WOC ways, got {woc_ways} of {total_ways}"
-        );
-        // Validate set geometry via CacheConfig's rules.
-        let _ = CacheConfig::new(size_bytes, total_ways, geometry);
         DistillConfig {
-            size_bytes,
-            total_ways,
-            woc_ways,
-            geometry,
+            array: CacheConfig::new(size_bytes, total_ways, geometry),
+            woc_ways: 0,
             policy: ThresholdPolicy::All,
             reverter: None,
             seed: rng::WOC_REPLACEMENT,
             woc_replacement: WocReplacement::Random,
         }
+        .with_woc_ways(woc_ways)
     }
 
     /// The paper's default distill cache: 1 MB, 8-way, 6 + 2 split,
@@ -185,13 +177,14 @@ impl DistillConfig {
     ///
     /// Panics if the split becomes invalid.
     #[must_use]
-    pub fn with_woc_ways(self, woc_ways: u32) -> Self {
-        let mut cfg = DistillConfig::new(self.size_bytes, self.total_ways, woc_ways, self.geometry);
-        cfg.policy = self.policy;
-        cfg.reverter = self.reverter;
-        cfg.seed = self.seed;
-        cfg.woc_replacement = self.woc_replacement;
-        cfg
+    pub fn with_woc_ways(mut self, woc_ways: u32) -> Self {
+        let total_ways = self.total_ways();
+        assert!(
+            woc_ways >= 1 && woc_ways < total_ways,
+            "need 1..total_ways WOC ways, got {woc_ways} of {total_ways}"
+        );
+        self.woc_ways = woc_ways;
+        self
     }
 
     /// Changes the WOC replacement candidate selection policy.
@@ -210,17 +203,17 @@ impl DistillConfig {
 
     /// Total cache capacity in bytes (LOC + WOC data).
     pub const fn size_bytes(&self) -> u64 {
-        self.size_bytes
+        self.array.size_bytes()
     }
 
     /// Total ways per set.
     pub const fn total_ways(&self) -> u32 {
-        self.total_ways
+        self.array.ways()
     }
 
     /// Ways devoted to the line-organized cache.
     pub const fn loc_ways(&self) -> u32 {
-        self.total_ways - self.woc_ways
+        self.total_ways() - self.woc_ways
     }
 
     /// Ways devoted to the word-organized cache.
@@ -230,7 +223,7 @@ impl DistillConfig {
 
     /// Line/word geometry.
     pub const fn geometry(&self) -> LineGeometry {
-        self.geometry
+        self.array.geometry()
     }
 
     /// The distillation threshold policy.
@@ -254,13 +247,13 @@ impl DistillConfig {
     }
 
     /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
-        self.size_bytes / (self.geometry.line_bytes() as u64 * self.total_ways as u64)
+    pub const fn num_sets(&self) -> u64 {
+        self.array.num_sets()
     }
 
     /// The configuration of the embedded LOC.
     pub fn loc_config(&self) -> CacheConfig {
-        CacheConfig::with_sets(self.num_sets(), self.loc_ways(), self.geometry)
+        CacheConfig::with_sets(self.num_sets(), self.loc_ways(), self.geometry())
     }
 }
 

@@ -3,15 +3,28 @@
 use crate::fault::Resilience;
 use crate::{
     DistillConfig, LdisError, MedianTracker, ResilienceConfig, Reverter, ThresholdPolicy, Woc,
-    WocEviction, WordStore,
+    WocEviction, WocFault, WordStore,
 };
 use ldis_cache::CompulsoryTracker;
 use ldis_cache::{
-    CacheHealth, EvictedLine, L2Outcome, L2Request, L2Response, L2Stats, ProtectionScheme,
-    RecoveryAction, SecondLevel, SetAssocCache,
+    CacheHealth, EvictedLine, FootprintFault, L2Outcome, L2Request, L2Response, L2Stats,
+    ProtectionScheme, RecoveryAction, SecondLevel, SetAssocCache,
 };
 use ldis_mem::stats::Counter;
 use ldis_mem::{Footprint, LineAddr, LineGeometry, SetIndex};
+
+/// Where an injected flip landed in live metadata.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// A WOC tag-store entry.
+    Woc(WocFault),
+    /// A LOC footprint.
+    Loc(FootprintFault),
+    /// A PSEL bit.
+    Psel(u32),
+    /// A median counter bit.
+    Median(u64),
+}
 
 /// The paper's distill cache.
 ///
@@ -162,13 +175,8 @@ impl<W: WordStore> DistillCache<W> {
     /// everywhere — including leader sets — so every set behaves like the
     /// traditional baseline.
     pub fn ldis_active_for(&self, set: SetIndex) -> bool {
-        if self.resilience.as_ref().is_some_and(|r| r.health.degraded) {
-            return false;
-        }
-        match &self.reverter {
-            None => true,
-            Some(r) => r.is_leader(set) || r.ldis_enabled(),
-        }
+        !self.resilience.as_ref().is_some_and(|r| r.health.degraded)
+            && self.reverter.as_ref().is_none_or(|r| r.active_for(set))
     }
 
     fn set_and_tag(&self, line: LineAddr) -> (SetIndex, u64) {
@@ -181,21 +189,9 @@ impl<W: WordStore> DistillCache<W> {
         let word = if req.is_instr { None } else { Some(req.word) };
         let dirty = req.write || extra_dirty;
         if let Some(ev) = self.loc.install(req.line, word, dirty, req.is_instr) {
-            self.record_loc_eviction(&ev);
+            self.stats.record_eviction(&ev);
             let (set, _) = self.set_and_tag(ev.line);
             self.distill(set, ev);
-        }
-    }
-
-    fn record_loc_eviction(&mut self, ev: &EvictedLine) {
-        self.stats.evictions.bump();
-        if !ev.is_instr {
-            self.stats
-                .words_used_at_evict
-                .record(ev.footprint.used_words() as usize);
-            self.stats
-                .recency_before_change
-                .record(ev.recency_at_last_change as usize);
         }
     }
 
@@ -260,14 +256,6 @@ impl<W: WordStore> DistillCache<W> {
         self.woc_evicted = evicted;
     }
 
-    fn observe_reverter(&mut self, set: SetIndex, line: LineAddr, distill_missed: bool) {
-        if let Some(r) = self.reverter.as_mut() {
-            if r.is_leader(set) {
-                r.observe_leader_access(set, line, distill_missed);
-            }
-        }
-    }
-
     /// Runs the fault model before servicing an access: injects this
     /// access's faults and, at the configured cadence, sweeps the
     /// invariant checker. The subsystem is temporarily taken out of `self`
@@ -293,99 +281,101 @@ impl<W: WordStore> DistillCache<W> {
     /// no protection lets the corruption land silently. Flips in dead
     /// state (invalid entries) are masked and reverted.
     fn inject_fault(&mut self, res: &mut Resilience) {
-        let woc_bits = self.woc.tag_store_bits();
-        let loc_bits = self.loc.footprint_bits();
-        let psel_bits = self.reverter.as_ref().map_or(0, |r| r.psel_bits() as u64);
-        let median_bits = self.median.counter_bits();
-        let total = woc_bits + loc_bits + psel_bits + median_bits;
+        let total = self.woc.fault_surface().map_or(0, |w| w.tag_store_bits())
+            + self.loc.footprint_bits()
+            + self
+                .reverter
+                .as_ref()
+                .map_or(0, |r| u64::from(r.psel_bits()))
+            + self.median.counter_bits();
         if total == 0 {
             return;
         }
         res.health.faults.injected.bump();
         let bit = res.rng.range(total);
-        if bit < woc_bits {
-            let Some(fault) = self.woc.flip_tag_bit(bit) else {
-                res.health.faults.masked.bump();
-                return;
-            };
+        let Some(fault) = self.flip(bit) else {
+            res.health.faults.masked.bump();
+            return;
+        };
+        match res.cfg.protection {
+            ProtectionScheme::Secded => {
+                self.flip(bit);
+                res.health.faults.corrected.bump();
+            }
+            ProtectionScheme::Parity => {
+                res.health.faults.detected.bump();
+                let cause = self.scrub(fault);
+                self.record_detected(res, cause);
+            }
+            ProtectionScheme::Unprotected => res.health.faults.silent.bump(),
+        }
+    }
+
+    /// Flips bit `bit` of the modeled metadata, addressed over the WOC tag
+    /// store, the LOC footprints, PSEL and the median counters in that
+    /// order, and returns where it landed. A flip into a dead entry is
+    /// undone at once and returns `None` (masked). Flipping a live bit
+    /// again undoes it: liveness does not depend on the flipped bit.
+    fn flip(&mut self, mut bit: u64) -> Option<Fault> {
+        if let Some(woc) = self.woc.fault_surface() {
+            let bits = woc.tag_store_bits();
+            if bit < bits {
+                let fault = woc.flip_tag_bit(bit);
+                if !fault.live {
+                    woc.flip_tag_bit(bit);
+                    return None;
+                }
+                return Some(Fault::Woc(fault));
+            }
+            bit -= bits;
+        }
+        let loc_bits = self.loc.footprint_bits();
+        if bit < loc_bits {
+            let fault = self.loc.flip_footprint_bit(bit);
             if !fault.live {
-                self.woc.flip_tag_bit(bit);
-                res.health.faults.masked.bump();
-                return;
+                self.loc.flip_footprint_bit(bit);
+                return None;
             }
-            match res.cfg.protection {
-                ProtectionScheme::Secded => {
-                    self.woc.flip_tag_bit(bit);
-                    res.health.faults.corrected.bump();
-                }
-                ProtectionScheme::Parity => {
-                    res.health.faults.detected.bump();
-                    self.woc.clear_way(fault.set, fault.way);
-                    self.record_detected(res, fault.to_string());
-                }
-                ProtectionScheme::Unprotected => res.health.faults.silent.bump(),
-            }
-        } else if bit < woc_bits + loc_bits {
-            let fbit = bit - woc_bits;
-            let fault = self.loc.flip_footprint_bit(fbit);
-            if !fault.live {
-                self.loc.flip_footprint_bit(fbit);
-                res.health.faults.masked.bump();
-                return;
-            }
-            match res.cfg.protection {
-                ProtectionScheme::Secded => {
-                    self.loc.flip_footprint_bit(fbit);
-                    res.health.faults.corrected.bump();
-                }
-                ProtectionScheme::Parity => {
-                    res.health.faults.detected.bump();
-                    // A footprint can't be trusted once corrupt: widen it
-                    // to the full line so no used word is ever dropped.
-                    self.loc.repair_footprint(fault.set, fault.way);
-                    self.record_detected(res, fault.to_string());
-                }
-                ProtectionScheme::Unprotected => res.health.faults.silent.bump(),
-            }
-        } else if bit < woc_bits + loc_bits + psel_bits {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "the else-if chain pins bit below woc_bits + loc_bits + psel_bits, so the subtraction is less than psel_bits (a few tens of bits)"
-            )]
-            let pbit = (bit - woc_bits - loc_bits) as u32;
-            // `psel_bits > 0` implies a reverter; if that ever regresses,
-            // the flip has no target and counts as masked.
-            let Some(r) = self.reverter.as_mut() else {
-                res.health.faults.masked.bump();
-                return;
-            };
-            r.flip_psel_bit(pbit);
-            match res.cfg.protection {
-                ProtectionScheme::Secded => {
+            return Some(Fault::Loc(fault));
+        }
+        bit -= loc_bits;
+        if let Some(r) = self.reverter.as_mut() {
+            match u32::try_from(bit) {
+                Ok(pbit) if pbit < r.psel_bits() => {
                     r.flip_psel_bit(pbit);
-                    res.health.faults.corrected.bump();
+                    return Some(Fault::Psel(pbit));
                 }
-                ProtectionScheme::Parity => {
-                    res.health.faults.detected.bump();
-                    r.reset_psel();
-                    self.record_detected(res, format!("reverter psel bit {pbit} flip"));
-                }
-                ProtectionScheme::Unprotected => res.health.faults.silent.bump(),
+                _ => bit -= u64::from(r.psel_bits()),
             }
-        } else {
-            let mbit = bit - woc_bits - loc_bits - psel_bits;
-            self.median.flip_counter_bit(mbit);
-            match res.cfg.protection {
-                ProtectionScheme::Secded => {
-                    self.median.flip_counter_bit(mbit);
-                    res.health.faults.corrected.bump();
+        }
+        self.median.flip_counter_bit(bit);
+        Some(Fault::Median(bit))
+    }
+
+    /// Parity's recovery from a detected flip: discards the state it
+    /// corrupted and names it for the degradation log. A corrupt footprint
+    /// is widened to the full line, so no used word is ever dropped.
+    fn scrub(&mut self, fault: Fault) -> String {
+        match fault {
+            Fault::Woc(f) => {
+                if let Some(woc) = self.woc.fault_surface() {
+                    woc.clear_way(f.set, f.way);
                 }
-                ProtectionScheme::Parity => {
-                    res.health.faults.detected.bump();
-                    self.median.reset_window();
-                    self.record_detected(res, format!("median counter bit {mbit} flip"));
+                f.to_string()
+            }
+            Fault::Loc(f) => {
+                self.loc.repair_footprint(f.set, f.way);
+                f.to_string()
+            }
+            Fault::Psel(bit) => {
+                if let Some(r) = self.reverter.as_mut() {
+                    r.reset_psel();
                 }
-                ProtectionScheme::Unprotected => res.health.faults.silent.bump(),
+                format!("reverter psel bit {bit} flip")
+            }
+            Fault::Median(bit) => {
+                self.median.reset_window();
+                format!("median counter bit {bit} flip")
             }
         }
     }
@@ -404,9 +394,11 @@ impl<W: WordStore> DistillCache<W> {
         let set =
             SetIndex::new(((self.stats.accesses / res.cfg.check_interval) % num_sets) as usize);
         let mut violations: Vec<LdisError> = Vec::new();
-        if let Err(e) = self.woc.check_invariants(set) {
-            self.woc.clear_set(set);
-            violations.push(e);
+        if let Some(woc) = self.woc.fault_surface() {
+            if let Err(e) = woc.check_invariants(set) {
+                woc.clear_set(set);
+                violations.push(e);
+            }
         }
         if let Some(r) = self.reverter.as_mut() {
             if let Err(e) = r.check_invariants() {
@@ -469,7 +461,7 @@ impl<W: WordStore> SecondLevel for DistillCache<W> {
         let word = if req.is_instr { None } else { Some(req.word) };
 
         // 1. LOC lookup — serviced like a traditional cache.
-        if self.loc.access(req.line, word, req.write) {
+        let response = if self.loc.access(req.line, word, req.write) {
             // Injected tag faults can resurrect a stale WOC copy of a
             // LOC-resident line, so exclusivity only holds fault-free.
             debug_assert!(
@@ -477,52 +469,60 @@ impl<W: WordStore> SecondLevel for DistillCache<W> {
                 "a line must never be in both LOC and WOC"
             );
             self.stats.loc_hits.bump();
-            self.observe_reverter(set, req.line, false);
-            return L2Response {
+            L2Response {
                 outcome: L2Outcome::LocHit,
                 valid_words: full,
-            };
-        }
-
-        // 2. WOC lookup.
-        if let Some(hit) = self.woc.lookup(set, tag) {
-            if !req.is_instr && hit.valid_words.is_used(req.word) {
+            }
+        } else {
+            // 2. WOC lookup.
+            match self.woc.lookup(set, tag) {
                 // WOC-hit: the stored words are rearranged and sent to the
                 // L1D along with their valid bits.
-                self.stats.woc_hits.bump();
-                self.observe_reverter(set, req.line, false);
-                return L2Response {
-                    outcome: L2Outcome::WocHit,
-                    valid_words: hit.valid_words,
-                };
+                Some(hit) if !req.is_instr && hit.valid_words.is_used(req.word) => {
+                    self.stats.woc_hits.bump();
+                    L2Response {
+                        outcome: L2Outcome::WocHit,
+                        valid_words: hit.valid_words,
+                    }
+                }
+                Some(_) => {
+                    self.stats.hole_misses.bump();
+                    L2Response {
+                        outcome: L2Outcome::HoleMiss,
+                        valid_words: full,
+                    }
+                }
+                // 3. Line-miss.
+                None => {
+                    self.stats
+                        .record_line_miss(self.compulsory.record_miss(req.line));
+                    L2Response {
+                        outcome: L2Outcome::LineMiss,
+                        valid_words: full,
+                    }
+                }
             }
+        };
+        // The reverter sees the outcome before a miss's install distills
+        // the LOC victim.
+        if let Some(r) = self.reverter.as_mut() {
+            r.observe_leader_access(set, req.line, response.outcome.is_miss());
+        }
+        match response.outcome {
             // Hole-miss: invalidate the WOC words (dirty data merges into
             // the incoming memory line) and install the full line in the LOC.
-            self.stats.hole_misses.bump();
-            self.observe_reverter(set, req.line, true);
-            let dirty = self
-                .woc
-                .invalidate_line(set, tag)
-                .map(|ev| ev.dirty)
-                .unwrap_or(false);
-            self.install_in_loc(&req, dirty);
-            return L2Response {
-                outcome: L2Outcome::HoleMiss,
-                valid_words: full,
-            };
+            L2Outcome::HoleMiss => {
+                let dirty = self
+                    .woc
+                    .invalidate_line(set, tag)
+                    .is_some_and(|ev| ev.dirty);
+                self.install_in_loc(&req, dirty);
+            }
+            // A line-miss fetches the line from memory into the LOC.
+            L2Outcome::LineMiss => self.install_in_loc(&req, false),
+            L2Outcome::LocHit | L2Outcome::WocHit => {}
         }
-
-        // 3. Line-miss: fetch from memory into the LOC.
-        self.stats.line_misses.bump();
-        if self.compulsory.record_miss(req.line) {
-            self.stats.compulsory_misses.bump();
-        }
-        self.observe_reverter(set, req.line, true);
-        self.install_in_loc(&req, false);
-        L2Response {
-            outcome: L2Outcome::LineMiss,
-            valid_words: full,
-        }
+        response
     }
 
     fn on_l1d_evict(&mut self, line: LineAddr, footprint: Footprint, dirty: bool) {
@@ -544,7 +544,7 @@ impl<W: WordStore> SecondLevel for DistillCache<W> {
     }
 
     fn reset_stats(&mut self) {
-        self.stats = L2Stats::new(self.cfg.geometry().words_per_line(), self.cfg.loc_ways());
+        self.stats.reset();
     }
 
     fn geometry(&self) -> LineGeometry {

@@ -129,88 +129,6 @@ impl fmt::Display for LdisError {
 
 impl std::error::Error for LdisError {}
 
-/// Why one sweep cell of an experiment matrix failed to produce a result.
-///
-/// The crash-safe sweep executor (`ldis-experiments::exec`) isolates every
-/// cell behind `catch_unwind` and a watchdog; instead of poisoning the
-/// merge or aborting the matrix, a failing cell is *quarantined* with one
-/// of these typed causes. The variants mirror the [`LdisError`] idiom —
-/// each pinpoints enough context (attempt counts, budgets, the panic
-/// message) for the quarantine report to print an actionable repro.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CellFailure {
-    /// Every attempt (the initial run plus all retries) panicked.
-    Panicked {
-        /// Number of attempts made, including the first.
-        attempts: u32,
-        /// The last panic's payload, if it carried a string.
-        message: String,
-    },
-    /// An attempt of the cell exceeded its wall-clock budget. The attempt
-    /// ran on its own thread, which the watchdog abandons (it cannot be
-    /// reclaimed) while the pool worker moves on. Hung cells are never
-    /// retried: a retry would only strand another thread.
-    Hung {
-        /// The configured per-cell budget, in milliseconds.
-        budget_ms: u64,
-    },
-    /// Two successful replays of the cell disagreed bit-for-bit. The cell
-    /// draws from state outside its derived seed, so no single result can
-    /// be trusted.
-    Nondeterministic {
-        /// Number of attempts made when the divergence was established.
-        attempts: u32,
-        /// What diverged (or the panic message of a failed confirmation).
-        detail: String,
-    },
-    /// The cell never reported a result: a watchdog attempt's thread
-    /// ended without sending one, or the cell's pool slot was never
-    /// filled. Indicates a harness defect, never a simulation one.
-    ResultLost,
-}
-
-impl CellFailure {
-    /// A stable machine-readable tag for quarantine reports
-    /// (`"panicked"`, `"hung"`, `"nondeterministic"`, `"result-lost"`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CellFailure::Panicked { .. } => "panicked",
-            CellFailure::Hung { .. } => "hung",
-            CellFailure::Nondeterministic { .. } => "nondeterministic",
-            CellFailure::ResultLost => "result-lost",
-        }
-    }
-
-    /// Number of attempts recorded in the failure (0 where attempts are
-    /// not meaningful, e.g. a hang or a lost result).
-    pub fn attempts(&self) -> u32 {
-        match *self {
-            CellFailure::Panicked { attempts, .. }
-            | CellFailure::Nondeterministic { attempts, .. } => attempts,
-            CellFailure::Hung { .. } | CellFailure::ResultLost => 0,
-        }
-    }
-}
-
-impl fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CellFailure::Panicked { attempts, message } => {
-                write!(f, "panicked on all {attempts} attempts: {message}")
-            }
-            CellFailure::Hung { budget_ms } => {
-                write!(f, "exceeded the {budget_ms} ms watchdog budget")
-            }
-            CellFailure::Nondeterministic { attempts, detail } => {
-                write!(f, "nondeterministic after {attempts} attempts: {detail}")
-            }
-            CellFailure::ResultLost => write!(f, "worker vanished without a result"),
-        }
-    }
-}
-
-impl std::error::Error for CellFailure {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,38 +153,5 @@ mod tests {
             max: 255,
         });
         assert!(e.to_string().contains("300"));
-    }
-
-    #[test]
-    fn cell_failure_kinds_are_stable_and_displayed() {
-        let cases: Vec<(CellFailure, &str, u32)> = vec![
-            (
-                CellFailure::Panicked {
-                    attempts: 3,
-                    message: "index out of bounds".into(),
-                },
-                "panicked",
-                3,
-            ),
-            (CellFailure::Hung { budget_ms: 5000 }, "hung", 0),
-            (
-                CellFailure::Nondeterministic {
-                    attempts: 2,
-                    detail: "replays differ".into(),
-                },
-                "nondeterministic",
-                2,
-            ),
-            (CellFailure::ResultLost, "result-lost", 0),
-        ];
-        for (failure, kind, attempts) in cases {
-            assert_eq!(failure.kind(), kind);
-            assert_eq!(failure.attempts(), attempts);
-            assert!(!failure.to_string().is_empty());
-        }
-        let hung = CellFailure::Hung { budget_ms: 5000 };
-        assert!(hung.to_string().contains("5000 ms"));
-        let e: Box<dyn std::error::Error> = Box::new(hung);
-        assert!(e.to_string().contains("watchdog"));
     }
 }

@@ -76,7 +76,7 @@ mod word_store;
 pub use config::{DistillConfig, ReverterConfig, ThresholdPolicy, WocReplacement};
 pub use costs::{CostModel, EnergyBreakdown};
 pub use distill_cache::DistillCache;
-pub use error::{CellFailure, LdisError};
+pub use error::LdisError;
 pub use fault::ResilienceConfig;
 pub use median::MedianTracker;
 pub use overhead::{StorageOverhead, ATD_ENTRY_BYTES, BASELINE_TAG_BYTES, PHYSICAL_ADDR_BITS};

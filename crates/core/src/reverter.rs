@@ -72,6 +72,7 @@ impl Reverter {
     }
 
     /// Whether `set` is a leader set (LDIS always on there).
+    #[inline]
     pub fn is_leader(&self, set: SetIndex) -> bool {
         set.get().is_multiple_of(self.stride)
     }
@@ -81,21 +82,27 @@ impl Reverter {
         self.enabled
     }
 
+    /// Whether LDIS runs in `set` now: always in a leader set, and in a
+    /// follower while PSEL has LDIS enabled.
+    #[inline]
+    pub fn active_for(&self, set: SetIndex) -> bool {
+        self.is_leader(set) || self.enabled
+    }
+
     /// The current PSEL value (for instrumentation and the
     /// `streaming_reverter` example).
     pub fn psel(&self) -> u16 {
         self.psel
     }
 
-    /// Records an access to leader set `set` for line `line`: simulates the
-    /// traditional cache on the ATD and folds both the ATD's outcome and
-    /// the distill cache's (`distill_missed`) into PSEL.
-    ///
-    /// Must only be called for leader sets.
+    /// Records an access to `set` for line `line`. In a leader set it
+    /// simulates the traditional cache on the ATD and folds both the ATD's
+    /// outcome and the distill cache's (`distill_missed`) into PSEL; a
+    /// follower set's access changes nothing.
+    #[inline]
     pub fn observe_leader_access(&mut self, set: SetIndex, line: LineAddr, distill_missed: bool) {
-        debug_assert!(self.is_leader(set));
         let leader = SetIndex::new(set.get() / self.stride);
-        // Leader sets are `0, stride, 2*stride, ...`; a non-leader access,
+        // Leader sets are `0, stride, 2*stride, ...`; a follower access,
         // or one past the last leader set, is ignored rather than moving
         // PSEL.
         if !self.is_leader(set) || leader.get() >= self.cfg.leader_sets as usize {
@@ -189,6 +196,26 @@ mod tests {
         assert_eq!(leaders.len(), 32);
         assert_eq!(leaders[0], 0);
         assert_eq!(leaders[1], 64);
+    }
+
+    #[test]
+    fn leaders_are_always_active_and_followers_follow_psel() {
+        let mut r = reverter();
+        let (leader, follower) = (SetIndex::new(64), SetIndex::new(65));
+        assert!(r.active_for(leader) && r.active_for(follower));
+        // Distill misses on one line the ATD keeps hitting sink PSEL
+        // below 64, which disables the followers only.
+        for _ in 0..100 {
+            r.observe_leader_access(leader, LineAddr::new(7), true);
+        }
+        assert!(!r.ldis_enabled(), "psel = {}", r.psel());
+        assert!(r.active_for(leader) && !r.active_for(follower));
+        // A follower's access leaves PSEL alone.
+        let psel = r.psel();
+        r.observe_leader_access(follower, LineAddr::new(8), true);
+        assert_eq!(r.psel(), psel);
+        r.force_enabled(true);
+        assert!(r.active_for(leader) && r.active_for(follower));
     }
 
     #[test]

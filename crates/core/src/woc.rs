@@ -314,23 +314,9 @@ impl Woc {
         dirty: bool,
     ) -> Vec<WocEviction> {
         let mut evicted = Vec::new();
-        self.install_into(set, tag, footprint, dirty, &mut evicted);
-        evicted
-    }
-
-    /// [`install`](Woc::install) with a caller-owned eviction buffer:
-    /// `out` is cleared and filled with the displaced lines, so the hot
-    /// path reuses one allocation across installs.
-    pub fn install_into(
-        &mut self,
-        set: SetIndex,
-        tag: u64,
-        footprint: Footprint,
-        dirty: bool,
-        out: &mut Vec<WocEviction>,
-    ) {
         let entries = footprint.used_words() as usize;
-        self.install_run(set, tag, footprint, entries, dirty, out);
+        self.install_run(set, tag, footprint, entries, dirty, &mut evicted);
+        evicted
     }
 
     /// Installs `words` of line `tag` as `entries` valid entries at the
@@ -778,7 +764,8 @@ impl crate::WordStore for Woc {
         dirty: bool,
         evicted: &mut Vec<WocEviction>,
     ) {
-        Woc::install_into(self, set, tag, words, dirty, evicted)
+        let entries = words.used_words() as usize;
+        Woc::install_run(self, set, tag, words, entries, dirty, evicted);
     }
 
     fn invalidate_line(&mut self, set: SetIndex, tag: u64) -> Option<WocEviction> {
@@ -793,24 +780,8 @@ impl crate::WordStore for Woc {
         Woc::occupancy(self)
     }
 
-    fn tag_store_bits(&self) -> u64 {
-        Woc::tag_store_bits(self)
-    }
-
-    fn flip_tag_bit(&mut self, bit: u64) -> Option<WocFault> {
-        Some(Woc::flip_tag_bit(self, bit))
-    }
-
-    fn clear_way(&mut self, set: SetIndex, way: usize) -> u64 {
-        Woc::clear_way(self, set, way)
-    }
-
-    fn clear_set(&mut self, set: SetIndex) -> u64 {
-        Woc::clear_set(self, set)
-    }
-
-    fn check_invariants(&self, set: SetIndex) -> Result<(), LdisError> {
-        Woc::check_invariants(self, set)
+    fn fault_surface(&mut self) -> Option<&mut Woc> {
+        Some(self)
     }
 }
 

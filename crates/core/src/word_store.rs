@@ -7,15 +7,10 @@
 //! trait, so [`DistillCache`](crate::DistillCache) carries all of the LOC,
 //! threshold and reverter machinery unchanged.
 
-use crate::{LdisError, WocEviction, WocFault, WocLineHit};
+use crate::{Woc, WocEviction, WocLineHit};
 use ldis_mem::{Footprint, LineAddr, SetIndex};
 
 /// Storage for distilled lines, indexed by `(set, tag)`.
-///
-/// The `tag_store_bits` / `flip_tag_bit` / `clear_*` / `check_invariants`
-/// group is the fault-model surface; the defaults model no bits, so
-/// stores without a fault model (e.g. the compressed WOC) are untouched
-/// by the resilience subsystem.
 pub trait WordStore {
     /// Looks up a line; `Some` if *any* of its words are stored (a line
     /// hit), with the valid words.
@@ -47,32 +42,12 @@ pub trait WordStore {
     /// Number of occupied word slots across the store.
     fn occupancy(&self) -> u64;
 
-    /// Modeled tag-store bits exposed to fault injection (0 when the
-    /// store has no fault model — the default).
-    fn tag_store_bits(&self) -> u64 {
-        0
-    }
-
-    /// Flips modeled tag-store bit `bit`, returning the fault site, or
-    /// `None` when the store has no fault model.
-    fn flip_tag_bit(&mut self, _bit: u64) -> Option<WocFault> {
+    /// The plain [`Woc`] holding the store's entries, which the fault
+    /// model flips, scrubs and checks (tag-store bits, way and set
+    /// clears, structural invariants). `None` — the default — for a store
+    /// without a fault model, such as the compressed WOC, which the
+    /// resilience subsystem then leaves untouched.
+    fn fault_surface(&mut self) -> Option<&mut Woc> {
         None
-    }
-
-    /// Discards all entries of one way (parity recovery). Returns the
-    /// number of valid entries discarded.
-    fn clear_way(&mut self, _set: SetIndex, _way: usize) -> u64 {
-        0
-    }
-
-    /// Discards all entries of one set (self-check recovery). Returns the
-    /// number of valid entries discarded.
-    fn clear_set(&mut self, _set: SetIndex) -> u64 {
-        0
-    }
-
-    /// Structural self-check of one set; `Ok` by default.
-    fn check_invariants(&self, _set: SetIndex) -> Result<(), LdisError> {
-        Ok(())
     }
 }

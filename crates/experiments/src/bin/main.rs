@@ -29,7 +29,8 @@
 //! `sweep` runs the full 27-benchmark × 3-configuration matrix on the
 //! crash-safe executor: cells are panic-isolated, retried, watchdogged
 //! and checkpointed; `--resume` replays a checksummed journal and
-//! produces bytes identical to an uninterrupted run. Wall-clock
+//! produces bytes identical to an uninterrupted run. Every other
+//! experiment refuses these flags, and `--resume` needs `--journal`. Wall-clock
 //! throughput is measured by the standalone `perfbench/` package, not
 //! by this binary.
 
@@ -63,6 +64,19 @@ const ALL: &[&str] = &[
     "resilience",
 ];
 
+/// The flags only `sweep` reads; any other run refuses them.
+const SWEEP_FLAGS: &[&str] = &[
+    "--journal",
+    "--resume",
+    "--cell",
+    "--cell-timeout",
+    "--max-retries",
+    "--fault",
+    "--out",
+    "--quarantine",
+    "--golden-check",
+];
+
 fn usage() -> ! {
     eprintln!(
         "usage: ldis-experiments [EXPERIMENT...] [--accesses N] [--warmup N] [--seed N] \
@@ -90,8 +104,10 @@ fn main() {
     let mut out: Option<std::path::PathBuf> = None;
     let mut quarantine: Option<std::path::PathBuf> = None;
     let mut golden_check = false;
+    let mut sweep_flags = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
+        sweep_flags |= SWEEP_FLAGS.contains(&arg.as_str());
         match arg.as_str() {
             "--accesses" => {
                 let v = args.next().unwrap_or_else(|| usage());
@@ -152,6 +168,10 @@ fn main() {
             eprintln!("`sweep` runs alone (it has its own flags)");
             usage();
         }
+        if resume && journal.is_none() {
+            eprintln!("--resume needs the --journal to resume from");
+            usage();
+        }
         let mut opts = sweep::SweepOptions::new(cfg, parallel::configured_threads());
         opts.max_retries = max_retries;
         opts.cell_timeout_ms = cell_timeout_ms;
@@ -179,6 +199,10 @@ fn main() {
             }
         }
         return;
+    }
+    if sweep_flags {
+        eprintln!("only `sweep` takes {}", SWEEP_FLAGS.join(" "));
+        usage();
     }
     if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
         wanted = ALL.iter().map(|s| (*s).to_owned()).collect();

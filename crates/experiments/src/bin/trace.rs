@@ -11,7 +11,8 @@
 //! baseline` reproduces Figure 6's baseline. Traces use the LDT1 binary
 //! format (`ldis_mem::Trace::write_to`), so a recorded stream can be
 //! replayed bit-identically on another machine or against a different
-//! cache organization.
+//! cache organization. An unknown flag, a flag without its value, a
+//! stray argument or `--accesses 0` exits 2 with the usage.
 
 use ldis_cache::{BaselineL2, CacheConfig, Hierarchy, SecondLevel};
 use ldis_distill::{DistillCache, DistillConfig};
@@ -40,28 +41,57 @@ fn main() {
     }
 }
 
-fn parse_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().unwrap_or_else(|_| usage()))
-        .unwrap_or(default)
+/// Splits a subcommand's arguments into its `N` positional arguments and
+/// its `--flag value` pairs. An unknown flag, a flag without its value,
+/// or a positional argument too many or too few prints the usage.
+fn parse<'a, const N: usize>(
+    args: &'a [String],
+    known: &[&str],
+) -> ([&'a str; N], Vec<(&'a str, &'a str)>) {
+    let mut positional = Vec::new();
+    let mut flags = Vec::new();
+    let mut args = args.iter().map(String::as_str);
+    while let Some(arg) = args.next() {
+        if !arg.starts_with('-') {
+            positional.push(arg);
+        } else if known.contains(&arg) {
+            flags.push((arg, args.next().unwrap_or_else(|| usage())));
+        } else {
+            usage();
+        }
+    }
+    let positional = <[&str; N]>::try_from(positional).unwrap_or_else(|_| usage());
+    (positional, flags)
+}
+
+/// The value of flag `name`, the last one given if it was repeated.
+fn flag<'a>(flags: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
+    flags
+        .iter()
+        .rev()
+        .find(|(f, _)| *f == name)
+        .map(|&(_, v)| v)
+}
+
+/// The numeric value of flag `name`, or `default` when it was not given.
+fn number(flags: &[(&str, &str)], name: &str, default: u64) -> u64 {
+    flag(flags, name).map_or(default, |v| v.parse().unwrap_or_else(|_| usage()))
 }
 
 fn record(args: &[String]) {
-    let (bench_name, path) = match (args.first(), args.get(1)) {
-        (Some(b), Some(p)) => (b.clone(), p.clone()),
-        _ => usage(),
-    };
+    let ([bench_name, path], flags) = parse(args, &["--accesses", "--seed"]);
     let mut cfg = RunConfig::paper();
-    cfg.seed = parse_flag(args, "--seed", cfg.seed);
-    let accesses = parse_flag(args, "--accesses", cfg.accesses) as usize;
-    let bench = spec2000::by_name(&bench_name).unwrap_or_else(|| {
+    cfg.seed = number(&flags, "--seed", cfg.seed);
+    let accesses = number(&flags, "--accesses", cfg.accesses) as usize;
+    if accesses == 0 {
+        usage();
+    }
+    let bench = spec2000::by_name(bench_name).unwrap_or_else(|| {
         eprintln!("unknown benchmark: {bench_name}");
         usage()
     });
     let trace = cfg.workload(&bench).record(accesses);
-    let file = File::create(&path).unwrap_or_else(|e| {
+    let file = File::create(path).unwrap_or_else(|e| {
         eprintln!("cannot create {path}: {e}");
         std::process::exit(1);
     });
@@ -89,7 +119,7 @@ fn load(path: &str) -> Trace {
 }
 
 fn info(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage());
+    let ([path], _) = parse(args, &[]);
     let trace = load(path);
     let geom = LineGeometry::default();
     let (mut loads, mut stores, mut fetches) = (0u64, 0u64, 0u64);
@@ -119,13 +149,8 @@ fn info(args: &[String]) {
 }
 
 fn replay(args: &[String]) {
-    let path = args.first().unwrap_or_else(|| usage());
-    let l2_kind = args
-        .iter()
-        .position(|a| a == "--l2")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("distill");
+    let ([path], flags) = parse(args, &["--l2"]);
+    let l2_kind = flag(&flags, "--l2").unwrap_or("distill");
     let trace = load(path);
     match l2_kind {
         "baseline" => {

@@ -245,8 +245,6 @@ pub struct Resumed<T> {
     pub journal: Journal,
     /// Valid completed cells, by cell index.
     pub completed: BTreeMap<usize, T>,
-    /// Per-cell seeds as recorded (for repro reporting).
-    pub seeds: BTreeMap<usize, u64>,
     /// Trailing bytes discarded as corrupt or truncated (0 for a clean
     /// journal).
     pub discarded_bytes: u64,
@@ -347,7 +345,6 @@ impl Journal {
 
         // Records: keep the longest valid prefix, drop the rest.
         let mut completed = BTreeMap::new();
-        let mut seeds = BTreeMap::new();
         let mut valid_bytes = header_line.len() as u64 + 1; // header + newline
         let mut discard_reason = None;
         let mut offset = valid_bytes as usize;
@@ -388,7 +385,8 @@ impl Journal {
             }
             let value = T::decode(field(&record, "result")?)
                 .map_err(|e| format!("journal {}: cell {cell}: {e}", path.display()))?;
-            seeds.insert(cell as usize, uint_field(&record, "seed")?);
+            // Every record carries its cell's seed; one without is malformed.
+            uint_field(&record, "seed")?;
             completed.insert(cell as usize, value);
             offset = line_end + 1;
             valid_bytes = offset as u64;
@@ -407,7 +405,6 @@ impl Journal {
                 header,
             },
             completed,
-            seeds,
             discarded_bytes,
             discard_reason,
         })
@@ -509,8 +506,7 @@ mod tests {
         assert_eq!(resumed.discard_reason, None);
         assert_eq!(resumed.completed.len(), 2);
         assert_eq!(resumed.completed.get(&7), Some(&r));
-        assert_eq!(resumed.seeds.get(&7), Some(&1234));
-        assert_eq!(resumed.seeds.get(&3), Some(&5678));
+        assert!(resumed.completed.contains_key(&3));
         std::fs::remove_file(&path).ok();
     }
 

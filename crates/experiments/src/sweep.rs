@@ -20,11 +20,11 @@
 //!   ([`crate::golden::verify_surviving`]).
 
 use crate::exec::journal::{Journal, JournalHeader};
-use crate::exec::{run_cells, ExecPolicy, ExecReport, FaultPlan};
+use crate::exec::{run_cells, CellFailure, ExecPolicy, ExecReport, FaultPlan};
 use crate::golden;
 use crate::report::{fmt_f, Json, Table};
 use crate::{run, run_baseline, RunConfig, RunResult};
-use ldis_distill::{CellFailure, DistillCache, DistillConfig};
+use ldis_distill::{DistillCache, DistillConfig};
 use ldis_mem::{fnv1a, SimRng};
 use ldis_workloads::{cache_insensitive, memory_intensive, Benchmark};
 use std::collections::BTreeMap;

@@ -39,6 +39,40 @@ fn zero_accesses_are_refused() {
     assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
 }
 
+/// Exit code 2 with the usage on stderr, and nothing on stdout.
+fn assert_usage(out: &Output) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+    assert!(stderr.contains("usage:"), "{stderr}");
+}
+
+#[test]
+fn sweep_flags_are_refused_outside_sweep() {
+    let journal = scratch("table3-journal.jsonl");
+    let out = experiments(&[
+        "table3",
+        "--cell",
+        "3",
+        "--journal",
+        &journal,
+        "--fault",
+        "1:panic",
+    ]);
+    assert_usage(&out);
+    assert!(!std::path::Path::new(&journal).exists());
+    for flag in ["--resume", "--golden-check"] {
+        assert_usage(&experiments(&["table3", flag]));
+    }
+}
+
+#[test]
+fn resuming_without_a_journal_is_refused() {
+    // With too few accesses for the goldens, a sweep that ran would still
+    // exit 0, but quickly.
+    assert_usage(&experiments(&["sweep", "--resume", "--accesses", "2000"]));
+}
+
 #[test]
 fn a_closed_stdout_ends_the_run_quietly() {
     let mut child = Command::new(env!("CARGO_BIN_EXE_ldis-experiments"))
@@ -114,5 +148,30 @@ fn recording_to_a_full_device_is_refused() {
     for accesses in ["300", "1000"] {
         let out = trace_tool(&["record", "mcf", "/dev/full", "--accesses", accesses]);
         assert_refused(&out, "cannot write /dev/full: ");
+    }
+}
+
+#[test]
+fn bad_trace_arguments_are_refused() {
+    let trace = scratch("bad-arguments.ldt");
+    let out = trace_tool(&["record", "mcf", &trace, "--accesses", "1000"]);
+    assert!(out.status.success(), "{out:?}");
+    let unwritten = scratch("never-written.ldt");
+    let cases: [&[&str]; 8] = [
+        &["record", "mcf", &unwritten, "--accesses"],
+        &["record", "mcf", &unwritten, "--acesses", "1000"],
+        &["record", "mcf", &unwritten, "--accesses", "0"],
+        &["record", "mcf", &unwritten, "extra", "--accesses", "1000"],
+        &["record", "mcf"],
+        &["info", &trace, "extra"],
+        &["replay", &trace, "--l2"],
+        &["replay", &trace, "--l3", "baseline"],
+    ];
+    for args in cases {
+        let out = trace_tool(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {out:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: {out:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).starts_with("usage:"));
+        assert!(!std::path::Path::new(&unwritten).exists(), "{args:?}");
     }
 }

@@ -4,9 +4,8 @@ use crate::Access;
 
 /// A source of memory accesses, consumed by the simulators.
 ///
-/// Workload generators in `ldis-workloads` implement this; a recorded
-/// [`Trace`] also implements it so experiments can replay identical access
-/// streams against multiple cache configurations.
+/// Workload generators in `ldis-workloads` implement this, and
+/// [`Trace::record`] captures one as a [`Trace`].
 pub trait TraceSource {
     /// Produces the next access, or `None` when the trace is exhausted.
     fn next_access(&mut self) -> Option<Access>;
@@ -26,12 +25,10 @@ pub trait TraceSource {
 /// # Example
 ///
 /// ```
-/// use ldis_mem::{Access, Addr, Trace, TraceSource};
+/// use ldis_mem::{Access, Addr, Trace};
 ///
 /// let trace = Trace::from_accesses("demo", vec![Access::load(Addr::new(0), 8)]);
-/// let mut replay = trace.replay();
-/// assert!(replay.next_access().is_some());
-/// assert!(replay.next_access().is_none());
+/// assert_eq!(trace.accesses(), [Access::load(Addr::new(0), 8)]);
 /// assert_eq!(trace.instructions(), 1);
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -102,58 +99,6 @@ impl Trace {
     pub fn push(&mut self, access: Access) {
         self.accesses.push(access);
     }
-
-    /// An iterator-style replay cursor over this trace.
-    pub fn replay(&self) -> Replay<'_> {
-        Replay {
-            trace: self,
-            pos: 0,
-        }
-    }
-}
-
-impl Extend<Access> for Trace {
-    fn extend<T: IntoIterator<Item = Access>>(&mut self, iter: T) {
-        self.accesses.extend(iter);
-    }
-}
-
-impl FromIterator<Access> for Trace {
-    fn from_iter<T: IntoIterator<Item = Access>>(iter: T) -> Self {
-        Trace {
-            name: "trace".to_owned(),
-            accesses: iter.into_iter().collect(),
-        }
-    }
-}
-
-/// A replay cursor over a recorded [`Trace`]; created by [`Trace::replay`].
-#[derive(Clone, Debug)]
-pub struct Replay<'a> {
-    trace: &'a Trace,
-    pos: usize,
-}
-
-impl TraceSource for Replay<'_> {
-    fn next_access(&mut self) -> Option<Access> {
-        let a = self.trace.accesses.get(self.pos).copied();
-        if a.is_some() {
-            self.pos += 1;
-        }
-        a
-    }
-
-    fn name(&self) -> &str {
-        &self.trace.name
-    }
-}
-
-impl Iterator for Replay<'_> {
-    type Item = Access;
-
-    fn next(&mut self) -> Option<Access> {
-        self.next_access()
-    }
 }
 
 #[cfg(test)]
@@ -190,25 +135,6 @@ mod tests {
     fn instructions_sum_gaps() {
         let t = Trace::record(&mut Counting(5), 100);
         assert_eq!(t.instructions(), 10);
-    }
-
-    #[test]
-    fn replay_yields_identical_stream_twice() {
-        let t = Trace::record(&mut Counting(6), 100);
-        let first: Vec<Access> = t.replay().collect();
-        let second: Vec<Access> = t.replay().collect();
-        assert_eq!(first, second);
-        assert_eq!(first.len(), 6);
-    }
-
-    #[test]
-    fn collect_and_extend() {
-        let mut t: Trace = vec![Access::load(Addr::new(0), 8)].into_iter().collect();
-        t.extend(vec![Access::store(Addr::new(8), 8)]);
-        assert_eq!(t.len(), 2);
-        assert!(!t.is_empty());
-        t.push(Access::load(Addr::new(16), 8));
-        assert_eq!(t.accesses().len(), 3);
     }
 
     #[test]

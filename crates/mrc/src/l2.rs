@@ -210,10 +210,7 @@ impl SecondLevel for MattsonL2 {
             self.stats.loc_hits.bump();
             L2Outcome::LocHit
         } else {
-            self.stats.line_misses.bump();
-            if first_touch {
-                self.stats.compulsory_misses.bump();
-            }
+            self.stats.record_line_miss(first_touch);
             L2Outcome::LineMiss
         };
         L2Response {
@@ -235,8 +232,7 @@ impl SecondLevel for MattsonL2 {
     fn reset_stats(&mut self) {
         // Mirror BaselineL2::reset_stats: zero the counters, keep the
         // (stack) contents and the compulsory-classification state warm.
-        let ways = self.configs.first().map_or(0, CacheConfig::ways);
-        self.stats = L2Stats::new(self.geometry.words_per_line(), ways);
+        self.stats.reset();
         for p in &mut self.profilers {
             p.reset_counters();
         }

@@ -688,7 +688,7 @@ impl SecondLevel for ShardsL2 {
     }
 
     fn reset_stats(&mut self) {
-        self.stats = L2Stats::new(self.geometry.words_per_line(), 1);
+        self.stats.reset();
         self.profiler.reset_counters();
     }
 

@@ -2,7 +2,9 @@
 //! predictor (the Figure 13 comparator).
 
 use crate::FootprintPredictor;
-use ldis_cache::{CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel};
+use ldis_cache::{
+    CacheConfig, CompulsoryTracker, L2Outcome, L2Request, L2Response, L2Stats, SecondLevel,
+};
 use ldis_distill::{Reverter, ReverterConfig};
 use ldis_mem::stats::Counter;
 use ldis_mem::{Addr, Footprint, LineAddr, LineGeometry, SetIndex, WordIndex};
@@ -11,18 +13,15 @@ use std::collections::VecDeque;
 /// Configuration of the SFP cache.
 #[derive(Clone, Copy, Debug)]
 pub struct SfpConfig {
-    /// Data capacity in bytes (1 MB in the paper).
-    pub size_bytes: u64,
-    /// Data ways per set (8): sets the per-set word-slot budget.
-    pub ways: u32,
+    /// The data array (1 MB, 8-way, 64 B lines in the paper): its sets
+    /// index the cache, and its ways set the per-set word-slot budget.
+    pub data: CacheConfig,
     /// Tag entries per set. The paper gives the decoupled sectored cache
     /// the same number of tag entries as the distill cache: 6 line tags +
     /// 2 × 8 word tags = 22.
     pub tags_per_set: u32,
     /// Predictor table entries (16 k or 64 k in Figure 13).
     pub predictor_entries: usize,
-    /// Line/word geometry.
-    pub geometry: LineGeometry,
     /// Optional reverter circuit (the paper adds one to SFP too).
     pub reverter: Option<ReverterConfig>,
 }
@@ -31,11 +30,9 @@ impl SfpConfig {
     /// The Figure 13 configuration with a 16 k-entry (64 kB) predictor.
     pub fn sfp_16k() -> Self {
         SfpConfig {
-            size_bytes: 1 << 20,
-            ways: 8,
+            data: CacheConfig::new(1 << 20, 8, LineGeometry::default()),
             tags_per_set: 22,
             predictor_entries: 16 * 1024,
-            geometry: LineGeometry::default(),
             reverter: Some(ReverterConfig::default()),
         }
     }
@@ -46,11 +43,6 @@ impl SfpConfig {
             predictor_entries: 64 * 1024,
             ..SfpConfig::sfp_16k()
         }
-    }
-
-    /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
-        self.size_bytes / (self.geometry.line_bytes() as u64 * self.ways as u64)
     }
 }
 
@@ -105,35 +97,22 @@ impl SfpCache {
     ///
     /// # Panics
     ///
-    /// Panics unless `cfg` has at least one way, at least one tag per set,
-    /// and a size that is a whole power-of-two number of sets (the set
-    /// index is a mask).
+    /// Panics unless `cfg` has at least one tag per set.
     pub fn new(cfg: SfpConfig) -> Self {
-        assert!(cfg.ways >= 1, "SFP needs at least one way");
         assert!(cfg.tags_per_set >= 1, "SFP needs at least one tag per set");
-        let set_bytes = u64::from(cfg.geometry.line_bytes()) * u64::from(cfg.ways);
-        assert!(
-            cfg.size_bytes.is_multiple_of(set_bytes) && cfg.num_sets().is_power_of_two(),
-            "SFP size {} must be a power-of-two number of {}-way sets",
-            cfg.size_bytes,
-            cfg.ways
-        );
-        let stats = L2Stats::new(cfg.geometry.words_per_line(), cfg.ways);
+        let (data, words) = (cfg.data, cfg.data.geometry().words_per_line());
         SfpCache {
-            predictor: FootprintPredictor::new(
-                cfg.predictor_entries,
-                cfg.geometry.words_per_line(),
-            ),
-            sets: (0..cfg.num_sets())
+            predictor: FootprintPredictor::new(cfg.predictor_entries, words),
+            sets: (0..data.num_sets())
                 .map(|_| SfpSet {
                     lines: VecDeque::new(),
-                    masks: vec![0; cfg.ways as usize],
+                    masks: vec![0; data.ways() as usize],
                 })
                 .collect(),
             reverter: cfg
                 .reverter
-                .map(|rc| Reverter::new(rc, cfg.num_sets(), cfg.ways)),
-            stats,
+                .map(|rc| Reverter::new(rc, data.num_sets(), data.ways())),
+            stats: L2Stats::new(words, data.ways()),
             compulsory: CompulsoryTracker::new(),
             label: format!("SFP-{}k", cfg.predictor_entries / 1024),
             cfg,
@@ -150,29 +129,6 @@ impl SfpCache {
         &self.predictor
     }
 
-    fn set_and_tag(&self, line: LineAddr) -> (SetIndex, u64) {
-        let sets = self.cfg.num_sets();
-        (
-            SetIndex::of_line(line, sets),
-            line.raw() >> sets.trailing_zeros(),
-        )
-    }
-
-    fn sfp_active_for(&self, set: SetIndex) -> bool {
-        match &self.reverter {
-            None => true,
-            Some(r) => r.is_leader(set) || r.ldis_enabled(),
-        }
-    }
-
-    fn observe_reverter(&mut self, set: SetIndex, line: LineAddr, missed: bool) {
-        if let Some(r) = self.reverter.as_mut() {
-            if r.is_leader(set) {
-                r.observe_leader_access(set, line, missed);
-            }
-        }
-    }
-
     /// Installs a line with the given stored words. The decoupled sectored
     /// placement requires a data way whose occupied word offsets are
     /// disjoint from the line's; LRU lines are evicted until a way fits
@@ -180,7 +136,7 @@ impl SfpCache {
     /// victim's observed footprint.
     fn install(&mut self, set_idx: SetIndex, tag: u64, req: &L2Request, stored: Footprint) {
         let max_tags = self.cfg.tags_per_set as usize;
-        // `set_idx` is masked to `0..num_sets` by `set_and_tag`, so the
+        // `set_idx` is masked to `0..num_sets` by `set_index`, so the
         // `get` lookups cannot miss.
         let way = loop {
             let Some(set) = self.sets.get(set_idx.get()) else {
@@ -248,8 +204,11 @@ impl SfpCache {
 impl SecondLevel for SfpCache {
     fn access(&mut self, req: L2Request) -> L2Response {
         self.stats.accesses.bump();
-        let (set_idx, tag) = self.set_and_tag(req.line);
-        let full = Footprint::full(self.cfg.geometry.words_per_line());
+        let (set_idx, tag) = (
+            self.cfg.data.set_index(req.line),
+            self.cfg.data.tag(req.line),
+        );
+        let full = Footprint::full(self.geometry().words_per_line());
 
         let resident = self.sets.get_mut(set_idx.get()).and_then(|set| {
             set.lines
@@ -257,8 +216,14 @@ impl SecondLevel for SfpCache {
                 .position(|l| l.tag == tag)
                 .and_then(|pos| set.lines.remove(pos))
         });
+        let hit = resident
+            .as_ref()
+            .is_some_and(|l| req.is_instr || l.stored.is_used(req.word));
+        if let Some(r) = self.reverter.as_mut() {
+            r.observe_leader_access(set_idx, req.line, !hit);
+        }
         if let Some(mut line) = resident {
-            if req.is_instr || line.stored.is_used(req.word) {
+            if hit {
                 // Word present: a hit. Count instruction hits as LOC-style
                 // hits and data word hits as WOC-style hits for reporting.
                 line.observed.touch(req.word);
@@ -272,7 +237,6 @@ impl SecondLevel for SfpCache {
                 } else {
                     self.stats.woc_hits.bump();
                 }
-                self.observe_reverter(set_idx, req.line, false);
                 let valid = if req.is_instr { full } else { stored };
                 return L2Response {
                     outcome: if req.is_instr {
@@ -288,7 +252,6 @@ impl SecondLevel for SfpCache {
             // prediction (observed ∪ stored ∪ demand); dirty words merge
             // into the refetched line.
             self.stats.hole_misses.bump();
-            self.observe_reverter(set_idx, req.line, true);
             if let Some(mask) = self
                 .sets
                 .get_mut(set_idx.get())
@@ -315,12 +278,10 @@ impl SecondLevel for SfpCache {
         }
 
         // Line miss: predict the footprint and install only those words.
-        self.stats.line_misses.bump();
-        if self.compulsory.record_miss(req.line) {
-            self.stats.compulsory_misses.bump();
-        }
-        self.observe_reverter(set_idx, req.line, true);
-        let stored = if req.is_instr || !self.sfp_active_for(set_idx) {
+        self.stats
+            .record_line_miss(self.compulsory.record_miss(req.line));
+        let active = self.reverter.as_ref().is_none_or(|r| r.active_for(set_idx));
+        let stored = if req.is_instr || !active {
             full
         } else {
             self.predictor.predict(req.pc, req.word)
@@ -333,7 +294,7 @@ impl SecondLevel for SfpCache {
     }
 
     fn on_l1d_evict(&mut self, line: LineAddr, footprint: Footprint, dirty: bool) {
-        let (set_idx, tag) = self.set_and_tag(line);
+        let (set_idx, tag) = (self.cfg.data.set_index(line), self.cfg.data.tag(line));
         match self
             .sets
             .get_mut(set_idx.get())
@@ -356,11 +317,11 @@ impl SecondLevel for SfpCache {
     }
 
     fn reset_stats(&mut self) {
-        self.stats = L2Stats::new(self.cfg.geometry.words_per_line(), self.cfg.ways);
+        self.stats.reset();
     }
 
     fn geometry(&self) -> LineGeometry {
-        self.cfg.geometry
+        self.cfg.data.geometry()
     }
 
     fn name(&self) -> &str {
@@ -374,11 +335,9 @@ mod tests {
 
     fn small() -> SfpCache {
         let cfg = SfpConfig {
-            size_bytes: 4 * 8 * 64, // 4 sets
-            ways: 8,
+            data: CacheConfig::with_sets(4, 8, LineGeometry::default()),
             tags_per_set: 22,
             predictor_entries: 1024,
-            geometry: LineGeometry::default(),
             reverter: None,
         };
         SfpCache::new(cfg)
@@ -392,20 +351,6 @@ mod tests {
         let mut cfg = SfpConfig::sfp_16k();
         edit(&mut cfg);
         SfpCache::new(cfg)
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two number")]
-    fn rejects_a_set_count_that_is_not_a_power_of_two() {
-        // 1.5 MB of 8-way sets is 3072 sets: the set mask would never
-        // select sets 1024..2048.
-        sfp(|c| c.size_bytes = 3 << 19);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one way")]
-    fn rejects_zero_ways() {
-        sfp(|c| c.ways = 0);
     }
 
     #[test]
@@ -481,7 +426,8 @@ mod tests {
         }
         let resident = (100..112u64)
             .filter(|&i| {
-                let (set, tag) = c.set_and_tag(LineAddr::new(i * 4));
+                let line = LineAddr::new(i * 4);
+                let (set, tag) = (c.cfg.data.set_index(line), c.cfg.data.tag(line));
                 c.sets[set.get()].lines.iter().any(|l| l.tag == tag)
             })
             .count();

@@ -2,17 +2,15 @@
 //! seeded generator (`SimRng`) so every run explores the same cases and
 //! failures reproduce exactly.
 
-use ldis_cache::{L2Request, SecondLevel};
+use ldis_cache::{CacheConfig, L2Request, SecondLevel};
 use ldis_mem::{Addr, Footprint, LineAddr, LineGeometry, SimRng, WordIndex};
 use ldis_sfp::{FootprintPredictor, SfpCache, SfpConfig};
 
 fn tiny() -> SfpCache {
     SfpCache::new(SfpConfig {
-        size_bytes: 8 * 8 * 64,
-        ways: 8,
+        data: CacheConfig::with_sets(8, 8, LineGeometry::default()),
         tags_per_set: 22,
         predictor_entries: 4096,
-        geometry: LineGeometry::default(),
         reverter: None,
     })
 }

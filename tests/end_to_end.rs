@@ -5,6 +5,7 @@ use line_distillation::cache::{BaselineL2, CacheConfig, Hierarchy, SecondLevel};
 use line_distillation::compress::{fac_4x_tags, CmprCache, CmprConfig, ValueSizeModel};
 use line_distillation::distill::{DistillCache, DistillConfig};
 use line_distillation::mem::{LineGeometry, Trace};
+use line_distillation::mrc::{MattsonL2, ShardsConfig, ShardsL2};
 use line_distillation::sfp::{SfpCache, SfpConfig};
 use line_distillation::workloads::{cache_insensitive, memory_intensive, TraceLength};
 
@@ -64,6 +65,37 @@ fn check(bench: &str, org: &str, s: &line_distillation::cache::L2Stats) {
         s.compulsory_misses <= s.demand_misses(),
         "{bench}/{org}: compulsory > misses"
     );
+}
+
+/// After a warm run, `reset_stats` leaves each organization's statistics
+/// equal to those of the same organization freshly built: every counter
+/// zero and both histograms in their built shape.
+#[test]
+fn reset_stats_matches_a_freshly_built_organization() {
+    fn warm_then_reset<L2: SecondLevel>(name: &str, build: impl Fn() -> L2) {
+        let mut h = Hierarchy::hpca2007(build());
+        (memory_intensive()[0].make)(1).drive(&mut h, TraceLength::accesses(100_000));
+        let fresh = build();
+        assert_ne!(h.l2().stats(), fresh.stats(), "{name}: the warm run counts");
+        h.reset_stats();
+        assert_eq!(h.l2().stats(), fresh.stats(), "{name}");
+    }
+    let geometry = LineGeometry::default();
+    let l2 = CacheConfig::new(1 << 20, 8, geometry);
+    let model = ValueSizeModel::new((memory_intensive()[0].make)(1).values(), geometry, 1);
+    warm_then_reset("baseline", || BaselineL2::new(l2));
+    warm_then_reset("distill", || {
+        DistillCache::new(DistillConfig::hpca2007_default())
+    });
+    warm_then_reset("fac", || fac_4x_tags(model));
+    warm_then_reset("cmpr", || CmprCache::new(CmprConfig::cmpr_4x_tags(), model));
+    warm_then_reset("sfp", || SfpCache::new(SfpConfig::sfp_16k()));
+    warm_then_reset("mattson", || {
+        MattsonL2::for_configs(&[l2, CacheConfig::new(2 << 20, 16, geometry)])
+    });
+    warm_then_reset("shards", || {
+        ShardsL2::new(geometry, ShardsConfig::at_rate(0.1))
+    });
 }
 
 /// A recorded trace replayed against two fresh instances of the same
